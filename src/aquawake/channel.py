@@ -38,7 +38,6 @@ class ChannelModel:
     coupling: float = 0.993  # boundary transmission coefficient, crossed twice
     echoes: list[Echo] = field(default_factory=list)
     noise_rms: float = 0.0  # additive white noise, pressure units
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.distance <= 0:
@@ -83,12 +82,13 @@ def critical_reflection_distance(bit_rate: float, sound_speed: float = 1630.0) -
     return sound_speed / bit_rate
 
 
-def propagate(tx: Waveform, channel: ChannelModel) -> Waveform:
+def propagate(tx: Waveform, channel: ChannelModel, seed: int = 0) -> Waveform:
     """Apply the channel to a transmit waveform.
 
     Each path contributes a delayed, scaled copy (delays rounded to the
     nearest sample); echo gains are relative to the attenuated direct
-    arrival. Output is long enough to hold the latest tap in full.
+    arrival. Output is long enough to hold the latest tap in full. `seed`
+    drives the noise generator.
     """
     sr = tx.sample_rate
     g0 = channel.direct_gain()
@@ -105,7 +105,7 @@ def propagate(tx: Waveform, channel: ChannelModel) -> Waveform:
         out[d : d + len(tx.samples)] += gain * tx.samples
 
     if channel.noise_rms > 0:
-        rng = np.random.default_rng(channel.rng_seed)
+        rng = np.random.default_rng(seed)
         out += rng.normal(0.0, channel.noise_rms, size=n)
 
     return Waveform(sample_rate=sr, samples=out, unit=tx.unit)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import re
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -22,7 +23,7 @@ from pathlib import Path
 
 from .errors import ConfigurationError
 from .scenario_io import load_scenario
-from .sim import SWEEPABLE_PARAMETERS, ScenarioResult, run_scenario, sweep
+from .sim import SWEEPABLE_PARAMETERS, Scenario, ScenarioResult, run_scenario, sweep
 
 SCHEMA_VERSION = "1"
 OUT_DIR_ENV = "AQUAWAKE_OUT_DIR"
@@ -42,6 +43,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# CSV headers. Each column holds the ScenarioResult field or sweep row key
+# of the same name, less a unit suffix (_s seconds, _v volts, _j joules).
+RESULT_COLUMNS = (
+    "seed", "woke", "decoded_uuid", "time_to_wake_s", "peak_v_cap_v",
+    "harvested_energy_j", "consumed_energy_j",
+    "rail_up_time_s", "first_sync_time_s", "decision_time_s",
+)
+SWEEP_COLUMNS = (
+    "row_type", "parameter", "value", "trial", "seed",
+    "woke", "decoded_uuid", "time_to_wake_s", "peak_v_cap_v",
+    "harvested_energy_j", "consumed_energy_j",
+    "trials", "wake_success_rate", "mean_peak_v_cap_v", "mean_time_to_wake_s",
+)
+_UNIT_SUFFIX = re.compile(r"_[svj]$")
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -52,14 +69,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
+    """Write rows under a leading schema_version column, atomically."""
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(["schema_version", *header])
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([SCHEMA_VERSION, *map(_fmt, row)])
     os.replace(tmp, path)
+
+
+def _write_records(path: Path, columns: tuple[str, ...], records: list[dict]) -> None:
+    """Write one row per record; a column the record lacks stays empty."""
+    keys = [_UNIT_SUFFIX.sub("", c) for c in columns]
+    _write_csv(path, columns, ([rec.get(k) for k in keys] for rec in records))
 
 
 def _out_dir(arg: str | None) -> Path:
@@ -87,43 +111,29 @@ def preset_path(name: str) -> Path:
 
 def _write_run_outputs(result: ScenarioResult, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "result.csv",
-        [
-            "schema_version", "seed", "woke", "decoded_uuid", "time_to_wake_s",
-            "peak_v_cap_v", "harvested_energy_j", "consumed_energy_j",
-            "rail_up_time_s", "first_sync_time_s", "decision_time_s",
-        ],
-        [[
-            SCHEMA_VERSION, result.seed, result.woke, result.decoded_uuid,
-            result.time_to_wake, result.peak_v_cap, result.harvested_energy,
-            result.consumed_energy, result.rail_up_time, result.first_sync_time,
-            result.decision_time,
-        ]],
-    )
+    _write_records(out / "result.csv", RESULT_COLUMNS, [vars(result)])
     _write_csv(
         out / "vcap_trace.csv",
-        ["schema_version", "time_s", "v_cap_v", "mode"],
-        [
-            [SCHEMA_VERSION, float(t), float(v), m]
-            for t, v, m in zip(result.vcap_times, result.vcap_values, result.mode_values)
-        ],
+        ("time_s", "v_cap_v", "mode"),
+        zip(result.vcap_times, result.vcap_values, result.mode_values),
     )
     _write_csv(
         out / "comparator_edges.csv",
-        ["schema_version", "time_s", "level"],
-        [
-            [SCHEMA_VERSION, float(t), bool(lv)]
-            for t, lv in zip(result.edge_trace.edge_times, result.edge_trace.edge_levels)
-        ],
+        ("time_s", "level"),
+        zip(result.edge_trace.edge_times, map(bool, result.edge_trace.edge_levels)),
     )
 
 
-def _cmd_run(args) -> int:
+def _load(args) -> Scenario:
+    """The scenario file named on the command line, with --seed applied."""
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = replace(scenario, sim=replace(scenario.sim, seed=args.seed))
-    result = run_scenario(scenario)
+    return scenario
+
+
+def _cmd_run(args) -> int:
+    result = run_scenario(_load(args))
     _write_run_outputs(result, _out_dir(args.out))
     ttw = "none" if result.time_to_wake is None else f"{result.time_to_wake:.6f}s"
     print(f"woke={result.woke} time_to_wake={ttw} peak_v_cap={result.peak_v_cap:.4f}V")
@@ -131,38 +141,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if args.seed is not None:
-        scenario = replace(scenario, sim=replace(scenario.sim, seed=args.seed))
+    scenario = _load(args)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise _UsageError(f"--values must be a comma-separated number list: {exc}") from exc
     result = sweep(scenario, args.param, values, trials=args.trials)
-
-    header = [
-        "schema_version", "row_type", "parameter", "value", "trial", "seed",
-        "woke", "decoded_uuid", "time_to_wake_s", "peak_v_cap_v",
-        "harvested_energy_j", "consumed_energy_j",
-        "trials", "wake_success_rate", "mean_peak_v_cap_v", "mean_time_to_wake_s",
-    ]
-    rows = []
-    for r in result.rows:
-        rows.append([
-            SCHEMA_VERSION, "trial", r["parameter"], r["value"], r["trial"], r["seed"],
-            r["woke"], r["decoded_uuid"], r["time_to_wake"], r["peak_v_cap"],
-            r["harvested_energy"], r["consumed_energy"], None, None, None, None,
-        ])
-    for a in result.aggregates:
-        rows.append([
-            SCHEMA_VERSION, "aggregate", a["parameter"], a["value"], None, None,
-            None, None, None, None, None, None,
-            a["trials"], a["wake_success_rate"], a["mean_peak_v_cap"],
-            a["mean_time_to_wake"],
-        ])
+    records = [{"row_type": "trial", **r} for r in result.rows]
+    records += [{"row_type": "aggregate", **a} for a in result.aggregates]
     out = _out_dir(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "sweep.csv", header, rows)
+    _write_records(out / "sweep.csv", SWEEP_COLUMNS, records)
     for a in result.aggregates:
         print(
             f"{args.param}={a['value']}: wake_success_rate="

@@ -1,21 +1,24 @@
 """Scenario files.
 
 A scenario is a YAML mapping with one section per subsystem; every field maps
-1:1 onto the corresponding config dataclass. Only the transmitted UUID and
-the receiver's assigned UUID are required, everything else defaults. Unknown
-keys are rejected by name so typos fail loudly instead of silently running a
-default.
+1:1 onto the corresponding config dataclass. Required keys are the fields
+without a default (the transmitted and the assigned UUID). Unknown keys are
+rejected by name so typos fail loudly instead of silently running a default,
+and non-finite numbers are rejected because NaN passes every `<= 0` check.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
+import typing
 from pathlib import Path
 from typing import Any
 
 import yaml
 
-from .channel import ChannelModel, Echo
+from .channel import ChannelModel
 from .decoder import DecoderConfig
 from .errors import ConfigurationError, SchemaError
 from .frame import ModulationParams, WakeupFrame
@@ -23,8 +26,7 @@ from .frontend import DemodParams, RectifierModel, TransducerModel
 from .power import HarvesterParams, LoadProfile
 from .sim import Scenario, SimOptions
 
-REQUIRED_KEYS = ("frame.uuid", "decoder.assigned_uuid")
-
+# built in this order, so frame comes before the demod hook that reads it
 _SECTIONS: dict[str, type] = {
     "frame": WakeupFrame,
     "modulation": ModulationParams,
@@ -39,24 +41,44 @@ _SECTIONS: dict[str, type] = {
 }
 
 
-def _section_doc(doc: dict, name: str) -> dict[str, Any]:
-    data = doc.get(name) or {}
-    if not isinstance(data, dict):
-        raise SchemaError(f"section {name!r} must be a mapping")
-    return dict(data)
+@functools.cache
+def _list_items(cls: type) -> dict[str, type]:
+    """Map each list field of `cls` to its item dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {k: typing.get_args(h)[0] for k, h in hints.items() if typing.get_origin(h) is list}
 
 
-def _build_section(name: str, cls: type, data: dict[str, Any]):
-    known = {f.name for f in dataclasses.fields(cls)}
-    for key in data:
-        if key not in known:
-            raise SchemaError(f"unknown key {name}.{key}")
+def _is_finite(value: Any) -> bool:
+    if not isinstance(value, (int, float)):
+        return True
     try:
-        return cls(**data)
-    except ConfigurationError as exc:
-        raise SchemaError(f"invalid value in section {name!r}: {exc}") from exc
-    except TypeError as exc:
-        raise SchemaError(f"bad field type in section {name!r}: {exc}") from exc
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+def _build(name: str, cls: type, data: Any, make=None):
+    """Build `cls` (through `make` if given) from the mapping at `name`."""
+    if not isinstance(data, dict):
+        raise SchemaError(f"{name} must be a mapping")
+    items = _list_items(cls)
+    known = {f.name for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in data.items():
+        where = f"{name}.{key}"
+        if key not in known:
+            raise SchemaError(f"unknown key {where}")
+        if key in items:
+            if not isinstance(value, list):
+                raise SchemaError(f"{where} must be a list")
+            value = [_build(f"{where}[{i}]", items[key], v) for i, v in enumerate(value)]
+        elif not _is_finite(value):
+            raise SchemaError(f"{where} must be a finite number, got {value}")
+        kwargs[key] = value
+    try:
+        return (make or cls)(**kwargs)
+    except (ConfigurationError, TypeError) as exc:
+        raise SchemaError(f"invalid value in {name}: {exc}") from exc
 
 
 def scenario_from_dict(doc: Any) -> Scenario:
@@ -65,62 +87,34 @@ def scenario_from_dict(doc: Any) -> Scenario:
         doc = {}
     if not isinstance(doc, dict):
         raise SchemaError("scenario document must be a mapping of sections")
-    for section in doc:
-        if section not in _SECTIONS:
+    sections = {name: {} if data is None else data for name, data in doc.items()}
+    for name, data in sections.items():
+        if name not in _SECTIONS:
             raise SchemaError(
-                f"unknown section {section!r}; expected one of {', '.join(_SECTIONS)}"
+                f"unknown section {name!r}; expected one of {', '.join(_SECTIONS)}"
             )
+        if not isinstance(data, dict):
+            raise SchemaError(f"section {name!r} must be a mapping")
 
-    frame_doc = _section_doc(doc, "frame")
-    decoder_doc = _section_doc(doc, "decoder")
-    missing = []
-    if "uuid" not in frame_doc:
-        missing.append("frame.uuid")
-    if "assigned_uuid" not in decoder_doc:
-        missing.append("decoder.assigned_uuid")
+    missing = [
+        f"{name}.{f.name}"
+        for name, cls in _SECTIONS.items()
+        for f in dataclasses.fields(cls)
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        and f.name not in sections.get(name, {})
+    ]
     if missing:
-        raise SchemaError(
-            "missing required key(s): " + ", ".join(missing)
-            + f" (required: {', '.join(REQUIRED_KEYS)})"
-        )
+        raise SchemaError("missing required key(s): " + ", ".join(missing))
 
-    channel_doc = _section_doc(doc, "channel")
-    if "echoes" in channel_doc:
-        echoes_doc = channel_doc["echoes"]
-        if not isinstance(echoes_doc, list):
-            raise SchemaError("channel.echoes must be a list")
-        echoes = []
-        for i, e in enumerate(echoes_doc):
-            if not isinstance(e, dict) or set(e) - {"extra_path", "gain"}:
-                raise SchemaError(
-                    f"channel.echoes[{i}] must be a mapping with extra_path and gain"
-                )
-            try:
-                echoes.append(Echo(**e))
-            except ConfigurationError as exc:
-                raise SchemaError(f"invalid value in channel.echoes[{i}]: {exc}") from exc
-        channel_doc["echoes"] = echoes
-
-    kwargs: dict[str, Any] = {
-        "frame": _build_section("frame", WakeupFrame, frame_doc),
-        "decoder": _build_section("decoder", DecoderConfig, decoder_doc),
-        "channel": _build_section("channel", ChannelModel, channel_doc),
-    }
-    for section in ("modulation", "transducer", "rectifier", "harvester", "load", "sim"):
-        kwargs[section] = _build_section(section, _SECTIONS[section], _section_doc(doc, section))
-    if "demod" in doc:
-        demod_doc = _section_doc(doc, "demod")
-        known = {f.name for f in dataclasses.fields(DemodParams)}
-        for key in demod_doc:
-            if key not in known:
-                raise SchemaError(f"unknown key demod.{key}")
-        try:
-            # omitted taus still track the frame's bit rate
-            kwargs["demod"] = DemodParams.for_bit_rate(
-                kwargs["frame"].bit_rate, **demod_doc
-            )
-        except ConfigurationError as exc:
-            raise SchemaError(f"invalid value in section 'demod': {exc}") from exc
+    # absent sections keep Scenario's defaults
+    kwargs: dict[str, Any] = {}
+    for name, cls in _SECTIONS.items():
+        if name in sections:
+            make = None
+            if name == "demod":
+                # omitted taus still track the frame's bit rate
+                make = functools.partial(DemodParams.for_bit_rate, kwargs["frame"].bit_rate)
+            kwargs[name] = _build(name, cls, sections[name], make)
     return Scenario(**kwargs)
 
 

@@ -16,6 +16,7 @@ decision, mirroring how the real receiver spends its budget.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -46,13 +47,15 @@ from .waveform import DigitalTrace, Waveform
 
 logger = logging.getLogger(__name__)
 
-SWEEPABLE_PARAMETERS = (
-    "distance",
-    "preamble_duration",
-    "bit_rate",
-    "noise_rms",
-    "echo_delay",
-)
+# sweep parameter -> (Scenario section, field) it sets
+_SWEEP_TARGETS = {
+    "distance": ("channel", "distance"),
+    "preamble_duration": ("frame", "preamble_duration"),
+    "bit_rate": ("frame", "bit_rate"),
+    "noise_rms": ("channel", "noise_rms"),
+    "echo_delay": ("channel", "echoes"),  # s; moves the first echo
+}
+SWEEPABLE_PARAMETERS = tuple(_SWEEP_TARGETS)
 
 
 @dataclass
@@ -127,12 +130,11 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     demod = sc.resolved_demod()
     _validate(sc, demod)
     sr = sc.modulation.sample_rate
-    channel = replace(sc.channel, rng_seed=sc.sim.seed)
 
     tx = modulate_frame(sc.frame, sc.modulation)
     tail = np.zeros(round(sc.sim.tail_duration * sr))
     tx = Waveform(sr, np.concatenate([tx.samples, tail]), tx.unit)
-    rx = propagate(tx, channel)
+    rx = propagate(tx, sc.channel, sc.sim.seed)
 
     v_xdcr = transduce(rx, sc.transducer)
     v_harv = rectify(v_xdcr, sc.rectifier)
@@ -248,23 +250,18 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
 
 
 def _with_parameter(sc: Scenario, name: str, value: float) -> Scenario:
-    if name == "distance":
-        return replace(sc, channel=replace(sc.channel, distance=value))
-    if name == "preamble_duration":
-        return replace(sc, frame=replace(sc.frame, preamble_duration=value))
-    if name == "bit_rate":
-        return replace(sc, frame=replace(sc.frame, bit_rate=value))
-    if name == "noise_rms":
-        return replace(sc, channel=replace(sc.channel, noise_rms=value))
+    if name not in _SWEEP_TARGETS:
+        raise ConfigurationError(
+            f"unknown sweep parameter {name!r}; choose from {', '.join(SWEEPABLE_PARAMETERS)}"
+        )
+    section, key = _SWEEP_TARGETS[name]
+    part = getattr(sc, section)
     if name == "echo_delay":
-        if not sc.channel.echoes:
+        if not part.echoes:
             raise ConfigurationError("echo_delay sweep needs at least one configured echo")
-        echoes = list(sc.channel.echoes)
-        echoes[0] = replace(echoes[0], extra_path=value * sc.channel.sound_speed)
-        return replace(sc, channel=replace(sc.channel, echoes=echoes))
-    raise ConfigurationError(
-        f"unknown sweep parameter {name!r}; choose from {', '.join(SWEEPABLE_PARAMETERS)}"
-    )
+        first = replace(part.echoes[0], extra_path=value * part.sound_speed)
+        value = [first, *part.echoes[1:]]
+    return replace(sc, **{section: replace(part, **{key: value})})
 
 
 def _trial_seed(base_seed: int, value_index: int, trial: int) -> int:
@@ -285,6 +282,9 @@ def sweep(base: Scenario, parameter: str, values: list[float], trials: int = 1) 
         raise ConfigurationError("trials must be >= 1")
     if not values:
         raise ConfigurationError("values must be non-empty")
+    for value in values:
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{parameter} values must be finite, got {value}")
     rows: list[dict] = []
     aggregates: list[dict] = []
     for vi, value in enumerate(values):

@@ -40,9 +40,6 @@ class Waveform:
         """Length in seconds."""
         return len(self.samples) / self.sample_rate
 
-    def times(self) -> np.ndarray:
-        return np.arange(len(self.samples)) / self.sample_rate
-
     def energy(self) -> float:
         """Sum of squared samples over the sample rate (unit^2 * s)."""
         return float(np.sum(self.samples**2) / self.sample_rate)

@@ -112,16 +112,16 @@ def test_output_holds_the_latest_tap_in_full():
 
 def test_same_seed_is_bit_identical_different_seed_is_not():
     x = Waveform(SR, np.zeros(2048), SignalUnit.PRESSURE)
-    a = propagate(x, ChannelModel(noise_rms=0.5, rng_seed=3)).samples
-    b = propagate(x, ChannelModel(noise_rms=0.5, rng_seed=3)).samples
-    c = propagate(x, ChannelModel(noise_rms=0.5, rng_seed=4)).samples
+    a = propagate(x, ChannelModel(noise_rms=0.5), seed=3).samples
+    b = propagate(x, ChannelModel(noise_rms=0.5), seed=3).samples
+    c = propagate(x, ChannelModel(noise_rms=0.5), seed=4).samples
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_noise_level_matches_configured_rms():
     x = Waveform(SR, np.zeros(200_000), SignalUnit.PRESSURE)
-    out = propagate(x, ChannelModel(noise_rms=0.25, rng_seed=0))
+    out = propagate(x, ChannelModel(noise_rms=0.25), seed=0)
     assert np.std(out.samples) == pytest.approx(0.25, rel=0.02)
 
 

@@ -194,3 +194,32 @@ def test_bundled_preset_runs_end_to_end(tmp_path):
     assert code == 0
     assert summary.startswith("woke=True")
     assert (out / "result.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("channel:\n", "channel:\n  rng_seed: 7\n", "unknown key channel.rng_seed"),
+        ("sim:\n", "load:\n  p_decode: .nan\nsim:\n", "load.p_decode must be a finite number"),
+        ("sim:\n", "sim:\n  tail_duration: .inf\n", "sim.tail_duration must be a finite number"),
+    ],
+    ids=["rng_seed", "nan_p_decode", "inf_tail_duration"],
+)
+def test_run_rejects_a_bad_key_by_name(old, new, message, tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_text(FAST_SCENARIO.replace(old, new))
+    code, _, stderr = cli("run", str(path), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert message in stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_rejects_non_finite_values(scenario_file, tmp_path):
+    out = tmp_path / "out"
+    code, _, stderr = cli(
+        "sweep", str(scenario_file),
+        "--param", "distance", "--values", "1.0,nan", "--out", str(out),
+    )
+    assert code == 2
+    assert "distance values must be finite" in stderr
+    assert not (out / "sweep.csv").exists()

@@ -165,3 +165,13 @@ def test_echo_presets_differ_only_in_the_reflection_path():
     assert far.channel.echoes[0].extra_path == pytest.approx(8.15)
     assert near.channel.echoes[0].gain == far.channel.echoes[0].gain == 0.8
     assert near.modulation.tx_amplitude == far.modulation.tx_amplitude
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
+def test_non_finite_numbers_are_rejected_by_key(value):
+    doc = dict(MINIMAL, frame={"uuid": 0xA5, "bit_rate": value}, demod={})
+    with pytest.raises(SchemaError, match=r"frame\.bit_rate must be a finite number"):
+        scenario_from_dict(doc)
+    doc = dict(MINIMAL, channel={"echoes": [{"extra_path": value, "gain": 0.5}]})
+    with pytest.raises(SchemaError, match=r"channel\.echoes\[0\]\.extra_path must be"):
+        scenario_from_dict(doc)
