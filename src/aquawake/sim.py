@@ -57,6 +57,9 @@ _SWEEP_TARGETS = {
 }
 SWEEPABLE_PARAMETERS = tuple(_SWEEP_TARGETS)
 
+# samples one run may allocate per signal, about 37 s at the default 224 kHz
+MAX_SAMPLES = 2**23
+
 
 @dataclass
 class SimOptions:
@@ -112,6 +115,16 @@ class ScenarioResult:
 
 
 def _validate(sc: Scenario, demod: DemodParams) -> None:
+    # checked before anything is allocated: frame + tail + the latest path,
+    # plus the padding of the last harvester tick
+    ch = sc.channel
+    detour = max((e.extra_path for e in ch.echoes), default=0.0)
+    seconds = sc.frame.duration + sc.sim.tail_duration + (ch.distance + detour) / ch.sound_speed
+    n_samples = seconds * sc.modulation.sample_rate + sc.sim.harvester_decimation
+    if n_samples > MAX_SAMPLES:
+        raise ConfigurationError(
+            f"scenario needs {n_samples:.0f} samples per signal, above the limit of {MAX_SAMPLES}"
+        )
     bit_period = sc.frame.bit_period
     carrier_period = 1.0 / sc.modulation.carrier_freq
     if demod.envelope_tau >= bit_period:
@@ -162,79 +175,63 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     modes: list[str] = []
     rail_up_time: float | None = None
     first_sync_time: float | None = None
-    decision_time: float | None = None
-    decided_uuid: int | None = None
-    woke = False
-    wake_time: float | None = None
 
     for i in range(n_ticks):
         t0 = i * dt
         t1 = t0 + dt
-        regulating = state.mode is HarvesterMode.REGULATING
 
-        if regulating:
+        if state.mode is HarvesterMode.REGULATING:
             if rail_up_time is None:
                 rail_up_time = t0
-            while decision_time is None:
-                next_edge = rising[edge_idx] if edge_idx < len(rising) else np.inf
+            # feed rising edges and due level samples in time order; ties go to the edge
+            while dec_state.phase is not dec.DecoderPhase.DECIDED:
                 due = dec_state.next_sample_time
-                next_sample = due if due is not None and due < t1 else np.inf
-                if next_edge >= t1 and next_sample == np.inf:
-                    break
-                if next_edge <= next_sample:
-                    dec_state = dec.decoder_feed(
-                        dec_state, sc.decoder, dec.RisingEdge(float(next_edge))
-                    )
+                edge = rising[edge_idx] if edge_idx < len(rising) else None
+                if due is not None and due < t1 and (edge is None or due < edge):
+                    event = dec.LevelSample(float(due), trace.level_at(due))
+                elif edge is not None and edge < t1:
+                    event = dec.RisingEdge(float(edge))
                     edge_idx += 1
                 else:
-                    level = trace.level_at(next_sample)
-                    dec_state = dec.decoder_feed(
-                        dec_state, sc.decoder, dec.LevelSample(float(next_sample), level)
-                    )
+                    break
+                dec_state = dec.decoder_feed(dec_state, sc.decoder, event)
                 if first_sync_time is None and dec_state.first_edge_time is not None:
                     first_sync_time = dec_state.first_edge_time
-                if dec_state.phase is dec.DecoderPhase.DECIDED:
-                    decision_time = dec_state.last_event_time
-                    decided_uuid = dec_state.decoded_uuid
-                    if dec.wake_output(dec_state):
-                        woke = True
-                        wake_time = decision_time
+            # decode draw applies while the decoder is mid-frame, listen otherwise
+            if dec_state.phase in (dec.DecoderPhase.AWAIT_SECOND_EDGE, dec.DecoderPhase.SAMPLING):
+                load = sc.load.p_decode
+            else:
+                load = sc.load.p_listen
         else:
+            load = sc.load.p_idle
             # rail down: comparator events are lost and any progress is gone
             while edge_idx < len(rising) and rising[edge_idx] < t1:
                 edge_idx += 1
-            if dec_state.phase is not dec.DecoderPhase.AWAIT_FIRST_EDGE:
-                if decision_time is None:
-                    logger.debug("rail down at %.4f s, decoder reset", t0)
-                    dec_state = dec.DecoderState()
-
-        # decode draw applies while the decoder is mid-frame, listen otherwise
-        if not regulating:
-            load = sc.load.p_idle
-        elif dec_state.phase in (
-            dec.DecoderPhase.AWAIT_SECOND_EDGE,
-            dec.DecoderPhase.SAMPLING,
-        ):
-            load = sc.load.p_decode
-        else:
-            load = sc.load.p_listen
+            if dec_state.phase not in (dec.DecoderPhase.AWAIT_FIRST_EDGE, dec.DecoderPhase.DECIDED):
+                logger.debug("rail down at %.4f s, decoder reset", t0)
+                dec_state = dec.DecoderState()
 
         state = harvester_step(state, sc.harvester, v_in[i], p_in[i], load, dt)
         vcap[i] = state.v_cap
         modes.append(state.mode.value)
+
+    # the outcome is the decoder's: DECIDED is terminal and never reset
+    decided = dec_state.phase is dec.DecoderPhase.DECIDED
+    decision_time = dec_state.last_event_time if decided else None
+    woke = dec.wake_output(dec_state)
 
     # energy ledger must close: E0 + banked - drained == E_final
     final_energy = cap_energy(sc.harvester.c_store, state.v_cap)
     closure = initial_energy + state.harvested_energy - state.consumed_energy - final_energy
     if state.harvested_energy > 0 and abs(closure) > 1e-3 * state.harvested_energy:
         raise AssertionError(f"energy ledger violation: {closure} J unaccounted")
-    if woke and decided_uuid != sc.decoder.assigned_uuid:
+    if woke and dec_state.decoded_uuid != sc.decoder.assigned_uuid:
         raise AssertionError("wake asserted without a matching UUID")
 
     return ScenarioResult(
         woke=woke,
-        decoded_uuid=decided_uuid,
-        time_to_wake=wake_time,
+        decoded_uuid=dec_state.decoded_uuid,
+        time_to_wake=decision_time if woke else None,
         peak_v_cap=float(vcap.max()) if n_ticks else 0.0,
         harvested_energy=float(state.harvested_energy),
         consumed_energy=float(state.consumed_energy),
@@ -289,16 +286,9 @@ def sweep(base: Scenario, parameter: str, values: list[float], trials: int = 1) 
     aggregates: list[dict] = []
     for vi, value in enumerate(values):
         sc_v = _with_parameter(base, parameter, float(value))
-        wakes = 0
-        peaks = []
-        times = []
         for trial in range(trials):
             seed = _trial_seed(base.sim.seed, vi, trial)
             result = run_scenario(replace(sc_v, sim=replace(sc_v.sim, seed=seed)))
-            wakes += int(result.woke)
-            peaks.append(result.peak_v_cap)
-            if result.time_to_wake is not None:
-                times.append(result.time_to_wake)
             rows.append(
                 {
                     "parameter": parameter,
@@ -313,13 +303,15 @@ def sweep(base: Scenario, parameter: str, values: list[float], trials: int = 1) 
                     "consumed_energy": result.consumed_energy,
                 }
             )
+        value_rows = rows[-trials:]
+        times = [r["time_to_wake"] for r in value_rows if r["time_to_wake"] is not None]
         aggregates.append(
             {
                 "parameter": parameter,
                 "value": float(value),
                 "trials": trials,
-                "wake_success_rate": wakes / trials,
-                "mean_peak_v_cap": float(np.mean(peaks)),
+                "wake_success_rate": sum(r["woke"] for r in value_rows) / trials,
+                "mean_peak_v_cap": float(np.mean([r["peak_v_cap"] for r in value_rows])),
                 "mean_time_to_wake": float(np.mean(times)) if times else None,
             }
         )
@@ -351,7 +343,6 @@ def calibrate_tx_amplitude(
     else:
         raise ConfigurationError("calibration failed to bracket the target peak")
 
-    amp = hi
     for _ in range(max_iter):
         amp = 0.5 * (lo + hi)
         p = peak(amp)
@@ -361,4 +352,6 @@ def calibrate_tx_amplitude(
             lo = amp
         else:
             hi = amp
-    return amp
+    raise ConfigurationError(
+        f"calibration did not converge to rel_tol={rel_tol} within {max_iter} bisections"
+    )

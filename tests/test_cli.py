@@ -202,8 +202,9 @@ def test_bundled_preset_runs_end_to_end(tmp_path):
         ("channel:\n", "channel:\n  rng_seed: 7\n", "unknown key channel.rng_seed"),
         ("sim:\n", "load:\n  p_decode: .nan\nsim:\n", "load.p_decode must be a finite number"),
         ("sim:\n", "sim:\n  tail_duration: .inf\n", "sim.tail_duration must be a finite number"),
+        ("sim:\n", "sim:\n  harvester_decimation: 0x10000000000\n", "above the limit of 8388608"),
     ],
-    ids=["rng_seed", "nan_p_decode", "inf_tail_duration"],
+    ids=["rng_seed", "nan_p_decode", "inf_tail_duration", "huge_decimation"],
 )
 def test_run_rejects_a_bad_key_by_name(old, new, message, tmp_path):
     path = tmp_path / "bad.yaml"
@@ -222,4 +223,17 @@ def test_sweep_rejects_non_finite_values(scenario_file, tmp_path):
     )
     assert code == 2
     assert "distance values must be finite" in stderr
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("param", ["preamble_duration", "distance"])
+def test_sweep_rejects_a_run_over_the_sample_limit(param, scenario_file, tmp_path):
+    out = tmp_path / "out"
+    code, _, stderr = cli(
+        "sweep", str(scenario_file),
+        "--param", param, "--values", "1e9", "--out", str(out),
+    )
+    assert code == 2
+    assert "above the limit of 8388608" in stderr
+    assert "Traceback" not in stderr
     assert not (out / "sweep.csv").exists()

@@ -235,3 +235,9 @@ def test_calibration_reports_bracket_failure():
     sc = reference_scenario(distance=100.0)
     with pytest.raises(ConfigurationError, match="bracket"):
         calibrate_tx_amplitude(sc, 4.12, max_iter=3)
+
+
+def test_calibration_reports_no_convergence():
+    sc = reference_scenario(amplitude=1.0)
+    with pytest.raises(ConfigurationError, match="did not converge"):
+        calibrate_tx_amplitude(sc, 4.12, rel_tol=1e-15, max_iter=5)
