@@ -13,42 +13,39 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Config, Fraction, Gain, NonNegative, Positive, is_finite
 from .errors import ConfigurationError
 from .waveform import Waveform
 
 
 @dataclass
-class Echo:
-    extra_path: float  # m traveled beyond the direct path
-    gain: float  # amplitude relative to the direct arrival
-
-    def __post_init__(self) -> None:
-        if self.extra_path <= 0:
-            raise ConfigurationError(f"echo extra_path must be positive, got {self.extra_path}")
-        if not 0 <= self.gain < 1:
-            raise ConfigurationError(f"echo gain must be in [0, 1), got {self.gain}")
+class Echo(Config):
+    extra_path: Positive  # m traveled beyond the direct path
+    gain: Gain  # amplitude relative to the direct arrival
 
 
 @dataclass
-class ChannelModel:
-    distance: float = 1.0  # m, transmitter to receiver
-    sound_speed: float = 1630.0  # m/s
+class ChannelModel(Config):
+    distance: Positive = 1.0  # m, transmitter to receiver
+    sound_speed: Positive = 1630.0  # m/s
     spreading_exponent: float = 2.0  # amplitude ~ distance**-k
     absorption_db_per_km: float = 0.0  # dB/km at the carrier
-    coupling: float = 0.993  # boundary transmission coefficient, crossed twice
+    coupling: Fraction = 0.993  # boundary transmission coefficient, crossed twice
     echoes: list[Echo] = field(default_factory=list)
-    noise_rms: float = 0.0  # additive white noise, pressure units
+    noise_rms: NonNegative = 0.0  # additive white noise, pressure units
 
     def __post_init__(self) -> None:
-        if self.distance <= 0:
-            raise ConfigurationError(f"distance must be positive, got {self.distance}")
-        if self.sound_speed <= 0:
-            raise ConfigurationError("sound_speed must be positive")
-        if not 0 < self.coupling <= 1:
-            raise ConfigurationError(f"coupling must be in (0, 1], got {self.coupling}")
-        if self.noise_rms < 0:
-            raise ConfigurationError("noise_rms must be >= 0")
+        super().__post_init__()
         self.echoes = [e if isinstance(e, Echo) else Echo(*e) for e in self.echoes]
+        try:
+            finite = is_finite(self.direct_gain())
+        except OverflowError:  # a float power past float range raises instead of giving inf
+            finite = False
+        if not finite:
+            raise ConfigurationError(
+                f"direct-path gain overflows at distance {self.distance}, spreading_exponent "
+                f"{self.spreading_exponent} and absorption_db_per_km {self.absorption_db_per_km}"
+            )
 
     def direct_gain(self) -> float:
         """Amplitude factor applied to the direct arrival."""

@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from math import inf
 
-from .errors import ConfigurationError, ProtocolError
+from .config import Byte, Config, Fraction, Positive
+from .errors import ProtocolError
 
 PAYLOAD_BITS = 8
 
@@ -37,18 +38,10 @@ class LevelSample:
 
 
 @dataclass
-class DecoderConfig:
-    assigned_uuid: int
-    max_sync_interval: float = 0.040  # s, 4x the longest supported bit period
-    sample_offset: float = 0.4  # fraction of the period into each bit slot
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.assigned_uuid <= 0xFF:
-            raise ConfigurationError(f"assigned_uuid must fit 8 bits, got {self.assigned_uuid!r}")
-        if self.max_sync_interval <= 0:
-            raise ConfigurationError("max_sync_interval must be positive")
-        if not 0 < self.sample_offset <= 1:
-            raise ConfigurationError(f"sample_offset must be in (0, 1], got {self.sample_offset}")
+class DecoderConfig(Config):
+    assigned_uuid: Byte
+    max_sync_interval: Positive = 0.040  # s, 4x the longest supported bit period
+    sample_offset: Fraction = 0.4  # fraction of the period into each bit slot
 
 
 @dataclass

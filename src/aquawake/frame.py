@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Byte, Config, Fraction, NonNegative, Positive
 from .errors import ConfigurationError
 from .waveform import SignalUnit, Waveform
 
@@ -22,21 +23,11 @@ FRAME_BITS = len(SYNC_BITS) + UUID_BITS
 
 
 @dataclass
-class WakeupFrame:
-    uuid: int
-    bit_rate: float = 200.0  # bits/s
-    preamble_duration: float = 0.050  # s of continuous carrier
-    guard_duration: float = 0.0  # s of silence between preamble and data
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.uuid <= 0xFF:
-            raise ConfigurationError(f"uuid must fit 8 bits, got {self.uuid!r}")
-        if self.bit_rate <= 0:
-            raise ConfigurationError(f"bit_rate must be positive, got {self.bit_rate}")
-        if self.preamble_duration < 0:
-            raise ConfigurationError("preamble_duration must be >= 0")
-        if self.guard_duration < 0:
-            raise ConfigurationError("guard_duration must be >= 0")
+class WakeupFrame(Config):
+    uuid: Byte
+    bit_rate: Positive = 200.0  # bits/s
+    preamble_duration: NonNegative = 0.050  # s of continuous carrier
+    guard_duration: NonNegative = 0.0  # s of silence between preamble and data
 
     @property
     def bit_period(self) -> float:
@@ -53,24 +44,19 @@ class WakeupFrame:
 
 
 @dataclass
-class ModulationParams:
-    carrier_freq: float = 28_000.0  # Hz
+class ModulationParams(Config):
+    carrier_freq: Positive = 28_000.0  # Hz
     sample_rate: float = 224_000.0  # Hz, >= 4x carrier
-    pulse_duty: float = 0.5  # fraction of bit slot a 1-burst occupies
-    tx_amplitude: float = 1.0  # source amplitude, pressure units
+    pulse_duty: Fraction = 0.5  # fraction of bit slot a 1-burst occupies
+    tx_amplitude: NonNegative = 1.0  # source amplitude, pressure units
 
     def __post_init__(self) -> None:
-        if self.carrier_freq <= 0:
-            raise ConfigurationError("carrier_freq must be positive")
+        super().__post_init__()
         if self.sample_rate < 4 * self.carrier_freq:
             raise ConfigurationError(
                 f"sample_rate {self.sample_rate} is below 4x carrier "
                 f"({4 * self.carrier_freq}); waveform would alias"
             )
-        if not 0 < self.pulse_duty <= 1:
-            raise ConfigurationError(f"pulse_duty must be in (0, 1], got {self.pulse_duty}")
-        if self.tx_amplitude < 0:
-            raise ConfigurationError("tx_amplitude must be >= 0")
 
 
 def modulate_frame(frame: WakeupFrame, params: ModulationParams) -> Waveform:

@@ -17,21 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal
 
+from .config import Config, NonNegative, Positive
 from .errors import ConfigurationError, UnitMismatchError
 from .waveform import DigitalTrace, SignalUnit, Waveform
 
 
 @dataclass
-class TransducerModel:
-    resonance_freq: float = 28_000.0  # Hz
-    bandwidth: float = 2_800.0  # Hz between -3 dB points
-    sensitivity: float = 1.0  # V per pressure unit at resonance
-
-    def __post_init__(self) -> None:
-        if self.resonance_freq <= 0 or self.bandwidth <= 0:
-            raise ConfigurationError("resonance_freq and bandwidth must be positive")
-        if self.sensitivity <= 0:
-            raise ConfigurationError("sensitivity must be positive")
+class TransducerModel(Config):
+    resonance_freq: Positive = 28_000.0  # Hz
+    bandwidth: Positive = 2_800.0  # Hz between -3 dB points
+    sensitivity: Positive = 1.0  # V per pressure unit at resonance
 
     @property
     def q(self) -> float:
@@ -39,22 +34,19 @@ class TransducerModel:
 
 
 @dataclass
-class RectifierModel:
-    diode_drop: float = 0.3  # V lost per small-signal pass
-    threshold_voltage: float = 0.6  # V where the converter takes over
-    residual_drop: float = 0.05  # V lost above threshold
+class RectifierModel(Config):
+    diode_drop: NonNegative = 0.3  # V lost per small-signal pass
+    threshold_voltage: NonNegative = 0.6  # V where the converter takes over
+    residual_drop: NonNegative = 0.05  # V lost above threshold
 
     def __post_init__(self) -> None:
-        if self.diode_drop < 0 or self.residual_drop < 0:
-            raise ConfigurationError("drops must be >= 0")
-        if self.threshold_voltage < 0:
-            raise ConfigurationError("threshold_voltage must be >= 0")
+        super().__post_init__()
         if self.residual_drop > self.diode_drop:
             raise ConfigurationError("residual_drop above diode_drop would be non-monotone")
 
 
 @dataclass
-class DemodParams:
+class DemodParams(Config):
     """Band-pass, envelope and comparator constants for one bit rate.
 
     The taus scale with the bit period; build with for_bit_rate() unless you
@@ -62,27 +54,20 @@ class DemodParams:
     comparator input up so the output re-arms on long plateaus.
     """
 
-    bandpass_center: float = 28_000.0  # Hz
-    bandpass_q: float = 10.0
-    envelope_tau: float = 5e-4  # s, bit_period / 10 at 200 bps
-    fast_tau: float = 2.5e-4  # s, comparator plus input
-    slow_tau: float = 2.5e-3  # s, comparator minus input
-    hysteresis: float = 5e-3  # V
-    reference_gain: float = 1.0
+    bandpass_center: Positive = 28_000.0  # Hz
+    bandpass_q: Positive = 10.0
+    envelope_tau: Positive = 5e-4  # s, bit_period / 10 at 200 bps
+    fast_tau: Positive = 2.5e-4  # s, comparator plus input
+    slow_tau: Positive = 2.5e-3  # s, comparator minus input
+    hysteresis: NonNegative = 5e-3  # V
+    reference_gain: Positive = 1.0
 
     def __post_init__(self) -> None:
-        if self.bandpass_center <= 0 or self.bandpass_q <= 0:
-            raise ConfigurationError("bandpass_center and bandpass_q must be positive")
-        if min(self.envelope_tau, self.fast_tau, self.slow_tau) <= 0:
-            raise ConfigurationError("time constants must be positive")
+        super().__post_init__()
         if self.fast_tau >= self.slow_tau:
             raise ConfigurationError(
                 f"fast_tau {self.fast_tau} must be below slow_tau {self.slow_tau}"
             )
-        if self.hysteresis < 0:
-            raise ConfigurationError("hysteresis must be >= 0")
-        if self.reference_gain <= 0:
-            raise ConfigurationError("reference_gain must be positive")
 
     @classmethod
     def for_bit_rate(cls, bit_rate: float, **overrides) -> "DemodParams":

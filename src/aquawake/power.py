@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from math import sqrt
 
+from .config import Config, Fraction, NonNegative, Positive
 from .errors import ConfigurationError
 
 
@@ -24,43 +25,29 @@ class HarvesterMode(Enum):
 
 
 @dataclass
-class HarvesterParams:
-    coldstart_min_power: float = 15e-6  # W needed to leave Depleted
-    coldstart_min_voltage: float = 0.6  # V needed to leave Depleted
+class HarvesterParams(Config):
+    coldstart_min_power: NonNegative = 15e-6  # W needed to leave Depleted
+    coldstart_min_voltage: NonNegative = 0.6  # V needed to leave Depleted
     boost_min_voltage: float = 0.1  # V floor for the boost charger
-    v_out: float = 1.8  # V regulated rail
-    c_store: float = 100e-6  # F storage cap
-    coldstart_efficiency: float = 0.05
-    boost_efficiency: float = 0.60
+    c_store: Positive = 100e-6  # F storage cap
+    coldstart_efficiency: Fraction = 0.05
+    boost_efficiency: Fraction = 0.60
     regulation_enable_voltage: float = 2.2  # V cap level that turns the rail on
     uvlo: float = 1.9  # V cap level that collapses the rail
 
     def __post_init__(self) -> None:
-        if min(self.coldstart_min_power, self.coldstart_min_voltage) < 0:
-            raise ConfigurationError("cold-start thresholds must be >= 0")
-        if self.c_store <= 0:
-            raise ConfigurationError("c_store must be positive")
-        for name in ("coldstart_efficiency", "boost_efficiency"):
-            eff = getattr(self, name)
-            if not 0 < eff <= 1:
-                raise ConfigurationError(f"{name} must be in (0, 1], got {eff}")
+        super().__post_init__()
         if self.uvlo >= self.regulation_enable_voltage:
             raise ConfigurationError(
                 "uvlo must sit below regulation_enable_voltage for hysteresis"
             )
-        if self.v_out <= 0:
-            raise ConfigurationError("v_out must be positive")
 
 
 @dataclass
-class LoadProfile:
-    p_idle: float = 0.0  # W, rail down
-    p_listen: float = 10.7e-6  # W, armed and waiting for a sync edge
-    p_decode: float = 63e-6  # W, sampling the UUID
-
-    def __post_init__(self) -> None:
-        if min(self.p_idle, self.p_listen, self.p_decode) < 0:
-            raise ConfigurationError("load powers must be >= 0")
+class LoadProfile(Config):
+    p_idle: NonNegative = 0.0  # W, rail down
+    p_listen: NonNegative = 10.7e-6  # W, armed and waiting for a sync edge
+    p_decode: NonNegative = 63e-6  # W, sampling the UUID
 
 
 @dataclass

@@ -3,15 +3,14 @@
 A scenario is a YAML mapping with one section per subsystem; every field maps
 1:1 onto the corresponding config dataclass. Required keys are the fields
 without a default (the transmitted and the assigned UUID). Unknown keys are
-rejected by name so typos fail loudly instead of silently running a default,
-and non-finite numbers are rejected because NaN passes every `<= 0` check.
+rejected by name so typos fail loudly instead of silently running a default;
+the values each field accepts are declared on the dataclasses (config.py).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 import typing
 from pathlib import Path
 from typing import Any
@@ -19,6 +18,7 @@ from typing import Any
 import yaml
 
 from .channel import ChannelModel
+from .config import FieldError
 from .decoder import DecoderConfig
 from .errors import ConfigurationError, SchemaError
 from .frame import ModulationParams, WakeupFrame
@@ -48,15 +48,6 @@ def _list_items(cls: type) -> dict[str, type]:
     return {k: typing.get_args(h)[0] for k, h in hints.items() if typing.get_origin(h) is list}
 
 
-def _is_finite(value: Any) -> bool:
-    if not isinstance(value, (int, float)):
-        return True
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond float range
-        return False
-
-
 def _build(name: str, cls: type, data: Any, make=None):
     """Build `cls` (through `make` if given) from the mapping at `name`."""
     if not isinstance(data, dict):
@@ -72,11 +63,11 @@ def _build(name: str, cls: type, data: Any, make=None):
             if not isinstance(value, list):
                 raise SchemaError(f"{where} must be a list")
             value = [_build(f"{where}[{i}]", items[key], v) for i, v in enumerate(value)]
-        elif not _is_finite(value):
-            raise SchemaError(f"{where} must be a finite number, got {value}")
         kwargs[key] = value
     try:
         return (make or cls)(**kwargs)
+    except FieldError as exc:
+        raise SchemaError(f"{name}.{exc}") from exc
     except (ConfigurationError, TypeError) as exc:
         raise SchemaError(f"invalid value in {name}: {exc}") from exc
 

@@ -16,13 +16,13 @@ decision, mirroring how the real receiver spends its budget.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import decoder as dec
 from .channel import ChannelModel, propagate
+from .config import Config, Count, NonNegative, Positive, is_finite
 from .errors import ConfigurationError
 from .frame import ModulationParams, WakeupFrame, modulate_frame
 from .frontend import (
@@ -62,19 +62,11 @@ MAX_SAMPLES = 2**23
 
 
 @dataclass
-class SimOptions:
+class SimOptions(Config):
     seed: int = 0
-    harvester_decimation: int = 64  # harvester tick every N samples
-    input_resistance: float = 10_000.0  # ohm, harvester input equivalent
-    tail_duration: float = 0.005  # s of silence appended after the frame
-
-    def __post_init__(self) -> None:
-        if self.harvester_decimation < 1:
-            raise ConfigurationError("harvester_decimation must be >= 1")
-        if self.input_resistance <= 0:
-            raise ConfigurationError("input_resistance must be positive")
-        if self.tail_duration < 0:
-            raise ConfigurationError("tail_duration must be >= 0")
+    harvester_decimation: Count = 64  # harvester tick every N samples
+    input_resistance: Positive = 10_000.0  # ohm, harvester input equivalent
+    tail_duration: NonNegative = 0.005  # s of silence appended after the frame
 
 
 @dataclass
@@ -280,7 +272,7 @@ def sweep(base: Scenario, parameter: str, values: list[float], trials: int = 1) 
     if not values:
         raise ConfigurationError("values must be non-empty")
     for value in values:
-        if not math.isfinite(value):
+        if not is_finite(value):
             raise ConfigurationError(f"{parameter} values must be finite, got {value}")
     rows: list[dict] = []
     aggregates: list[dict] = []

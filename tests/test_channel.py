@@ -138,6 +138,21 @@ def test_channel_validation():
         ChannelModel(sound_speed=0.0)
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(distance=1e-300),
+        dict(distance=0.1, spreading_exponent=400.0),
+        dict(distance=1000.0, absorption_db_per_km=-1e6),
+        dict(distance=1e100, spreading_exponent=-2.0, absorption_db_per_km=-4e-94),
+    ],
+    ids=["tiny_distance", "steep_spreading", "negative_absorption", "product"],
+)
+def test_direct_gain_beyond_float_range_is_rejected(kw):
+    with pytest.raises(ConfigurationError, match="direct-path gain overflows"):
+        ChannelModel(**kw)
+
+
 def test_echo_validation_and_tuple_coercion():
     with pytest.raises(ConfigurationError):
         Echo(extra_path=0.0, gain=0.5)

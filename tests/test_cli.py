@@ -203,8 +203,18 @@ def test_bundled_preset_runs_end_to_end(tmp_path):
         ("sim:\n", "load:\n  p_decode: .nan\nsim:\n", "load.p_decode must be a finite number"),
         ("sim:\n", "sim:\n  tail_duration: .inf\n", "sim.tail_duration must be a finite number"),
         ("sim:\n", "sim:\n  harvester_decimation: 0x10000000000\n", "above the limit of 8388608"),
+        ("harvester:\n", "harvester:\n  v_out: 3.3\n", "unknown key harvester.v_out"),
+        ("sim:\n", "sim:\n  harvester_decimation: 8.5\n",
+         "sim.harvester_decimation must be an integer, got 8.5"),
+        ("assigned_uuid: 0xA5", "assigned_uuid: 165.5",
+         "decoder.assigned_uuid must be an integer, got 165.5"),
+        ("  uuid: 0xA5", "  uuid: true", "frame.uuid must be an integer, got True"),
+        # PyYAML reads 1e5 (no dot) as a string
+        ("channel:\n", "channel:\n  spreading_exponent: 1e5\n",
+         "channel.spreading_exponent must be a number, got '1e5'"),
     ],
-    ids=["rng_seed", "nan_p_decode", "inf_tail_duration", "huge_decimation"],
+    ids=["rng_seed", "nan_p_decode", "inf_tail_duration", "huge_decimation", "v_out",
+         "fractional_decimation", "fractional_assigned_uuid", "bool_uuid", "string_exponent"],
 )
 def test_run_rejects_a_bad_key_by_name(old, new, message, tmp_path):
     path = tmp_path / "bad.yaml"
@@ -223,6 +233,18 @@ def test_sweep_rejects_non_finite_values(scenario_file, tmp_path):
     )
     assert code == 2
     assert "distance values must be finite" in stderr
+    assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_rejects_a_distance_whose_gain_overflows(scenario_file, tmp_path):
+    out = tmp_path / "out"
+    code, _, stderr = cli(
+        "sweep", str(scenario_file),
+        "--param", "distance", "--values", "1e-300", "--out", str(out),
+    )
+    assert code == 2
+    assert "direct-path gain overflows at distance 1e-300" in stderr
+    assert "Traceback" not in stderr
     assert not (out / "sweep.csv").exists()
 
 

@@ -1,0 +1,106 @@
+"""Every numeric config field rejects non-numbers, wrong kinds and non-finite values by name."""
+
+import dataclasses
+import typing
+
+import numpy as np
+import pytest
+
+from aquawake import ConfigurationError, Echo
+from aquawake.config import Config
+from aquawake.scenario_io import _SECTIONS
+
+CLASSES = [*_SECTIONS.values(), Echo]
+# values for the fields without a default
+REQUIRED = {"uuid": 0xA5, "assigned_uuid": 0xA5, "extra_path": 1.0, "gain": 0.5}
+
+
+def numeric_fields(cls) -> dict[str, type]:
+    """Field name -> int or float, from the annotation with its range alias stripped."""
+    hints = typing.get_type_hints(cls)
+    return {name: hint for name, hint in hints.items() if hint in (int, float)}
+
+
+def fields(*kinds):
+    """One param (class, field name) per numeric field of the given kinds."""
+    return [
+        pytest.param(cls, name, id=f"{cls.__name__}.{name}")
+        for cls in CLASSES
+        for name, kind in numeric_fields(cls).items()
+        if kind in kinds
+    ]
+
+
+def build(cls, **kw):
+    required = {
+        f.name: REQUIRED[f.name]
+        for f in dataclasses.fields(cls)
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    }
+    return cls(**{**required, **kw})
+
+
+def test_both_kinds_of_field_are_covered():
+    assert {p.id for p in fields(int)} == {
+        "WakeupFrame.uuid", "DecoderConfig.assigned_uuid", "SimOptions.seed",
+        "SimOptions.harvester_decimation",
+    }
+    assert len(fields(float)) >= 40
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_every_section_class_is_a_config(cls):
+    assert issubclass(cls, Config)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
+@pytest.mark.parametrize("cls, name", fields(float))
+def test_float_fields_reject_non_finite_values(cls, name, value):
+    with pytest.raises(ConfigurationError, match=rf"^{name} must be a finite number"):
+        build(cls, **{name: value})
+
+
+@pytest.mark.parametrize("value", [True, False, "1", None, [1.0]])
+@pytest.mark.parametrize("cls, name", fields(int, float))
+def test_numeric_fields_reject_bools_and_non_numbers(cls, name, value):
+    noun = "an integer" if numeric_fields(cls)[name] is int else "a number"
+    with pytest.raises(ConfigurationError, match=rf"^{name} must be {noun}, got"):
+        build(cls, **{name: value})
+
+
+@pytest.mark.parametrize("value", [1.5, 1.0, np.float64(2.0)])
+@pytest.mark.parametrize("cls, name", fields(int))
+def test_int_fields_reject_floats(cls, name, value):
+    with pytest.raises(ConfigurationError, match=rf"^{name} must be an integer, got"):
+        build(cls, **{name: value})
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_numpy_scalars_are_accepted(cls):
+    plain = build(cls)
+    numpy_values = {
+        name: (np.int64 if kind is int else np.float64)(getattr(plain, name))
+        for name, kind in numeric_fields(cls).items()
+    }
+    assert build(cls, **numpy_values) == plain
+
+
+def test_float_fields_accept_ints():
+    assert build(_SECTIONS["frame"], bit_rate=200).bit_rate == 200
+    assert build(_SECTIONS["channel"], distance=np.int64(2)).distance == 2
+
+
+@pytest.mark.parametrize(
+    "cls, name, value, rule",
+    [
+        (_SECTIONS["channel"], "distance", 0.0, "positive"),
+        (_SECTIONS["channel"], "noise_rms", -0.1, ">= 0"),
+        (_SECTIONS["channel"], "coupling", 1.2, r"in \(0, 1\]"),
+        (Echo, "gain", 1.0, r"in \[0, 1\)"),
+        (_SECTIONS["sim"], "harvester_decimation", 0, ">= 1"),
+        (_SECTIONS["frame"], "uuid", 256, r"in \[0, 255\]"),
+    ],
+)
+def test_range_violations_name_the_field_and_the_rule(cls, name, value, rule):
+    with pytest.raises(ConfigurationError, match=rf"^{name} must be {rule}, got"):
+        build(cls, **{name: value})

@@ -1,6 +1,12 @@
-"""Property test: any parsed document loads or fails as a SchemaError."""
+"""Property test: any parsed document loads or fails as a SchemaError.
+
+A document that loads holds only ints in int fields and only finite, non-bool
+numbers in float fields.
+"""
 
 import dataclasses
+import math
+import typing
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,3 +76,17 @@ def test_loader_returns_a_scenario_or_raises_schema_error(doc):
     except SchemaError:
         return
     assert isinstance(scenario, Scenario)
+    for name in _SECTIONS:
+        section = getattr(scenario, name)
+        for obj in [section, *getattr(section, "echoes", [])]:
+            assert_numbers_match_annotations(obj)
+
+
+def assert_numbers_match_annotations(obj):
+    for name, hint in typing.get_type_hints(type(obj)).items():
+        value = getattr(obj, name)
+        if hint is int:
+            assert isinstance(value, int) and not isinstance(value, bool), (name, value)
+        elif hint is float:
+            assert isinstance(value, (int, float)) and not isinstance(value, bool), (name, value)
+            assert math.isfinite(value), (name, value)

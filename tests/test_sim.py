@@ -211,6 +211,8 @@ def test_sweep_rejects_bad_arguments():
         sweep(reference_scenario(), "distance", [], trials=1)
     with pytest.raises(ConfigurationError):
         sweep(reference_scenario(), "distance", [1.0], trials=0)
+    with pytest.raises(ConfigurationError, match="distance values must be finite"):
+        sweep(reference_scenario(), "distance", [10**400], trials=1)
 
 
 def test_bit_rate_sweep_rederives_demod_per_value():
