@@ -16,7 +16,13 @@ from .decoder import (
     decoder_feed,
     wake_output,
 )
-from .errors import ConfigurationError, ProtocolError, SchemaError, UnitMismatchError
+from .errors import (
+    ConfigurationError,
+    InvariantError,
+    ProtocolError,
+    SchemaError,
+    UnitMismatchError,
+)
 from .frame import ModulationParams, WakeupFrame, frame_energy, modulate_frame
 from .frontend import (
     DemodParams,
@@ -62,6 +68,7 @@ __all__ = [
     "HarvesterMode",
     "HarvesterParams",
     "HarvesterState",
+    "InvariantError",
     "LevelSample",
     "LoadProfile",
     "ModulationParams",

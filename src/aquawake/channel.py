@@ -57,7 +57,7 @@ class ChannelModel(Config):
         )
 
 
-def echo_delay(extra_path: float, sound_speed: float = 1630.0) -> float:
+def echo_delay(extra_path: float, sound_speed: float = ChannelModel.sound_speed) -> float:
     """Arrival lag of a reflection traveling extra_path beyond the direct ray."""
     if extra_path <= 0:
         raise ValueError(f"extra_path must be positive, got {extra_path}")
@@ -66,7 +66,7 @@ def echo_delay(extra_path: float, sound_speed: float = 1630.0) -> float:
     return extra_path / sound_speed
 
 
-def critical_reflection_distance(bit_rate: float, sound_speed: float = 1630.0) -> float:
+def critical_reflection_distance(bit_rate: float, sound_speed: float = ChannelModel.sound_speed) -> float:
     """Extra path length at which an echo lags by exactly one bit period.
 
     Reflections with this detour land on the next bit's sampling instant and

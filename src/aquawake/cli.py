@@ -4,7 +4,8 @@
     aquawake sweep <scenario.yaml> --param NAME --values V1,V2,... [--trials N] [--out DIR]
     aquawake preset-path <name>
 
-Exit codes: 0 success, 1 usage error, 2 scenario/validation error. Output
+Exit codes: 0 success, 1 usage error, 2 scenario/validation error, 3 a run
+broke an engine invariant (energy ledger or wake/UUID check). Output
 CSVs carry a schema_version column and are written atomically, so a failed
 run never leaves truncated files behind. AQUAWAKE_OUT_DIR sets the default
 output directory.
@@ -18,10 +19,9 @@ import os
 import re
 import sys
 from dataclasses import replace
-from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InvariantError
 from .scenario_io import load_scenario
 from .sim import SWEEPABLE_PARAMETERS, Scenario, ScenarioResult, run_scenario, sweep
 
@@ -31,6 +31,7 @@ OUT_DIR_ENV = "AQUAWAKE_OUT_DIR"
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
+EXIT_INVARIANT = 3
 
 
 class _UsageError(Exception):
@@ -94,17 +95,10 @@ def _out_dir(arg: str | None) -> Path:
 
 def preset_path(name: str) -> Path:
     """Filesystem path of a bundled scenario preset."""
-    ref = resources.files("aquawake").joinpath("presets", f"{name}.scenario")
-    with resources.as_file(ref) as p:
-        path = Path(p)
+    presets = Path(__file__).with_name("presets")
+    path = presets / f"{name}.scenario"
     if not path.exists():
-        available = ", ".join(
-            sorted(
-                p.name[: -len(".scenario")]
-                for p in (resources.files("aquawake") / "presets").iterdir()
-                if p.name.endswith(".scenario")
-            )
-        )
+        available = ", ".join(sorted(p.stem for p in presets.glob("*.scenario")))
         raise ConfigurationError(f"unknown preset {name!r}; available: {available}")
     return path
 
@@ -192,20 +186,18 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigurationError, ValueError) as exc:
+    except ValueError as exc:  # ConfigurationError and SchemaError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ NonNegative = Annotated[float, ">= 0", lambda v: v >= 0]
 Fraction = Annotated[float, "in (0, 1]", lambda v: 0 < v <= 1]
 Gain = Annotated[float, "in [0, 1)", lambda v: 0 <= v < 1]
 Count = Annotated[int, ">= 1", lambda v: v >= 1]
+NonNegativeInt = Annotated[int, ">= 0", lambda v: v >= 0]
 Byte = Annotated[int, "in [0, 255]", lambda v: 0 <= v <= 0xFF]
 
 # accepted classes per annotated kind; concrete, as isinstance on numbers.Real is slower

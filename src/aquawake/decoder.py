@@ -15,8 +15,7 @@ from math import inf
 
 from .config import Byte, Config, Fraction, Positive
 from .errors import ProtocolError
-
-PAYLOAD_BITS = 8
+from .frame import UUID_BITS
 
 
 class DecoderPhase(Enum):
@@ -61,14 +60,14 @@ class DecoderState:
     @property
     def next_sample_time(self) -> float | None:
         """Next scheduled sampling instant, None unless sampling."""
-        if self.phase is DecoderPhase.SAMPLING and self.bit_index < PAYLOAD_BITS:
+        if self.phase is DecoderPhase.SAMPLING and self.bit_index < UUID_BITS:
             return self.sample_times[self.bit_index]
         return None
 
     @property
     def decoded_uuid(self) -> int | None:
         """Shift-register contents once all payload bits are in (MSB first)."""
-        if len(self.bits) < PAYLOAD_BITS:
+        if len(self.bits) < UUID_BITS:
             return None
         value = 0
         for bit in self.bits:
@@ -115,7 +114,7 @@ def decoder_feed(
             return state
         # payload bit k lives one slot per period after the second sync bit
         schedule = tuple(
-            t + (k + 1 + cfg.sample_offset) * period for k in range(PAYLOAD_BITS)
+            t + (k + 1 + cfg.sample_offset) * period for k in range(UUID_BITS)
         )
         return replace(
             state,
@@ -132,7 +131,7 @@ def decoder_feed(
             return state  # not due yet
         bits = state.bits + (1 if event.level else 0,)
         state = replace(state, bits=bits)
-        if len(bits) == PAYLOAD_BITS:
+        if len(bits) == UUID_BITS:
             return replace(
                 state,
                 phase=DecoderPhase.DECIDED,

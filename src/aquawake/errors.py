@@ -15,3 +15,7 @@ class ProtocolError(RuntimeError):
 
 class SchemaError(ConfigurationError):
     """A scenario document does not match the expected schema."""
+
+
+class InvariantError(RuntimeError):
+    """A run broke an invariant the engine checks, such as the energy ledger."""

@@ -163,20 +163,13 @@ def comparator(env: Waveform, params: DemodParams) -> DigitalTrace:
     minus = params.reference_gain * _one_pole_lowpass(env.samples, params.slow_tau, sr)
     diff = plus - minus
 
-    n = len(diff)
-    decided = np.zeros(n, dtype=np.int8)
-    decided[diff > params.hysteresis] = 1
-    decided[diff < -params.hysteresis] = -1
-    # latch: each sample holds the most recent decided value (low before any)
-    idx = np.arange(n)
-    last = np.maximum.accumulate(np.where(decided != 0, idx, -1))
-    level = np.where(last >= 0, decided[np.maximum(last, 0)] > 0, False)
-
-    padded = np.concatenate(([False], level))  # output is low before sample 0
-    changes = np.flatnonzero(np.diff(padded.astype(np.int8)))
+    # the level changes only at samples outside the band, and is low before the first
+    decided = np.flatnonzero(np.abs(diff) > params.hysteresis)
+    high = diff[decided] > 0
+    changes = np.flatnonzero(np.diff(high, prepend=False))
     return DigitalTrace(
-        edge_times=changes / sr,
-        edge_levels=level[changes],
+        edge_times=decided[changes] / sr,
+        edge_levels=high[changes],
         initial_level=False,
-        duration=n / sr,
+        duration=len(diff) / sr,
     )

@@ -17,27 +17,20 @@ from typing import Any
 
 import yaml
 
-from .channel import ChannelModel
 from .config import FieldError
-from .decoder import DecoderConfig
 from .errors import ConfigurationError, SchemaError
-from .frame import ModulationParams, WakeupFrame
-from .frontend import DemodParams, RectifierModel, TransducerModel
-from .power import HarvesterParams, LoadProfile
-from .sim import Scenario, SimOptions
+from .sim import Scenario
 
-# built in this order, so frame comes before the demod hook that reads it
+
+def _inner(hint) -> type:
+    """The class an annotation names, through `list[...]` and `... | None`."""
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    return args[0] if args else hint
+
+
+# Scenario's field order puts frame before the demod hook that reads it
 _SECTIONS: dict[str, type] = {
-    "frame": WakeupFrame,
-    "modulation": ModulationParams,
-    "channel": ChannelModel,
-    "transducer": TransducerModel,
-    "rectifier": RectifierModel,
-    "demod": DemodParams,
-    "harvester": HarvesterParams,
-    "load": LoadProfile,
-    "decoder": DecoderConfig,
-    "sim": SimOptions,
+    name: _inner(hint) for name, hint in typing.get_type_hints(Scenario).items()
 }
 
 
@@ -45,7 +38,7 @@ _SECTIONS: dict[str, type] = {
 def _list_items(cls: type) -> dict[str, type]:
     """Map each list field of `cls` to its item dataclass."""
     hints = typing.get_type_hints(cls)
-    return {k: typing.get_args(h)[0] for k, h in hints.items() if typing.get_origin(h) is list}
+    return {k: _inner(h) for k, h in hints.items() if typing.get_origin(h) is list}
 
 
 def _build(name: str, cls: type, data: Any, make=None):
@@ -104,7 +97,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
             make = None
             if name == "demod":
                 # omitted taus still track the frame's bit rate
-                make = functools.partial(DemodParams.for_bit_rate, kwargs["frame"].bit_rate)
+                make = functools.partial(cls.for_bit_rate, kwargs["frame"].bit_rate)
             kwargs[name] = _build(name, cls, sections[name], make)
     return Scenario(**kwargs)
 

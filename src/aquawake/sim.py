@@ -22,8 +22,8 @@ import numpy as np
 
 from . import decoder as dec
 from .channel import ChannelModel, propagate
-from .config import Config, Count, NonNegative, Positive, is_finite
-from .errors import ConfigurationError
+from .config import Config, Count, NonNegative, NonNegativeInt, Positive, is_finite
+from .errors import ConfigurationError, InvariantError
 from .frame import ModulationParams, WakeupFrame, modulate_frame
 from .frontend import (
     DemodParams,
@@ -63,7 +63,7 @@ MAX_SAMPLES = 2**23
 
 @dataclass
 class SimOptions(Config):
-    seed: int = 0
+    seed: NonNegativeInt = 0
     harvester_decimation: Count = 64  # harvester tick every N samples
     input_resistance: Positive = 10_000.0  # ohm, harvester input equivalent
     tail_duration: NonNegative = 0.005  # s of silence appended after the frame
@@ -216,9 +216,9 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     final_energy = cap_energy(sc.harvester.c_store, state.v_cap)
     closure = initial_energy + state.harvested_energy - state.consumed_energy - final_energy
     if state.harvested_energy > 0 and abs(closure) > 1e-3 * state.harvested_energy:
-        raise AssertionError(f"energy ledger violation: {closure} J unaccounted")
+        raise InvariantError(f"energy ledger violation: {closure} J unaccounted")
     if woke and dec_state.decoded_uuid != sc.decoder.assigned_uuid:
-        raise AssertionError("wake asserted without a matching UUID")
+        raise InvariantError("wake asserted without a matching UUID")
 
     return ScenarioResult(
         woke=woke,

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from aquawake.cli import main
+from aquawake.cli import main, preset_path
 
 # short preamble keeps each in-process run a few milliseconds
 FAST_SCENARIO = """\
@@ -212,9 +212,14 @@ def test_bundled_preset_runs_end_to_end(tmp_path):
         # PyYAML reads 1e5 (no dot) as a string
         ("channel:\n", "channel:\n  spreading_exponent: 1e5\n",
          "channel.spreading_exponent must be a number, got '1e5'"),
+        ("  seed: 0\n", "  seed: -1\n", "sim.seed must be >= 0, got -1"),
+        # so is 1.0e5: a float needs the dot and a signed exponent (1.0e+5)
+        ("channel:\n", "channel:\n  spreading_exponent: 1.0e5\n",
+         "channel.spreading_exponent must be a number, got '1.0e5'"),
     ],
     ids=["rng_seed", "nan_p_decode", "inf_tail_duration", "huge_decimation", "v_out",
-         "fractional_decimation", "fractional_assigned_uuid", "bool_uuid", "string_exponent"],
+         "fractional_decimation", "fractional_assigned_uuid", "bool_uuid", "string_exponent",
+         "negative_seed", "dotted_exponent"],
 )
 def test_run_rejects_a_bad_key_by_name(old, new, message, tmp_path):
     path = tmp_path / "bad.yaml"
@@ -259,3 +264,29 @@ def test_sweep_rejects_a_run_over_the_sample_limit(param, scenario_file, tmp_pat
     assert "above the limit of 8388608" in stderr
     assert "Traceback" not in stderr
     assert not (out / "sweep.csv").exists()
+
+
+def test_negative_seed_flag_is_rejected_by_name(scenario_file, tmp_path):
+    runs = [
+        ("run", str(preset_path("paper_fig5"))),
+        ("sweep", str(scenario_file), "--param", "noise_rms", "--values", "0.1"),
+    ]
+    for argv in runs:
+        out = tmp_path / argv[0]
+        code, _, stderr = cli(*argv, "--seed", "-1", "--out", str(out))
+        assert code == 2
+        assert stderr == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+
+def test_an_engine_invariant_violation_exits_three(tmp_path):
+    # a capacitance this small overflows the cap voltage and the energy ledger
+    path = tmp_path / "tiny_cap.yaml"
+    text = preset_path("paper_fig5").read_text()
+    path.write_text(text.replace("harvester:\n", "harvester:\n  c_store: 1.0e-320\n"))
+    out = tmp_path / "out"
+    code, _, stderr = cli("run", str(path), "--out", str(out))
+    assert code == 3
+    assert "error: energy ledger violation" in stderr
+    assert "Traceback" not in stderr
+    assert not (out / "result.csv").exists()

@@ -98,6 +98,7 @@ def test_float_fields_accept_ints():
         (_SECTIONS["channel"], "coupling", 1.2, r"in \(0, 1\]"),
         (Echo, "gain", 1.0, r"in \[0, 1\)"),
         (_SECTIONS["sim"], "harvester_decimation", 0, ">= 1"),
+        (_SECTIONS["sim"], "seed", -1, ">= 0"),
         (_SECTIONS["frame"], "uuid", 256, r"in \[0, 255\]"),
     ],
 )

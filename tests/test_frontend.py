@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aquawake import (
     ConfigurationError,
@@ -18,6 +20,7 @@ from aquawake import (
     rectify,
     transduce,
 )
+from aquawake.frontend import _one_pole_lowpass
 
 SR = 224_000.0
 
@@ -264,6 +267,58 @@ def test_comparator_can_be_high_from_the_first_sample():
     assert tr.edge_times[0] == 0.0
     assert bool(tr.edge_levels[0]) is True
     assert tr.initial_level is False
+
+
+def reference_comparator(x: np.ndarray, params: DemodParams) -> tuple[list, list]:
+    """Per-sample latch: high above +h, low below -h, held in between, low at first."""
+    plus = _one_pole_lowpass(x, params.fast_tau, SR)
+    minus = params.reference_gain * _one_pole_lowpass(x, params.slow_tau, SR)
+    level, times, levels = False, [], []
+    for i, d in enumerate((plus - minus).tolist()):
+        new = level
+        if d > params.hysteresis:
+            new = True
+        elif d < -params.hysteresis:
+            new = False
+        if new != level:
+            level = new
+            times.append(i / SR)
+            levels.append(new)
+    return times, levels
+
+
+# stretches of constant drive; a leading 0.0 stretch keeps diff exactly 0
+stretches = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.02, 1.0]) | st.floats(0.0, 2.0), st.integers(1, 300)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    stretches=stretches,
+    hysteresis=st.sampled_from([0.0, 5e-3]) | st.floats(0.0, 0.05),
+    fast_samples=st.integers(1, 40),
+    slow_ratio=st.floats(1.5, 20.0),
+    reference_gain=st.sampled_from([1.0]) | st.floats(0.9, 1.1),
+)
+def test_comparator_matches_a_per_sample_latch(
+    stretches, hysteresis, fast_samples, slow_ratio, reference_gain
+):
+    x = np.concatenate([np.full(n, v) for v, n in stretches])
+    params = DemodParams(
+        fast_tau=fast_samples / SR,
+        slow_tau=slow_ratio * fast_samples / SR,
+        hysteresis=hysteresis,
+        reference_gain=reference_gain,
+    )
+    tr = comparator(Waveform(SR, x, SignalUnit.VOLTS), params)
+    times, levels = reference_comparator(x, params)
+    assert tr.edge_times.tolist() == times
+    assert tr.edge_levels.tolist() == levels
+    assert tr.initial_level is False
+    assert tr.duration == len(x) / SR
 
 
 def test_comparator_requires_volts():

@@ -148,6 +148,18 @@ def test_loaded_file_equals_in_memory_document(tmp_path):
     assert sc.channel.distance == 3.0
 
 
+def test_a_dotted_signed_exponent_loads_as_a_float(tmp_path):
+    # PyYAML reads 1e5 and 1.0e5 as strings; 1.0e+5 is a float
+    path = tmp_path / "sc.yaml"
+    path.write_text(
+        "frame:\n  uuid: 0x42\n"
+        "decoder:\n  assigned_uuid: 0x42\n"
+        "channel:\n  distance: 1.0e+5\n"
+    )
+    distance = load_scenario(path).channel.distance
+    assert type(distance) is float and distance == 1.0e5
+
+
 @pytest.mark.parametrize(
     "name", ["paper_fig5", "paper_echo", "paper_critical_distance"]
 )
