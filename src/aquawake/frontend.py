@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal
 
-from .config import Config, NonNegative, Positive
+from .config import Config, NonNegative, Positive, is_finite
 from .errors import ConfigurationError, UnitMismatchError
 from .waveform import DigitalTrace, SignalUnit, Waveform
 
@@ -49,18 +49,18 @@ class RectifierModel(Config):
 class DemodParams(Config):
     """Band-pass, envelope and comparator constants for one bit rate.
 
-    The taus scale with the bit period; build with for_bit_rate() unless you
-    are overriding them deliberately. reference_gain > 1 biases the slow
-    comparator input up so the output re-arms on long plateaus.
+    The taus are tuned to the bit period: for_bit_rate() states the rule, and
+    the tau defaults are its values at 200 bps. reference_gain > 1 biases the
+    slow comparator input up so the output re-arms on long plateaus.
     """
 
     bandpass_center: Positive = 28_000.0  # Hz
     bandpass_q: Positive = 10.0
-    envelope_tau: Positive = 5e-4  # s, bit_period / 10 at 200 bps
-    fast_tau: Positive = 2.5e-4  # s, comparator plus input
-    slow_tau: Positive = 2.5e-3  # s, comparator minus input
+    envelope_tau: Positive = 0.25e-3  # s
+    fast_tau: Positive = 0.1e-3  # s, comparator plus input
+    slow_tau: Positive = 0.75e-3  # s, comparator minus input
     hysteresis: NonNegative = 5e-3  # V
-    reference_gain: Positive = 1.0
+    reference_gain: Positive = 1.02
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -71,15 +71,11 @@ class DemodParams(Config):
 
     @classmethod
     def for_bit_rate(cls, bit_rate: float, **overrides) -> "DemodParams":
-        """Default constants for a given bit rate."""
-        if bit_rate <= 0:
-            raise ConfigurationError("bit_rate must be positive")
+        """Taus of 0.05, 0.02 and 0.15 bit period; other fields at their defaults."""
+        if not (is_finite(bit_rate) and bit_rate > 0):
+            raise ConfigurationError(f"bit_rate must be a positive finite number, got {bit_rate}")
         period = 1.0 / bit_rate
-        values = dict(
-            envelope_tau=period / 10.0,
-            fast_tau=period / 20.0,
-            slow_tau=period / 2.0,
-        )
+        values = dict(envelope_tau=0.05 * period, fast_tau=0.02 * period, slow_tau=0.15 * period)
         values.update(overrides)
         return cls(**values)
 

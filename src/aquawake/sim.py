@@ -155,6 +155,11 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     windows = padded.reshape(n_ticks, decim)
     v_in = windows.mean(axis=1)
     p_in = (windows**2).mean(axis=1) / sc.sim.input_resistance
+    if not np.isfinite(p_in).all():
+        raise ConfigurationError(
+            "harvester input power leaves float range; lower modulation.tx_amplitude, "
+            "transducer.sensitivity or channel.noise_rms"
+        )
     dt = decim / sr
 
     rising = trace.rising_times()
@@ -212,10 +217,17 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     decision_time = dec_state.last_event_time if decided else None
     woke = dec.wake_output(dec_state)
 
-    # energy ledger must close: E0 + banked - drained == E_final
+    peak_v_cap = float(vcap.max()) if n_ticks else 0.0
+    if not np.isfinite(peak_v_cap):
+        raise ConfigurationError(
+            f"storage cap voltage leaves float range (peak {peak_v_cap} V); "
+            "raise harvester.c_store"
+        )
+
+    # energy ledger must close: E0 + banked - drained == E_final; NaN fails it too
     final_energy = cap_energy(sc.harvester.c_store, state.v_cap)
     closure = initial_energy + state.harvested_energy - state.consumed_energy - final_energy
-    if state.harvested_energy > 0 and abs(closure) > 1e-3 * state.harvested_energy:
+    if not abs(closure) <= 1e-3 * state.harvested_energy:
         raise InvariantError(f"energy ledger violation: {closure} J unaccounted")
     if woke and dec_state.decoded_uuid != sc.decoder.assigned_uuid:
         raise InvariantError("wake asserted without a matching UUID")
@@ -224,7 +236,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         woke=woke,
         decoded_uuid=dec_state.decoded_uuid,
         time_to_wake=decision_time if woke else None,
-        peak_v_cap=float(vcap.max()) if n_ticks else 0.0,
+        peak_v_cap=peak_v_cap,
         harvested_energy=float(state.harvested_energy),
         consumed_energy=float(state.consumed_energy),
         vcap_times=np.arange(n_ticks) * dt + dt,
@@ -250,7 +262,18 @@ def _with_parameter(sc: Scenario, name: str, value: float) -> Scenario:
             raise ConfigurationError("echo_delay sweep needs at least one configured echo")
         first = replace(part.echoes[0], extra_path=value * part.sound_speed)
         value = [first, *part.echoes[1:]]
-    return replace(sc, **{section: replace(part, **{key: value})})
+    sc = replace(sc, **{section: replace(part, **{key: value})})
+    if name == "bit_rate":
+        # the guard and explicit taus keep their share of the bit period (a demod
+        # of None follows the rate by itself); the replace above checked the rate
+        scale = part.bit_rate / value
+        demod = sc.demod
+        if demod is not None:
+            taus = ("envelope_tau", "fast_tau", "slow_tau")
+            demod = replace(demod, **{t: getattr(demod, t) * scale for t in taus})
+        frame = replace(sc.frame, guard_duration=part.guard_duration * scale)
+        sc = replace(sc, frame=frame, demod=demod)
+    return sc
 
 
 def _trial_seed(base_seed: int, value_index: int, trial: int) -> int:

@@ -37,18 +37,6 @@ IMMUNE_EXTRA_PATH = 5.053  # m, 3.1 ms at 1630 m/s; dies before the next sample
 ALIASED_EXTRA_PATH = 8.15  # m, exactly one bit period at 200 bps
 
 
-def tuned_demod(bit_rate: float, hysteresis: float = 5e-3) -> DemodParams:
-    """Demodulator constants the presets run with, scaled to the bit period."""
-    period = 1.0 / bit_rate
-    return DemodParams(
-        envelope_tau=0.05 * period,
-        fast_tau=0.02 * period,
-        slow_tau=0.15 * period,
-        hysteresis=hysteresis,
-        reference_gain=1.02,
-    )
-
-
 def reference_scenario(
     uuid: int = 0xA5,
     bit_rate: float = 200.0,
@@ -74,7 +62,7 @@ def reference_scenario(
         channel=ChannelModel(
             distance=distance, noise_rms=noise_rms, echoes=list(echoes or [])
         ),
-        demod=tuned_demod(bit_rate, hysteresis),
+        demod=DemodParams.for_bit_rate(bit_rate, hysteresis=hysteresis),
         harvester=HarvesterParams(coldstart_efficiency=COLDSTART_EFFICIENCY),
         sim=SimOptions(seed=seed),
     )

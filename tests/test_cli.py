@@ -1,10 +1,13 @@
+import csv
 import io
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from aquawake import sim
 from aquawake.cli import main, preset_path
 
 # short preamble keeps each in-process run a few milliseconds
@@ -24,17 +27,12 @@ channel:
   noise_rms: 0.1
 harvester:
   coldstart_efficiency: 0.09
-demod:
-  envelope_tau: 0.25e-3
-  fast_tau: 0.1e-3
-  slow_tau: 0.75e-3
-  hysteresis: 5.0e-3
-  reference_gain: 1.02
 sim:
   seed: 0
 """
 
 RUN_FILES = ("result.csv", "vcap_trace.csv", "comparator_edges.csv")
+DRIVE_CHAIN = "modulation.tx_amplitude, transducer.sensitivity or channel.noise_rms"
 
 
 def cli(*argv: str) -> tuple[int, str, str]:
@@ -216,10 +214,16 @@ def test_bundled_preset_runs_end_to_end(tmp_path):
         # so is 1.0e5: a float needs the dot and a signed exponent (1.0e+5)
         ("channel:\n", "channel:\n  spreading_exponent: 1.0e5\n",
          "channel.spreading_exponent must be a number, got '1.0e5'"),
+        # each of these overflows the harvester input power or the cap voltage
+        ("tx_amplitude: 34.6064", "tx_amplitude: 1.0e+200", DRIVE_CHAIN),
+        ("sim:\n", "transducer:\n  sensitivity: 1.0e+300\nsim:\n", DRIVE_CHAIN),
+        ("noise_rms: 0.1", "noise_rms: 1.0e+300", DRIVE_CHAIN),
+        ("harvester:\n", "harvester:\n  c_store: 1.0e-320\n", "raise harvester.c_store"),
     ],
     ids=["rng_seed", "nan_p_decode", "inf_tail_duration", "huge_decimation", "v_out",
          "fractional_decimation", "fractional_assigned_uuid", "bool_uuid", "string_exponent",
-         "negative_seed", "dotted_exponent"],
+         "negative_seed", "dotted_exponent", "huge_tx_amplitude", "huge_sensitivity",
+         "huge_noise_rms", "tiny_c_store"],
 )
 def test_run_rejects_a_bad_key_by_name(old, new, message, tmp_path):
     path = tmp_path / "bad.yaml"
@@ -279,14 +283,31 @@ def test_negative_seed_flag_is_rejected_by_name(scenario_file, tmp_path):
         assert not out.exists()
 
 
-def test_an_engine_invariant_violation_exits_three(tmp_path):
-    # a capacitance this small overflows the cap voltage and the energy ledger
-    path = tmp_path / "tiny_cap.yaml"
-    text = preset_path("paper_fig5").read_text()
-    path.write_text(text.replace("harvester:\n", "harvester:\n  c_store: 1.0e-320\n"))
+def test_an_engine_invariant_violation_exits_three(tmp_path, monkeypatch):
+    # a harvester step that lets the cap leak breaks the energy ledger
+    real = sim.harvester_step
+
+    def leaky(*args):
+        state = real(*args)
+        return replace(state, v_cap=0.99 * state.v_cap)
+
+    monkeypatch.setattr(sim, "harvester_step", leaky)
     out = tmp_path / "out"
-    code, _, stderr = cli("run", str(path), "--out", str(out))
+    code, _, stderr = cli("run", str(preset_path("paper_fig5")), "--out", str(out))
     assert code == 3
     assert "error: energy ledger violation" in stderr
     assert "Traceback" not in stderr
     assert not (out / "result.csv").exists()
+
+
+def test_a_bit_rate_sweep_of_paper_fig5_wakes_at_every_rate(tmp_path):
+    out = tmp_path / "out"
+    code, _, stderr = cli(
+        "sweep", str(preset_path("paper_fig5")),
+        "--param", "bit_rate", "--values", "100,200,400,800", "--out", str(out),
+    )
+    assert code == 0, stderr
+    with open(out / "sweep.csv", newline="") as fh:
+        trials = [r for r in csv.DictReader(fh) if r["row_type"] == "trial"]
+    assert [float(r["value"]) for r in trials] == [100.0, 200.0, 400.0, 800.0]
+    assert all(r["woke"] == "true" and r["decoded_uuid"] == "165" for r in trials)

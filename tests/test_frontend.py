@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,18 +134,33 @@ def test_rectifier_validation():
 
 def test_for_bit_rate_scales_taus_with_the_bit_period():
     p = DemodParams.for_bit_rate(200.0)
-    assert p.envelope_tau == pytest.approx(5e-4)
-    assert p.fast_tau == pytest.approx(2.5e-4)
-    assert p.slow_tau == pytest.approx(2.5e-3)
+    assert p.envelope_tau == pytest.approx(2.5e-4)
+    assert p.fast_tau == pytest.approx(1e-4)
+    assert p.slow_tau == pytest.approx(7.5e-4)
+    assert p.reference_gain == 1.02
     half = DemodParams.for_bit_rate(100.0)
-    assert half.envelope_tau == pytest.approx(1e-3)
+    assert half.envelope_tau == pytest.approx(5e-4)
 
 
 def test_for_bit_rate_accepts_overrides():
-    p = DemodParams.for_bit_rate(200.0, hysteresis=0.5, reference_gain=1.02)
+    p = DemodParams.for_bit_rate(200.0, hysteresis=0.5, reference_gain=1.05)
     assert p.hysteresis == 0.5
-    assert p.reference_gain == 1.02
-    assert p.envelope_tau == pytest.approx(5e-4)
+    assert p.reference_gain == 1.05
+    assert p.envelope_tau == pytest.approx(2.5e-4)
+
+
+def test_defaults_are_the_bit_period_rule_at_200_bps():
+    assert DemodParams() == DemodParams.for_bit_rate(200.0)
+
+
+@pytest.mark.parametrize(
+    "bit_rate",
+    [math.nan, math.inf, -math.inf, 0.0, -200.0, 10**400],
+    ids=["nan", "inf", "-inf", "zero", "negative", "huge_int"],
+)
+def test_for_bit_rate_rejects_a_bad_rate_by_its_own_name(bit_rate):
+    with pytest.raises(ConfigurationError, match=r"^bit_rate must be a positive finite number"):
+        DemodParams.for_bit_rate(bit_rate)
 
 
 def test_demod_validation():

@@ -60,8 +60,19 @@ def test_partial_demod_section_tracks_the_frame_bit_rate():
     }
     demod = scenario_from_dict(doc).demod
     assert demod.hysteresis == 0.02
-    assert demod.envelope_tau == pytest.approx((1.0 / 400.0) / 10.0)
-    assert demod.slow_tau == pytest.approx((1.0 / 400.0) / 2.0)
+    assert demod.envelope_tau == pytest.approx(0.05 * (1.0 / 400.0))
+    assert demod.slow_tau == pytest.approx(0.15 * (1.0 / 400.0))
+    assert demod.reference_gain == 1.02
+
+
+@pytest.mark.parametrize(
+    "name, hysteresis",
+    [("paper_fig5", 5e-3), ("paper_echo", 5.0), ("paper_critical_distance", 5.0)],
+)
+def test_presets_run_the_bit_period_rule(name, hysteresis):
+    sc = load_scenario(preset_path(name))
+    assert sc.frame.bit_rate == 200.0
+    assert sc.resolved_demod() == DemodParams.for_bit_rate(200.0, hysteresis=hysteresis)
 
 
 def test_missing_required_keys_are_listed():

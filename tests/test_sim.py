@@ -13,9 +13,12 @@ from aquawake import (
     SimOptions,
     calibrate_tx_amplitude,
     cap_energy,
+    load_scenario,
     run_scenario,
+    sim,
     sweep,
 )
+from aquawake.cli import preset_path
 from helpers import (
     REFERENCE_AMPLITUDE,
     echo_scenario,
@@ -213,6 +216,9 @@ def test_sweep_rejects_bad_arguments():
         sweep(reference_scenario(), "distance", [1.0], trials=0)
     with pytest.raises(ConfigurationError, match="distance values must be finite"):
         sweep(reference_scenario(), "distance", [10**400], trials=1)
+    # checked before the rescale divides by it
+    with pytest.raises(ConfigurationError, match="^bit_rate must be positive, got 0.0"):
+        sweep(reference_scenario(), "bit_rate", [0.0], trials=1)
 
 
 def test_bit_rate_sweep_rederives_demod_per_value():
@@ -223,6 +229,34 @@ def test_bit_rate_sweep_rederives_demod_per_value():
     slow, fast = res.rows
     assert slow["woke"] and fast["woke"]
     assert fast["time_to_wake"] < slow["time_to_wake"]
+
+
+def test_bit_rate_sweep_keeps_the_timing_on_the_bit_period(monkeypatch):
+    # paper_echo states a demod section, whose taus are scaled; paper_fig5
+    # has none and resolves it per run. Both scale the guard.
+    ran = []
+    real = sim.run_scenario
+    monkeypatch.setattr(sim, "run_scenario", lambda sc: ran.append(sc) or real(sc))
+    for name in ("paper_echo", "paper_fig5"):
+        sweep(load_scenario(preset_path(name)), "bit_rate", [400.0], trials=1)
+    echo, fig5 = ran
+    want = DemodParams.for_bit_rate(400.0, hysteresis=5.0)
+    taus = ("envelope_tau", "fast_tau", "slow_tau")
+    for key in taus:
+        assert getattr(echo.demod, key) == pytest.approx(getattr(want, key), rel=1e-12)
+    assert replace(echo.demod, **{key: getattr(want, key) for key in taus}) == want
+    assert fig5.demod is None
+    for sc in ran:
+        assert sc.frame.bit_rate == 400.0
+        assert sc.frame.guard_duration == pytest.approx(0.5 / 400.0, rel=1e-12)
+
+
+def test_a_tiny_cap_runs_while_its_voltage_stays_finite():
+    # c_store has no floor short of float range: 1e-300 F peaks near 1e148 V
+    sc = reference_scenario()
+    r = run_scenario(replace(sc, harvester=replace(sc.harvester, c_store=1e-300)))
+    assert 1e100 < r.peak_v_cap < float("inf")
+    assert np.isfinite(r.harvested_energy) and np.isfinite(r.consumed_energy)
 
 
 def test_calibration_recovers_the_reference_amplitude():

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aquawake import DecoderConfig, DemodParams, Echo, cap_energy, run_scenario
+from aquawake import DecoderConfig, Echo, cap_energy, run_scenario
 from helpers import reference_scenario
 
 echoes = st.one_of(
@@ -43,7 +43,6 @@ def scenarios(draw):
     assigned = uuid ^ draw(st.sampled_from([0, 0, 0, 0x5A]))
     return replace(
         sc,
-        demod=DemodParams.for_bit_rate(bit_rate),
         decoder=DecoderConfig(assigned_uuid=assigned),
         sim=replace(sc.sim, harvester_decimation=draw(st.integers(8, 64))),
     )
