@@ -21,6 +21,7 @@ from .errors import (
     InvariantError,
     ProtocolError,
     SchemaError,
+    SignalRangeError,
     UnitMismatchError,
 )
 from .frame import ModulationParams, WakeupFrame, frame_energy, modulate_frame
@@ -55,53 +56,3 @@ from .sim import (
 from .waveform import DigitalTrace, SignalUnit, Waveform
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ChannelModel",
-    "ConfigurationError",
-    "DecoderConfig",
-    "DecoderPhase",
-    "DecoderState",
-    "DemodParams",
-    "DigitalTrace",
-    "Echo",
-    "HarvesterMode",
-    "HarvesterParams",
-    "HarvesterState",
-    "InvariantError",
-    "LevelSample",
-    "LoadProfile",
-    "ModulationParams",
-    "ProtocolError",
-    "RectifierModel",
-    "RisingEdge",
-    "Scenario",
-    "ScenarioResult",
-    "SchemaError",
-    "SignalUnit",
-    "SimOptions",
-    "SweepResult",
-    "TransducerModel",
-    "UnitMismatchError",
-    "WakeupFrame",
-    "Waveform",
-    "bandpass",
-    "calibrate_tx_amplitude",
-    "cap_energy",
-    "comparator",
-    "critical_reflection_distance",
-    "decoder_feed",
-    "echo_delay",
-    "envelope",
-    "frame_energy",
-    "harvester_step",
-    "load_scenario",
-    "modulate_frame",
-    "propagate",
-    "rectify",
-    "run_scenario",
-    "scenario_from_dict",
-    "sweep",
-    "transduce",
-    "wake_output",
-]

@@ -4,8 +4,9 @@
     aquawake sweep <scenario.yaml> --param NAME --values V1,V2,... [--trials N] [--out DIR]
     aquawake preset-path <name>
 
-Exit codes: 0 success, 1 usage error, 2 scenario/validation error, 3 a run
-broke an engine invariant (energy ledger or wake/UUID check). Output
+Exit codes: 0 success, 1 usage error, 2 scenario/validation error (an
+unreadable scenario path and an unusable output directory among them), 3 a
+run broke an engine invariant (energy ledger or wake/UUID check). Output
 CSVs carry a schema_version column and are written atomically, so a failed
 run never leaves truncated files behind. AQUAWAKE_OUT_DIR sets the default
 output directory.
@@ -18,6 +19,7 @@ import csv
 import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -87,10 +89,17 @@ def _write_records(path: Path, columns: tuple[str, ...], records: list[dict]) ->
     _write_csv(path, columns, ([rec.get(k) for k in keys] for rec in records))
 
 
-def _out_dir(arg: str | None) -> Path:
-    if arg:
-        return Path(arg)
-    return Path(os.environ.get(OUT_DIR_ENV, "aquawake-out"))
+@contextmanager
+def _out_dir(arg: str | None):
+    """The output directory, created; a file-system error in the block names it."""
+    out = Path(arg or os.environ.get(OUT_DIR_ENV, "aquawake-out"))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        yield out
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot write to output directory {out} ({exc.strerror or exc})"
+        ) from exc
 
 
 def preset_path(name: str) -> Path:
@@ -104,7 +113,6 @@ def preset_path(name: str) -> Path:
 
 
 def _write_run_outputs(result: ScenarioResult, out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
     _write_records(out / "result.csv", RESULT_COLUMNS, [vars(result)])
     _write_csv(
         out / "vcap_trace.csv",
@@ -128,7 +136,8 @@ def _load(args) -> Scenario:
 
 def _cmd_run(args) -> int:
     result = run_scenario(_load(args))
-    _write_run_outputs(result, _out_dir(args.out))
+    with _out_dir(args.out) as out:
+        _write_run_outputs(result, out)
     ttw = "none" if result.time_to_wake is None else f"{result.time_to_wake:.6f}s"
     print(f"woke={result.woke} time_to_wake={ttw} peak_v_cap={result.peak_v_cap:.4f}V")
     return EXIT_OK
@@ -143,9 +152,8 @@ def _cmd_sweep(args) -> int:
     result = sweep(scenario, args.param, values, trials=args.trials)
     records = [{"row_type": "trial", **r} for r in result.rows]
     records += [{"row_type": "aggregate", **a} for a in result.aggregates]
-    out = _out_dir(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_records(out / "sweep.csv", SWEEP_COLUMNS, records)
+    with _out_dir(args.out) as out:
+        _write_records(out / "sweep.csv", SWEEP_COLUMNS, records)
     for a in result.aggregates:
         print(
             f"{args.param}={a['value']}: wake_success_rate="

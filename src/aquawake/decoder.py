@@ -54,6 +54,11 @@ class DecoderState:
     match: bool | None = None
 
     @property
+    def mid_frame(self) -> bool:
+        """Between the first sync edge and the decision."""
+        return self.phase in (DecoderPhase.AWAIT_SECOND_EDGE, DecoderPhase.SAMPLING)
+
+    @property
     def bit_index(self) -> int:
         return len(self.bits)
 

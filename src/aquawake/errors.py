@@ -13,6 +13,10 @@ class ProtocolError(RuntimeError):
     """Event stream violated ordering or state-machine expectations."""
 
 
+class SignalRangeError(ConfigurationError):
+    """A waveform holds a sample beyond float range (inf or NaN)."""
+
+
 class SchemaError(ConfigurationError):
     """A scenario document does not match the expected schema."""
 

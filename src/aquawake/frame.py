@@ -54,8 +54,8 @@ class ModulationParams(Config):
         super().__post_init__()
         if self.sample_rate < 4 * self.carrier_freq:
             raise ConfigurationError(
-                f"sample_rate {self.sample_rate} is below 4x carrier "
-                f"({4 * self.carrier_freq}); waveform would alias"
+                f"sample_rate {self.sample_rate:g} is below 4x carrier_freq "
+                f"({4 * self.carrier_freq:g}); waveform would alias"
             )
 
 

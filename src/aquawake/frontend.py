@@ -45,6 +45,11 @@ class RectifierModel(Config):
             raise ConfigurationError("residual_drop above diode_drop would be non-monotone")
 
 
+# share of the bit period each timing field takes: for_bit_rate states the rule
+# with it, and a bit_rate sweep rescales explicit values by it
+BIT_PERIOD_SHARES = {"envelope_tau": 0.05, "fast_tau": 0.02, "slow_tau": 0.15}
+
+
 @dataclass
 class DemodParams(Config):
     """Band-pass, envelope and comparator constants for one bit rate.
@@ -71,20 +76,21 @@ class DemodParams(Config):
 
     @classmethod
     def for_bit_rate(cls, bit_rate: float, **overrides) -> "DemodParams":
-        """Taus of 0.05, 0.02 and 0.15 bit period; other fields at their defaults."""
+        """Taus at their BIT_PERIOD_SHARES of the period; other fields at their defaults."""
         if not (is_finite(bit_rate) and bit_rate > 0):
             raise ConfigurationError(f"bit_rate must be a positive finite number, got {bit_rate}")
         period = 1.0 / bit_rate
-        values = dict(envelope_tau=0.05 * period, fast_tau=0.02 * period, slow_tau=0.15 * period)
+        values = {name: share * period for name, share in BIT_PERIOD_SHARES.items()}
         values.update(overrides)
         return cls(**values)
 
 
-def _biquad_bandpass_coeffs(center: float, q: float, sample_rate: float):
-    """Constant-peak-gain band-pass biquad (unity at center)."""
+def _biquad_bandpass_coeffs(center: float, q: float, sample_rate: float, key: str):
+    """Constant-peak-gain band-pass biquad (unity at center); `key` names the center."""
     if center >= sample_rate / 2:
         raise ConfigurationError(
-            f"band-pass center {center} at or above Nyquist ({sample_rate / 2})"
+            f"{key} {center:g} Hz must sit below Nyquist, {sample_rate / 2:g} Hz "
+            "(half of modulation.sample_rate)"
         )
     w0 = 2.0 * np.pi * center / sample_rate
     alpha = np.sin(w0) / (2.0 * q)
@@ -106,7 +112,9 @@ def transduce(pressure: Waveform, model: TransducerModel) -> Waveform:
         raise UnitMismatchError(
             f"transducer input must be pressure, got {pressure.unit.value}"
         )
-    b, a = _biquad_bandpass_coeffs(model.resonance_freq, model.q, pressure.sample_rate)
+    b, a = _biquad_bandpass_coeffs(
+        model.resonance_freq, model.q, pressure.sample_rate, "transducer.resonance_freq"
+    )
     volts = model.sensitivity * signal.lfilter(b, a, pressure.samples)
     return Waveform(pressure.sample_rate, volts, SignalUnit.VOLTS)
 
@@ -130,7 +138,9 @@ def bandpass(v: Waveform, params: DemodParams) -> Waveform:
     """Carrier-selection band-pass, unity gain at its center frequency."""
     if v.unit is not SignalUnit.VOLTS:
         raise UnitMismatchError(f"band-pass input must be volts, got {v.unit.value}")
-    b, a = _biquad_bandpass_coeffs(params.bandpass_center, params.bandpass_q, v.sample_rate)
+    b, a = _biquad_bandpass_coeffs(
+        params.bandpass_center, params.bandpass_q, v.sample_rate, "demod.bandpass_center"
+    )
     return Waveform(v.sample_rate, signal.lfilter(b, a, v.samples), SignalUnit.VOLTS)
 
 

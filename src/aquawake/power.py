@@ -10,7 +10,7 @@ cheap enough to call on a decimated tick.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from math import sqrt
 
@@ -120,10 +120,6 @@ def harvester_step(
     if mode is HarvesterMode.REGULATING and v_cap < params.uvlo:
         mode = HarvesterMode.DEPLETED  # rail collapses, load sheds next tick
 
-    return replace(
-        state,
-        mode=mode,
-        v_cap=v_cap,
-        harvested_energy=state.harvested_energy + banked,
-        consumed_energy=state.consumed_energy + drained,
+    return HarvesterState(
+        mode, v_cap, state.harvested_energy + banked, state.consumed_energy + drained
     )

@@ -2,9 +2,10 @@
 
 A scenario is a YAML mapping with one section per subsystem; every field maps
 1:1 onto the corresponding config dataclass. Required keys are the fields
-without a default (the transmitted and the assigned UUID). Unknown keys are
-rejected by name so typos fail loudly instead of silently running a default;
-the values each field accepts are declared on the dataclasses (config.py).
+without a default (the transmitted and the assigned UUID). Unknown and
+repeated keys are rejected by name so typos fail loudly instead of silently
+running a default or the last copy; the values each field accepts are declared
+on the dataclasses (config.py).
 """
 
 from __future__ import annotations
@@ -102,12 +103,32 @@ def scenario_from_dict(doc: Any) -> Scenario:
     return Scenario(**kwargs)
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that rejects a mapping key given twice, at any depth."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise SchemaError(
+                        f"duplicate key {key!r} on line {key_node.start_mark.line + 1}"
+                    )
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"scenario file not found: {path}")
     try:
-        doc = yaml.safe_load(path.read_text())
+        text = path.read_text()
+    except OSError as exc:  # missing, a directory, no permission
+        raise SchemaError(
+            f"scenario file not found or not readable: {path} ({exc.strerror or exc})"
+        ) from exc
+    try:
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise SchemaError(f"scenario file {path} is not valid YAML: {exc}") from exc
     return scenario_from_dict(doc)

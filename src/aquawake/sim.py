@@ -23,9 +23,10 @@ import numpy as np
 from . import decoder as dec
 from .channel import ChannelModel, propagate
 from .config import Config, Count, NonNegative, NonNegativeInt, Positive, is_finite
-from .errors import ConfigurationError, InvariantError
+from .errors import ConfigurationError, InvariantError, SignalRangeError
 from .frame import ModulationParams, WakeupFrame, modulate_frame
 from .frontend import (
+    BIT_PERIOD_SHARES,
     DemodParams,
     RectifierModel,
     TransducerModel,
@@ -115,18 +116,26 @@ def _validate(sc: Scenario, demod: DemodParams) -> None:
     n_samples = seconds * sc.modulation.sample_rate + sc.sim.harvester_decimation
     if n_samples > MAX_SAMPLES:
         raise ConfigurationError(
-            f"scenario needs {n_samples:.0f} samples per signal, above the limit of {MAX_SAMPLES}"
+            f"scenario needs {n_samples:g} samples per signal, above the limit of {MAX_SAMPLES}: "
+            f"{seconds:g} s of frame.preamble_duration, frame.guard_duration, the bits at "
+            "frame.bit_rate, sim.tail_duration and the path delay (channel.distance plus echo "
+            f"extra_path over channel.sound_speed) at modulation.sample_rate "
+            f"{sc.modulation.sample_rate:g} Hz, plus sim.harvester_decimation"
         )
+    # an envelope_tau the scenario leaves unset follows frame.bit_rate (for_bit_rate)
+    tau = demod.envelope_tau
     bit_period = sc.frame.bit_period
     carrier_period = 1.0 / sc.modulation.carrier_freq
-    if demod.envelope_tau >= bit_period:
+    if tau >= bit_period:
         raise ConfigurationError(
-            f"envelope_tau {demod.envelope_tau} must sit below the bit period {bit_period}"
+            f"demod.envelope_tau {tau:g} s must sit below the bit period {bit_period:g} s "
+            "(1 / frame.bit_rate)"
         )
-    if demod.envelope_tau <= carrier_period:
+    if tau <= carrier_period:
         raise ConfigurationError(
-            f"envelope_tau {demod.envelope_tau} must sit above the carrier period "
-            f"{carrier_period}"
+            f"demod.envelope_tau {tau:g} s must sit above the carrier period "
+            f"{carrier_period:g} s (1 / modulation.carrier_freq); left unset, it is a "
+            "share of the bit period (1 / frame.bit_rate)"
         )
 
 
@@ -139,28 +148,37 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     tx = modulate_frame(sc.frame, sc.modulation)
     tail = np.zeros(round(sc.sim.tail_duration * sr))
     tx = Waveform(sr, np.concatenate([tx.samples, tail]), tx.unit)
-    rx = propagate(tx, sc.channel, sc.sim.seed)
-
-    v_xdcr = transduce(rx, sc.transducer)
-    v_harv = rectify(v_xdcr, sc.rectifier)
-    env = envelope(rectify(bandpass(v_xdcr, demod), sc.rectifier), demod)
-    trace = comparator(env, demod)
-
-    # per-tick input stats for the harvester
     decim = sc.sim.harvester_decimation
-    n = len(v_harv.samples)
-    n_ticks = (n + decim - 1) // decim
-    padded = np.zeros(n_ticks * decim)
-    padded[:n] = v_harv.samples
-    windows = padded.reshape(n_ticks, decim)
-    v_in = windows.mean(axis=1)
-    p_in = (windows**2).mean(axis=1) / sc.sim.input_resistance
-    if not np.isfinite(p_in).all():
+    # overflow shows as a non-finite waveform or input power, named below
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            rx = propagate(tx, sc.channel, sc.sim.seed)
+            v_xdcr = transduce(rx, sc.transducer)
+            v_harv = rectify(v_xdcr, sc.rectifier)
+            env = envelope(rectify(bandpass(v_xdcr, demod), sc.rectifier), demod)
+            trace = comparator(env, demod)
+
+            # per-tick input stats for the harvester
+            n = len(v_harv.samples)
+            n_ticks = (n + decim - 1) // decim
+            padded = np.zeros(n_ticks * decim)
+            padded[:n] = v_harv.samples
+            windows = padded.reshape(n_ticks, decim)
+            v_in = windows.mean(axis=1)
+            p_in = (windows**2).mean(axis=1) / sc.sim.input_resistance
+        if not np.isfinite(p_in).all():
+            raise SignalRangeError("harvester input power is not finite")
+    except SignalRangeError as exc:
         raise ConfigurationError(
-            "harvester input power leaves float range; lower modulation.tx_amplitude, "
-            "transducer.sensitivity or channel.noise_rms"
-        )
+            f"signal level leaves float range ({exc}; direct-path gain "
+            f"{sc.channel.direct_gain():g}); lower modulation.tx_amplitude, "
+            "transducer.sensitivity or channel.noise_rms, raise sim.input_resistance, or "
+            "lower the direct-path gain through channel.distance, channel.spreading_exponent "
+            "or channel.absorption_db_per_km"
+        ) from exc
     dt = decim / sr
+    starts = np.arange(n_ticks) * dt
+    ends = starts + dt
 
     rising = trace.rising_times()
     edge_idx = 0
@@ -173,10 +191,9 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     rail_up_time: float | None = None
     first_sync_time: float | None = None
 
-    for i in range(n_ticks):
-        t0 = i * dt
-        t1 = t0 + dt
-
+    # plain floats: the harvester arithmetic overflows to inf without a numpy warning
+    ticks = zip(starts.tolist(), ends.tolist(), v_in.tolist(), p_in.tolist())
+    for i, (t0, t1, tick_v_in, tick_p_in) in enumerate(ticks):
         if state.mode is HarvesterMode.REGULATING:
             if rail_up_time is None:
                 rail_up_time = t0
@@ -195,7 +212,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
                 if first_sync_time is None and dec_state.first_edge_time is not None:
                     first_sync_time = dec_state.first_edge_time
             # decode draw applies while the decoder is mid-frame, listen otherwise
-            if dec_state.phase in (dec.DecoderPhase.AWAIT_SECOND_EDGE, dec.DecoderPhase.SAMPLING):
+            if dec_state.mid_frame:
                 load = sc.load.p_decode
             else:
                 load = sc.load.p_listen
@@ -204,11 +221,11 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
             # rail down: comparator events are lost and any progress is gone
             while edge_idx < len(rising) and rising[edge_idx] < t1:
                 edge_idx += 1
-            if dec_state.phase not in (dec.DecoderPhase.AWAIT_FIRST_EDGE, dec.DecoderPhase.DECIDED):
+            if dec_state.mid_frame:
                 logger.debug("rail down at %.4f s, decoder reset", t0)
                 dec_state = dec.DecoderState()
 
-        state = harvester_step(state, sc.harvester, v_in[i], p_in[i], load, dt)
+        state = harvester_step(state, sc.harvester, tick_v_in, tick_p_in, load, dt)
         vcap[i] = state.v_cap
         modes.append(state.mode.value)
 
@@ -220,7 +237,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     peak_v_cap = float(vcap.max()) if n_ticks else 0.0
     if not np.isfinite(peak_v_cap):
         raise ConfigurationError(
-            f"storage cap voltage leaves float range (peak {peak_v_cap} V); "
+            f"storage cap voltage leaves float range (peak {peak_v_cap:g} V); "
             "raise harvester.c_store"
         )
 
@@ -239,7 +256,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         peak_v_cap=peak_v_cap,
         harvested_energy=float(state.harvested_energy),
         consumed_energy=float(state.consumed_energy),
-        vcap_times=np.arange(n_ticks) * dt + dt,
+        vcap_times=ends,
         vcap_values=vcap,
         mode_values=modes,
         edge_trace=trace,
@@ -269,8 +286,7 @@ def _with_parameter(sc: Scenario, name: str, value: float) -> Scenario:
         scale = part.bit_rate / value
         demod = sc.demod
         if demod is not None:
-            taus = ("envelope_tau", "fast_tau", "slow_tau")
-            demod = replace(demod, **{t: getattr(demod, t) * scale for t in taus})
+            demod = replace(demod, **{t: getattr(demod, t) * scale for t in BIT_PERIOD_SHARES})
         frame = replace(sc.frame, guard_duration=part.guard_duration * scale)
         sc = replace(sc, frame=frame, demod=demod)
     return sc
@@ -283,7 +299,6 @@ def _trial_seed(base_seed: int, value_index: int, trial: int) -> int:
 
 @dataclass
 class SweepResult:
-    parameter: str
     rows: list[dict]  # one per (value, trial)
     aggregates: list[dict]  # one per value
 
@@ -330,7 +345,7 @@ def sweep(base: Scenario, parameter: str, values: list[float], trials: int = 1) 
                 "mean_time_to_wake": float(np.mean(times)) if times else None,
             }
         )
-    return SweepResult(parameter=parameter, rows=rows, aggregates=aggregates)
+    return SweepResult(rows=rows, aggregates=aggregates)
 
 
 def calibrate_tx_amplitude(

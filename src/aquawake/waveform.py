@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SignalRangeError
 
 
 class SignalUnit(Enum):
@@ -33,7 +33,7 @@ class Waveform:
         if self.samples.ndim != 1:
             raise ConfigurationError("waveform samples must be one-dimensional")
         if not np.all(np.isfinite(self.samples)):
-            raise ConfigurationError("waveform contains non-finite samples")
+            raise SignalRangeError("waveform contains non-finite samples")
 
     @property
     def duration(self) -> float:

@@ -1,6 +1,7 @@
 import csv
 import io
 import re
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -33,6 +34,11 @@ sim:
 
 RUN_FILES = ("result.csv", "vcap_trace.csv", "comparator_edges.csv")
 DRIVE_CHAIN = "modulation.tx_amplitude, transducer.sensitivity or channel.noise_rms"
+# every key that sets the received signal level
+SIGNAL_LEVEL = (
+    DRIVE_CHAIN + ", raise sim.input_resistance, or lower the direct-path gain through "
+    "channel.distance, channel.spreading_exponent or channel.absorption_db_per_km"
+)
 
 
 def cli(*argv: str) -> tuple[int, str, str]:
@@ -219,19 +225,36 @@ def test_bundled_preset_runs_end_to_end(tmp_path):
         ("sim:\n", "transducer:\n  sensitivity: 1.0e+300\nsim:\n", DRIVE_CHAIN),
         ("noise_rms: 0.1", "noise_rms: 1.0e+300", DRIVE_CHAIN),
         ("harvester:\n", "harvester:\n  c_store: 1.0e-320\n", "raise harvester.c_store"),
+        # signal levels that overflow before the harvester input power is formed
+        ("tx_amplitude: 34.6064", "tx_amplitude: 1.0e+200\ntransducer:\n  sensitivity: 1.0e+200",
+         SIGNAL_LEVEL),
+        ("tx_amplitude: 34.6064\nchannel:\n  distance: 1.0\n  noise_rms: 0.1",
+         "tx_amplitude: 1.0e+308\nchannel:\n  distance: 1.0\n  noise_rms: 1.0e+308", SIGNAL_LEVEL),
+        ("tx_amplitude: 34.6064\nchannel:\n  distance: 1.0\n",
+         "tx_amplitude: 1.0e+20\nchannel:\n  distance: 1.0e-100\n  spreading_exponent: 3.0\n",
+         SIGNAL_LEVEL),
+        ("  uuid: 0xA5\n", "  uuid: 0xA5\n  uuid: 0x5A\n", "duplicate key 'uuid' on line 3"),
     ],
     ids=["rng_seed", "nan_p_decode", "inf_tail_duration", "huge_decimation", "v_out",
          "fractional_decimation", "fractional_assigned_uuid", "bool_uuid", "string_exponent",
          "negative_seed", "dotted_exponent", "huge_tx_amplitude", "huge_sensitivity",
-         "huge_noise_rms", "tiny_c_store"],
+         "huge_noise_rms", "tiny_c_store", "huge_tx_amplitude_and_sensitivity",
+         "huge_tx_amplitude_and_noise_rms", "tiny_distance_steep_spreading", "duplicate_uuid"],
 )
 def test_run_rejects_a_bad_key_by_name(old, new, message, tmp_path):
     path = tmp_path / "bad.yaml"
-    path.write_text(FAST_SCENARIO.replace(old, new))
-    code, _, stderr = cli("run", str(path), "--out", str(tmp_path / "o"))
+    new_text = FAST_SCENARIO.replace(old, new)
+    assert new_text != FAST_SCENARIO
+    path.write_text(new_text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, stderr = cli("run", str(path), "--out", str(tmp_path / "o"))
     assert code == 2
     assert message in stderr
     assert not (tmp_path / "o").exists()
+    # an overflow is named, not printed as a numpy warning first
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in stderr and "Traceback" not in stderr
 
 
 def test_sweep_rejects_non_finite_values(scenario_file, tmp_path):
@@ -268,6 +291,28 @@ def test_sweep_rejects_a_run_over_the_sample_limit(param, scenario_file, tmp_pat
     assert "above the limit of 8388608" in stderr
     assert "Traceback" not in stderr
     assert not (out / "sweep.csv").exists()
+
+
+def test_run_on_a_directory_fails_by_name(tmp_path):
+    out = tmp_path / "out"
+    code, _, stderr = cli("run", str(tmp_path), "--out", str(out))
+    assert code == 2
+    assert stderr == f"error: scenario file not found or not readable: {tmp_path} (Is a directory)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_an_out_that_is_a_file_fails_by_name(command, scenario_file, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("keep me")
+    argv = [command, str(scenario_file), "--out", str(taken)]
+    if command == "sweep":
+        argv += ["--param", "noise_rms", "--values", "0.1"]
+    code, _, stderr = cli(*argv)
+    assert code == 2
+    assert stderr == f"error: cannot write to output directory {taken} (File exists)\n"
+    assert taken.read_text() == "keep me"
+    assert not list(tmp_path.rglob("*.csv*"))
 
 
 def test_negative_seed_flag_is_rejected_by_name(scenario_file, tmp_path):

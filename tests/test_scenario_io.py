@@ -146,6 +146,35 @@ def test_load_scenario_file_errors(tmp_path):
         load_scenario(empty)
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("frame: {uuid: 165, uuid: 90}\ndecoder: {assigned_uuid: 165}\n", "'uuid' on line 1"),
+        ("frame: {uuid: 165}\ndecoder: {assigned_uuid: 165}\ndecoder: {assigned_uuid: 90}\n",
+         "'decoder' on line 3"),
+        ("frame: {uuid: 165}\ndecoder: {assigned_uuid: 165}\nchannel:\n  echoes:\n"
+         "    - {extra_path: 5.0, gain: 0.5}\n    - {extra_path: 8.0, gain: 0.5, gain: 0.1}\n",
+         "'gain' on line 6"),
+    ],
+    ids=["key", "section", "echo_item_key"],
+)
+def test_a_repeated_key_is_rejected_by_name(text, key, tmp_path):
+    path = tmp_path / "dup.yaml"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=f"duplicate key {key}"):
+        load_scenario(path)
+
+
+def test_a_key_may_override_a_merged_one(tmp_path):
+    path = tmp_path / "merge.yaml"
+    path.write_text(
+        "frame:\n  <<: {uuid: 90, bit_rate: 100.0}\n  uuid: 165\n"
+        "decoder: {assigned_uuid: 165}\n"
+    )
+    sc = load_scenario(path)
+    assert (sc.frame.uuid, sc.frame.bit_rate) == (165, 100.0)
+
+
 def test_loaded_file_equals_in_memory_document(tmp_path):
     path = tmp_path / "sc.yaml"
     path.write_text(
