@@ -200,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:  # ConfigurationError and SchemaError among them
+    except ConfigurationError as exc:  # SchemaError among them; any other exception is a bug
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except InvariantError as exc:

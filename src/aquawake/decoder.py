@@ -96,6 +96,8 @@ def decoder_feed(
             f"event at t={t} arrived after t={state.last_event_time}; "
             "events must be fed in time order"
         )
+    if state.phase is DecoderPhase.DECIDED:
+        return state  # terminal: last_event_time stays the decision time
     state = replace(state, last_event_time=t)
 
     if state.phase is DecoderPhase.AWAIT_SECOND_EDGE:
@@ -129,22 +131,20 @@ def decoder_feed(
             bits=(),
         )
 
-    if state.phase is DecoderPhase.SAMPLING:
-        if not isinstance(event, LevelSample):
-            return state  # edges between sampling instants are irrelevant
-        if t < state.sample_times[state.bit_index]:
-            return state  # not due yet
-        bits = state.bits + (1 if event.level else 0,)
-        state = replace(state, bits=bits)
-        if len(bits) == UUID_BITS:
-            return replace(
-                state,
-                phase=DecoderPhase.DECIDED,
-                match=state.decoded_uuid == cfg.assigned_uuid,
-            )
-        return state
-
-    return state  # DECIDED is terminal
+    # SAMPLING, the one phase left
+    if not isinstance(event, LevelSample):
+        return state  # edges between sampling instants are irrelevant
+    if t < state.sample_times[state.bit_index]:
+        return state  # not due yet
+    bits = state.bits + (1 if event.level else 0,)
+    state = replace(state, bits=bits)
+    if len(bits) == UUID_BITS:
+        return replace(
+            state,
+            phase=DecoderPhase.DECIDED,
+            match=state.decoded_uuid == cfg.assigned_uuid,
+        )
+    return state
 
 
 def wake_output(state: DecoderState) -> bool:

@@ -173,9 +173,4 @@ def comparator(env: Waveform, params: DemodParams) -> DigitalTrace:
     decided = np.flatnonzero(np.abs(diff) > params.hysteresis)
     high = diff[decided] > 0
     changes = np.flatnonzero(np.diff(high, prepend=False))
-    return DigitalTrace(
-        edge_times=decided[changes] / sr,
-        edge_levels=high[changes],
-        initial_level=False,
-        duration=len(diff) / sr,
-    )
+    return DigitalTrace(edge_times=decided[changes] / sr, edge_levels=high[changes])

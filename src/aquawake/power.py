@@ -45,7 +45,6 @@ class HarvesterParams(Config):
 
 @dataclass
 class LoadProfile(Config):
-    p_idle: NonNegative = 0.0  # W, rail down
     p_listen: NonNegative = 10.7e-6  # W, armed and waiting for a sync edge
     p_decode: NonNegative = 63e-6  # W, sampling the UUID
 

@@ -122,13 +122,18 @@ class _Loader(yaml.SafeLoader):
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:  # missing, a directory, no permission
         raise SchemaError(
             f"scenario file not found or not readable: {path} ({exc.strerror or exc})"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"scenario file {path} is not UTF-8 text: {exc}") from exc
     try:
         doc = yaml.load(text, Loader=_Loader)
-    except yaml.YAMLError as exc:
+    except SchemaError:
+        raise  # a duplicate key, named with its line
+    # ValueError: a tagged scalar like !!int abc; RecursionError: brackets nested thousands deep
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise SchemaError(f"scenario file {path} is not valid YAML: {exc}") from exc
     return scenario_from_dict(doc)

@@ -15,7 +15,6 @@ decision, mirroring how the real receiver spends its budget.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,8 +44,6 @@ from .power import (
     harvester_step,
 )
 from .waveform import DigitalTrace, Waveform
-
-logger = logging.getLogger(__name__)
 
 # sweep parameter -> (Scenario section, field) it sets
 _SWEEP_TARGETS = {
@@ -217,12 +214,12 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
             else:
                 load = sc.load.p_listen
         else:
-            load = sc.load.p_idle
-            # rail down: comparator events are lost and any progress is gone
+            # rail down: the passive receiver draws nothing, comparator events
+            # are lost and any progress is gone
+            load = 0.0
             while edge_idx < len(rising) and rising[edge_idx] < t1:
                 edge_idx += 1
             if dec_state.mid_frame:
-                logger.debug("rail down at %.4f s, decoder reset", t0)
                 dec_state = dec.DecoderState()
 
         state = harvester_step(state, sc.harvester, tick_v_in, tick_p_in, load, dt)

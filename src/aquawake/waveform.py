@@ -35,11 +35,6 @@ class Waveform:
         if not np.all(np.isfinite(self.samples)):
             raise SignalRangeError("waveform contains non-finite samples")
 
-    @property
-    def duration(self) -> float:
-        """Length in seconds."""
-        return len(self.samples) / self.sample_rate
-
     def energy(self) -> float:
         """Sum of squared samples over the sample rate (unit^2 * s)."""
         return float(np.sum(self.samples**2) / self.sample_rate)
@@ -49,15 +44,12 @@ class Waveform:
 class DigitalTrace:
     """Binary level trace described by its transitions.
 
-    `edge_times[i]` is the instant the level becomes `edge_levels[i]`. The
-    level before the first edge is `initial_level`. Times are seconds from
-    trace start; `duration` bounds the observation window.
+    `edge_times[i]` is the instant the level becomes `edge_levels[i]`, in
+    seconds from trace start. The level is low before the first edge.
     """
 
     edge_times: np.ndarray = field(default_factory=lambda: np.empty(0))
     edge_levels: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
-    initial_level: bool = False
-    duration: float = 0.0
 
     def __post_init__(self) -> None:
         self.edge_times = np.asarray(self.edge_times, dtype=np.float64)
@@ -70,12 +62,7 @@ class DigitalTrace:
     def rising_times(self) -> np.ndarray:
         return self.edge_times[self.edge_levels]
 
-    def falling_times(self) -> np.ndarray:
-        return self.edge_times[~self.edge_levels]
-
     def level_at(self, t: float) -> bool:
         """Level at time t (edges take effect at their own timestamp)."""
         idx = int(np.searchsorted(self.edge_times, t, side="right"))
-        if idx == 0:
-            return self.initial_level
-        return bool(self.edge_levels[idx - 1])
+        return idx > 0 and bool(self.edge_levels[idx - 1])

@@ -234,12 +234,14 @@ def test_bundled_preset_runs_end_to_end(tmp_path):
          "tx_amplitude: 1.0e+20\nchannel:\n  distance: 1.0e-100\n  spreading_exponent: 3.0\n",
          SIGNAL_LEVEL),
         ("  uuid: 0xA5\n", "  uuid: 0xA5\n  uuid: 0x5A\n", "duplicate key 'uuid' on line 3"),
+        ("sim:\n", "load:\n  p_idle: 0.0\nsim:\n", "unknown key load.p_idle"),
     ],
     ids=["rng_seed", "nan_p_decode", "inf_tail_duration", "huge_decimation", "v_out",
          "fractional_decimation", "fractional_assigned_uuid", "bool_uuid", "string_exponent",
          "negative_seed", "dotted_exponent", "huge_tx_amplitude", "huge_sensitivity",
          "huge_noise_rms", "tiny_c_store", "huge_tx_amplitude_and_sensitivity",
-         "huge_tx_amplitude_and_noise_rms", "tiny_distance_steep_spreading", "duplicate_uuid"],
+         "huge_tx_amplitude_and_noise_rms", "tiny_distance_steep_spreading", "duplicate_uuid",
+         "p_idle"],
 )
 def test_run_rejects_a_bad_key_by_name(old, new, message, tmp_path):
     path = tmp_path / "bad.yaml"
@@ -298,6 +300,39 @@ def test_run_on_a_directory_fails_by_name(tmp_path):
     code, _, stderr = cli("run", str(tmp_path), "--out", str(out))
     assert code == 2
     assert stderr == f"error: scenario file not found or not readable: {tmp_path} (Is a directory)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff\xfe\x00",
+        b"frame:\n  uuid: !!int abc\n",
+        b"frame:\n  uuid: !!timestamp 2020-13-45\n",
+        b"frame: " + b"[" * 5000 + b"]" * 5000 + b"\n",
+    ],
+    ids=["not_utf8", "bad_int_tag", "bad_timestamp_tag", "deep_nesting"],
+)
+def test_an_unparsable_scenario_file_fails_by_name(content, tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    code, _, stderr = cli("run", str(path), "--out", str(out))
+    assert code == 2
+    assert stderr.startswith(f"error: scenario file {path} ")
+    assert "Traceback" not in stderr
+    assert not out.exists()
+
+
+def test_a_value_error_from_a_bug_propagates(monkeypatch, tmp_path):
+    # exit 2 is for ConfigurationError; anything else is a bug and keeps its traceback
+    def broken(scenario):
+        raise ValueError("not an input problem")
+
+    monkeypatch.setattr("aquawake.cli.run_scenario", broken)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="not an input problem"):
+        cli("run", str(preset_path("paper_fig5")), "--out", str(out))
     assert not out.exists()
 
 

@@ -134,6 +134,17 @@ def test_decided_is_terminal():
     assert after.decoded_uuid == 0xA5
 
 
+def test_decided_state_is_returned_unchanged():
+    # run_scenario reads the decision time from last_event_time
+    cfg = DecoderConfig(assigned_uuid=0xA5)
+    state = feed_all(cfg, ideal_events(0xA5, 5e-3, cfg.sample_offset))
+    decided_at = state.last_event_time
+    assert decoder_feed(state, cfg, RisingEdge(1.0)) == state
+    assert decoder_feed(state, cfg, LevelSample(1.1, True)).last_event_time == decided_at
+    with pytest.raises(ProtocolError):
+        decoder_feed(state, cfg, RisingEdge(decided_at - 1e-3))
+
+
 def test_out_of_order_events_raise():
     cfg = DecoderConfig(assigned_uuid=0xA5)
     state = decoder_feed(DecoderState(), cfg, RisingEdge(1.0))

@@ -197,7 +197,6 @@ def test_params_validation():
 
 def test_load_profile_defaults_and_validation():
     load = LoadProfile()
-    assert load.p_idle == 0.0
     assert load.p_listen == pytest.approx(10.7e-6)
     assert load.p_decode == pytest.approx(63e-6)
     with pytest.raises(ConfigurationError):

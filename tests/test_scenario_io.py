@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from aquawake import (
@@ -8,6 +10,7 @@ from aquawake import (
     scenario_from_dict,
 )
 from aquawake.cli import preset_path
+from helpers import ALIASED_EXTRA_PATH, echo_scenario, reference_scenario
 
 MINIMAL = {"frame": {"uuid": 0xA5}, "decoder": {"assigned_uuid": 0xA5}}
 
@@ -217,6 +220,22 @@ def test_echo_presets_differ_only_in_the_reflection_path():
     assert far.channel.echoes[0].extra_path == pytest.approx(8.15)
     assert near.channel.echoes[0].gain == far.channel.echoes[0].gain == 0.8
     assert near.modulation.tx_amplitude == far.modulation.tx_amplitude
+
+
+# the acceptance tests run these helpers, so their fitted links must be the presets'
+HELPER_PRESETS = {
+    "paper_fig5": reference_scenario,
+    "paper_echo": echo_scenario,
+    "paper_critical_distance": lambda: echo_scenario(extra_path=ALIASED_EXTRA_PATH),
+}
+
+
+@pytest.mark.parametrize("name", HELPER_PRESETS)
+def test_test_helpers_build_the_bundled_presets(name):
+    def resolved(sc):
+        return replace(sc, demod=sc.resolved_demod())
+
+    assert resolved(HELPER_PRESETS[name]()) == resolved(load_scenario(preset_path(name)))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])

