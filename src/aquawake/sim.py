@@ -57,6 +57,9 @@ SWEEPABLE_PARAMETERS = tuple(_SWEEP_TARGETS)
 
 # samples one run may allocate per signal, about 37 s at the default 224 kHz
 MAX_SAMPLES = 2**23
+# runs one sweep may make, values times trials: about 50x the 1256-run
+# criterion-4 sweep; rows are kept in memory until the sweep ends
+MAX_SWEEP_RUNS = 2**16
 
 
 @dataclass
@@ -306,6 +309,12 @@ def sweep(base: Scenario, parameter: str, values: list[float], trials: int = 1) 
         raise ConfigurationError("trials must be >= 1")
     if not values:
         raise ConfigurationError("values must be non-empty")
+    runs = len(values) * trials
+    if runs > MAX_SWEEP_RUNS:
+        raise ConfigurationError(
+            f"trials {trials} over {len(values)} values make {runs} runs, "
+            f"above the limit of {MAX_SWEEP_RUNS}"
+        )
     for value in values:
         if not is_finite(value):
             raise ConfigurationError(f"{parameter} values must be finite, got {value}")

@@ -295,6 +295,23 @@ def test_sweep_rejects_a_run_over_the_sample_limit(param, scenario_file, tmp_pat
     assert not (out / "sweep.csv").exists()
 
 
+def test_sweep_rejects_an_unbounded_trial_count_before_running(monkeypatch, tmp_path):
+    def no_run(sc):
+        raise AssertionError("a sweep over the run limit started a run")
+
+    monkeypatch.setattr(sim, "run_scenario", no_run)
+    out = tmp_path / "out"
+    code, _, stderr = cli(
+        "sweep", str(preset_path("paper_fig5")),
+        "--param", "distance", "--values", "1,2",
+        "--trials", "100000000000000000000", "--out", str(out),
+    )
+    assert code == 2
+    assert "trials 100000000000000000000 over 2 values make 200000000000000000000 runs" in stderr
+    assert "above the limit of 65536" in stderr
+    assert not (out / "sweep.csv").exists()
+
+
 def test_run_on_a_directory_fails_by_name(tmp_path):
     out = tmp_path / "out"
     code, _, stderr = cli("run", str(tmp_path), "--out", str(out))

@@ -1,9 +1,13 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal
 
 from aquawake import (
     ConfigurationError,
@@ -18,6 +22,7 @@ from aquawake import (
     bandpass,
     comparator,
     envelope,
+    frontend,
     modulate_frame,
     rectify,
     transduce,
@@ -366,3 +371,48 @@ def test_preamble_contributes_exactly_one_extra_rise():
     bare = chain_trace(0xA5, 200.0)
     with_preamble = chain_trace(0xA5, 200.0, preamble=0.050, guard=0.0025)
     assert len(with_preamble.rising_times()) == len(bare.rising_times()) + 1
+
+
+def filter_cases():
+    """Seeded one-pole and band-pass biquad inputs, 1 to 5000 samples long,
+    with magnitudes log-uniform over 1e-5..1e5 within each signal."""
+    rng = np.random.default_rng(9)
+    for n in [1, 2, 5000, *rng.integers(1, 5001, size=147).tolist()]:
+        x = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-5.0, 5.0, size=n)
+        beta = np.exp(-1.0 / (rng.uniform(1e-5, 1e-2) * SR))
+        yield [1.0 - beta], [1.0, -beta], x
+        b, a = frontend._biquad_bandpass_coeffs(
+            rng.uniform(1e3, 1e5), rng.uniform(0.5, 50.0), SR, "center"
+        )
+        yield b, a, x
+
+
+def assert_filter_route_matches_lfilter():
+    for b, a, x in filter_cases():
+        got, want = frontend._lfilter(b, a, x), signal.lfilter(b, a, x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), f"b={b} a={a} n={len(x)}"
+
+
+def test_filters_run_on_scipys_private_kernel_byte_for_byte():
+    # fails if scipy renames the kernel, so the fallback is never silently taken
+    from scipy.signal import _sigtools
+
+    assert frontend._linear_filter is _sigtools._linear_filter
+    assert_filter_route_matches_lfilter()
+
+
+def test_the_public_lfilter_fallback_gives_the_same_bytes(monkeypatch):
+    monkeypatch.setattr(frontend, "_linear_filter", signal.lfilter)
+    assert_filter_route_matches_lfilter()
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    src = str(Path(frontend.__file__).resolve().parents[2])
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import aquawake; print(*sys.modules)"
+    loaded = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True, timeout=60
+    ).stdout.split()
+    assert "aquawake.frontend" in loaded
+    assert "scipy.signal" not in loaded
+    assert "scipy.stats" not in loaded

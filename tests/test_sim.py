@@ -221,6 +221,20 @@ def test_sweep_rejects_bad_arguments():
         sweep(reference_scenario(), "bit_rate", [0.0], trials=1)
 
 
+def test_sweep_rejects_too_many_runs_before_the_first(monkeypatch):
+    ran = []
+    real = sim.run_scenario
+    monkeypatch.setattr(sim, "run_scenario", lambda sc: ran.append(sc) or real(sc))
+    # a small limit, so a sweep at it can run here
+    monkeypatch.setattr(sim, "MAX_SWEEP_RUNS", 4)
+    rejected = "^trials 3 over 2 values make 6 runs, above the limit of 4$"
+    with pytest.raises(ConfigurationError, match=rejected):
+        sweep(reference_scenario(), "distance", [1.0, 2.0], trials=3)
+    assert ran == []
+    assert len(sweep(reference_scenario(), "distance", [1.0, 2.0], trials=2).rows) == 4
+    assert len(ran) == 4
+
+
 def test_bit_rate_sweep_rederives_demod_per_value():
     # demod left unset: each swept rate gets time constants scaled to its
     # own bit period, and the shorter frame wakes sooner
