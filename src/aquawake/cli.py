@@ -92,7 +92,7 @@ def _write_records(path: Path, columns: tuple[str, ...], records: list[dict]) ->
 @contextmanager
 def _out_dir(arg: str | None):
     """The output directory, created; a file-system error in the block names it."""
-    out = Path(arg or os.environ.get(OUT_DIR_ENV, "aquawake-out"))
+    out = Path(arg or os.environ.get(OUT_DIR_ENV) or "aquawake-out")  # empty counts as unset
     try:
         out.mkdir(parents=True, exist_ok=True)
         yield out

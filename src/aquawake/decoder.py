@@ -72,12 +72,14 @@ class DecoderState:
     @property
     def decoded_uuid(self) -> int | None:
         """Shift-register contents once all payload bits are in (MSB first)."""
-        if len(self.bits) < UUID_BITS:
-            return None
-        value = 0
-        for bit in self.bits:
-            value = (value << 1) | bit
-        return value
+        return _shift_in(self.bits) if len(self.bits) == UUID_BITS else None
+
+
+def _shift_in(bits: tuple[int, ...]) -> int:
+    value = 0
+    for bit in bits:
+        value = (value << 1) | bit
+    return value
 
 
 def decoder_feed(
@@ -96,55 +98,42 @@ def decoder_feed(
             f"event at t={t} arrived after t={state.last_event_time}; "
             "events must be fed in time order"
         )
-    if state.phase is DecoderPhase.DECIDED:
+    phase = state.phase
+    if phase is DecoderPhase.DECIDED:
         return state  # terminal: last_event_time stays the decision time
-    state = replace(state, last_event_time=t)
+    edge = isinstance(event, RisingEdge)
 
-    if state.phase is DecoderPhase.AWAIT_SECOND_EDGE:
-        assert state.first_edge_time is not None
-        if t - state.first_edge_time > cfg.max_sync_interval:
+    if phase is DecoderPhase.AWAIT_SECOND_EDGE:
+        period = t - state.first_edge_time
+        if period > cfg.max_sync_interval:
             # sync never completed; drop back and let this event start over
-            state = replace(
-                state, phase=DecoderPhase.AWAIT_FIRST_EDGE, first_edge_time=None
+            phase = DecoderPhase.AWAIT_FIRST_EDGE
+        elif not edge or period == 0.0:  # a level, or a duplicate report of the edge
+            return replace(state, last_event_time=t)
+        else:
+            # payload bit k lives one slot per period after the second sync bit
+            schedule = tuple(t + (k + 1 + cfg.sample_offset) * period for k in range(UUID_BITS))
+            return replace(
+                state,
+                phase=DecoderPhase.SAMPLING,
+                last_event_time=t,
+                reference_period=period,
+                sample_times=schedule,
             )
 
-    if state.phase is DecoderPhase.AWAIT_FIRST_EDGE:
-        if isinstance(event, RisingEdge):
-            return replace(state, phase=DecoderPhase.AWAIT_SECOND_EDGE, first_edge_time=t)
-        return state
+    if phase is DecoderPhase.AWAIT_FIRST_EDGE:
+        if edge:
+            phase = DecoderPhase.AWAIT_SECOND_EDGE
+        return replace(state, phase=phase, last_event_time=t, first_edge_time=t if edge else None)
 
-    if state.phase is DecoderPhase.AWAIT_SECOND_EDGE:
-        if not isinstance(event, RisingEdge):
-            return state
-        period = t - state.first_edge_time
-        if period == 0.0:  # duplicate report of the same edge
-            return state
-        # payload bit k lives one slot per period after the second sync bit
-        schedule = tuple(
-            t + (k + 1 + cfg.sample_offset) * period for k in range(UUID_BITS)
-        )
-        return replace(
-            state,
-            phase=DecoderPhase.SAMPLING,
-            reference_period=period,
-            sample_times=schedule,
-            bits=(),
-        )
-
-    # SAMPLING, the one phase left
-    if not isinstance(event, LevelSample):
-        return state  # edges between sampling instants are irrelevant
-    if t < state.sample_times[state.bit_index]:
-        return state  # not due yet
+    # SAMPLING, the one phase left; edges between sampling instants are irrelevant
+    if edge or t < state.sample_times[state.bit_index]:
+        return replace(state, last_event_time=t)  # an edge, or a level not due yet
     bits = state.bits + (1 if event.level else 0,)
-    state = replace(state, bits=bits)
-    if len(bits) == UUID_BITS:
-        return replace(
-            state,
-            phase=DecoderPhase.DECIDED,
-            match=state.decoded_uuid == cfg.assigned_uuid,
-        )
-    return state
+    if len(bits) < UUID_BITS:
+        return replace(state, last_event_time=t, bits=bits)
+    match = _shift_in(bits) == cfg.assigned_uuid
+    return replace(state, phase=DecoderPhase.DECIDED, last_event_time=t, bits=bits, match=match)
 
 
 def wake_output(state: DecoderState) -> bool:

@@ -15,13 +15,15 @@ decision, mirroring how the real receiver spends its budget.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from math import inf
 
 import numpy as np
 
 from . import decoder as dec
 from .channel import ChannelModel, propagate
-from .config import Config, Count, NonNegative, NonNegativeInt, Positive, is_finite
+from .config import Config, Count, FieldError, NonNegative, NonNegativeInt, Positive, is_finite
 from .errors import ConfigurationError, InvariantError, SignalRangeError
 from .frame import ModulationParams, WakeupFrame, modulate_frame
 from .frontend import (
@@ -180,36 +182,36 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     starts = np.arange(n_ticks) * dt
     ends = starts + dt
 
-    rising = trace.rising_times()
+    rising = [*trace.rising_times().tolist(), inf]  # inf: no edge left
     edge_idx = 0
     dec_state = dec.DecoderState()
     state = HarvesterState()
     initial_energy = cap_energy(sc.harvester.c_store, state.v_cap)
 
-    vcap = np.empty(n_ticks)
+    vcap: list[float] = []
     modes: list[str] = []
     rail_up_time: float | None = None
     first_sync_time: float | None = None
 
     # plain floats: the harvester arithmetic overflows to inf without a numpy warning
     ticks = zip(starts.tolist(), ends.tolist(), v_in.tolist(), p_in.tolist())
-    for i, (t0, t1, tick_v_in, tick_p_in) in enumerate(ticks):
+    for t0, t1, tick_v_in, tick_p_in in ticks:
         if state.mode is HarvesterMode.REGULATING:
             if rail_up_time is None:
                 rail_up_time = t0
             # feed rising edges and due level samples in time order; ties go to the edge
             while dec_state.phase is not dec.DecoderPhase.DECIDED:
                 due = dec_state.next_sample_time
-                edge = rising[edge_idx] if edge_idx < len(rising) else None
-                if due is not None and due < t1 and (edge is None or due < edge):
-                    event = dec.LevelSample(float(due), trace.level_at(due))
-                elif edge is not None and edge < t1:
-                    event = dec.RisingEdge(float(edge))
+                edge = rising[edge_idx]
+                if due is not None and due < t1 and due < edge:
+                    event = dec.LevelSample(due, trace.level_at(due))
+                elif edge < t1:
+                    event = dec.RisingEdge(edge)
                     edge_idx += 1
                 else:
                     break
                 dec_state = dec.decoder_feed(dec_state, sc.decoder, event)
-                if first_sync_time is None and dec_state.first_edge_time is not None:
+                if first_sync_time is None:
                     first_sync_time = dec_state.first_edge_time
             # decode draw applies while the decoder is mid-frame, listen otherwise
             if dec_state.mid_frame:
@@ -220,21 +222,21 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
             # rail down: the passive receiver draws nothing, comparator events
             # are lost and any progress is gone
             load = 0.0
-            while edge_idx < len(rising) and rising[edge_idx] < t1:
-                edge_idx += 1
+            edge_idx = bisect_left(rising, t1, edge_idx)
             if dec_state.mid_frame:
                 dec_state = dec.DecoderState()
 
         state = harvester_step(state, sc.harvester, tick_v_in, tick_p_in, load, dt)
-        vcap[i] = state.v_cap
+        vcap.append(state.v_cap)
         modes.append(state.mode.value)
+    vcap_values = np.array(vcap)
 
     # the outcome is the decoder's: DECIDED is terminal and never reset
     decided = dec_state.phase is dec.DecoderPhase.DECIDED
     decision_time = dec_state.last_event_time if decided else None
     woke = dec.wake_output(dec_state)
 
-    peak_v_cap = float(vcap.max()) if n_ticks else 0.0
+    peak_v_cap = float(vcap_values.max())
     if not np.isfinite(peak_v_cap):
         raise ConfigurationError(
             f"storage cap voltage leaves float range (peak {peak_v_cap:g} V); "
@@ -257,7 +259,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         harvested_energy=float(state.harvested_energy),
         consumed_energy=float(state.consumed_energy),
         vcap_times=ends,
-        vcap_values=vcap,
+        vcap_values=vcap_values,
         mode_values=modes,
         edge_trace=trace,
         rail_up_time=rail_up_time,
@@ -277,7 +279,12 @@ def _with_parameter(sc: Scenario, name: str, value: float) -> Scenario:
     if name == "echo_delay":
         if not part.echoes:
             raise ConfigurationError("echo_delay sweep needs at least one configured echo")
-        first = replace(part.echoes[0], extra_path=value * part.sound_speed)
+        try:
+            first = replace(part.echoes[0], extra_path=value * part.sound_speed)
+        except FieldError as exc:  # Echo.extra_path's rule, named by the seconds swept
+            rule = str(exc).partition(" must be ")[2].rpartition(", got ")[0]
+            msg = f"echo_delay must make the first echo's extra_path {rule}, got {value}"
+            raise ConfigurationError(msg) from exc
         value = [first, *part.echoes[1:]]
     sc = replace(sc, **{section: replace(part, **{key: value})})
     if name == "bit_rate":

@@ -114,6 +114,16 @@ def test_default_out_dir_is_under_the_cwd(scenario_file, tmp_path, monkeypatch):
     assert (tmp_path / "aquawake-out" / "result.csv").exists()
 
 
+def test_an_empty_out_dir_env_var_counts_as_unset(scenario_file, tmp_path, monkeypatch):
+    # Path("") is the working directory: the CSVs must not land there
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("AQUAWAKE_OUT_DIR", "")
+    code, _, _ = cli("run", str(scenario_file))
+    assert code == 0
+    assert all((tmp_path / "aquawake-out" / name).exists() for name in RUN_FILES)
+    assert not (tmp_path / "result.csv").exists()
+
+
 def test_run_rejects_an_incomplete_scenario(tmp_path):
     empty = tmp_path / "empty.yaml"
     empty.write_text("")

@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aquawake import (
     ConfigurationError,
@@ -184,3 +188,115 @@ def test_config_validation():
         DecoderConfig(assigned_uuid=0xA5, sample_offset=1.2)
     with pytest.raises(ConfigurationError):
         DecoderConfig(assigned_uuid=0xA5, max_sync_interval=0.0)
+
+
+class ReferenceDecoder:
+    """The module docstring's rules as a plain mutable machine: time the gap
+    between two sync edges (restarting when it exceeds max_sync_interval or
+    is zero), then take the level of each payload slot at its sampling
+    instant, one due level per event, and decide after the last bit."""
+
+    def __init__(self, cfg: DecoderConfig):
+        self.cfg = cfg
+        self.phase = DecoderPhase.AWAIT_FIRST_EDGE
+        self.last_event_time = -math.inf
+        self.first_edge_time = self.second_edge_time = self.reference_period = None
+        self.bits: list[int] = []
+        self.match = None
+
+    @property
+    def bit_index(self) -> int:
+        return len(self.bits)
+
+    @property
+    def next_sample_time(self):
+        if self.phase is not DecoderPhase.SAMPLING:
+            return None
+        slot = self.bit_index + 1 + self.cfg.sample_offset
+        return self.second_edge_time + slot * self.reference_period
+
+    @property
+    def decoded_uuid(self):
+        return int("".join(map(str, self.bits)), 2) if len(self.bits) == 8 else None
+
+    def feed(self, event) -> None:
+        if self.phase is DecoderPhase.DECIDED:
+            return
+        t = event.time
+        self.last_event_time = t
+        edge = isinstance(event, RisingEdge)
+        if self.phase is DecoderPhase.AWAIT_SECOND_EDGE:
+            if t - self.first_edge_time > self.cfg.max_sync_interval:
+                self.phase, self.first_edge_time = DecoderPhase.AWAIT_FIRST_EDGE, None
+            elif edge and t != self.first_edge_time:
+                self.phase = DecoderPhase.SAMPLING
+                self.second_edge_time, self.reference_period = t, t - self.first_edge_time
+                return
+        if self.phase is DecoderPhase.AWAIT_FIRST_EDGE:
+            if edge:
+                self.phase, self.first_edge_time = DecoderPhase.AWAIT_SECOND_EDGE, t
+        elif self.phase is DecoderPhase.SAMPLING and not edge and t >= self.next_sample_time:
+            self.bits.append(int(event.level))
+            if len(self.bits) == 8:
+                self.phase = DecoderPhase.DECIDED
+                self.match = self.decoded_uuid == self.cfg.assigned_uuid
+
+
+COMPARED = (
+    "phase",
+    "last_event_time",
+    "first_edge_time",
+    "reference_period",
+    "bit_index",
+    "next_sample_time",
+    "decoded_uuid",
+    "match",
+)
+
+
+def retimed(event, dt: float):
+    if isinstance(event, RisingEdge):
+        return RisingEdge(event.time + dt)
+    return LevelSample(event.time + dt, event.level)
+
+
+@st.composite
+def altered_streams(draw):
+    """An ideal frame with events dropped, delayed past the sync window or
+    duplicated, ghost edges and levels inserted, and events after the decision."""
+    uuid = draw(st.integers(0, 255))
+    period = draw(st.floats(2e-3, 10e-3))
+    offset = draw(st.sampled_from([0.25, 0.4, 0.5, 0.75]))
+    cfg = DecoderConfig(
+        assigned_uuid=draw(st.sampled_from([uuid, uuid ^ 0x01, 0xA5])), sample_offset=offset
+    )
+    events = ideal_events(uuid, period, offset, t0=draw(st.floats(0.0, 0.05)))
+    end = events[-1].time
+    dropped = draw(st.sets(st.integers(0, len(events) - 1), max_size=3))
+    events = [e for i, e in enumerate(events) if i not in dropped]
+    if draw(st.booleans()):
+        # the events from `cut` on wait out the sync window
+        cut = draw(st.integers(1, len(events)))
+        lag = draw(st.floats(cfg.max_sync_interval, 3 * cfg.max_sync_interval))
+        events = events[:cut] + [retimed(e, lag) for e in events[cut:]]
+        end += lag
+    for index in draw(st.lists(st.integers(0, len(events) - 1), max_size=3)):
+        events.append(events[index])
+    # or just as the sync window of the first edge closes
+    times = st.floats(0.0, end + 2 * period) | st.just(events[0].time + cfg.max_sync_interval)
+    for time, kind, level in draw(st.lists(st.tuples(times, st.booleans(), st.booleans()))):
+        events.append(RisingEdge(time) if kind else LevelSample(time, level))
+    events.sort(key=lambda e: e.time)
+    return cfg, events
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(altered_streams())
+def test_feed_matches_a_reference_decoder_after_every_event(stream):
+    cfg, events = stream
+    state, reference = DecoderState(), ReferenceDecoder(cfg)
+    for event in events:
+        state = decoder_feed(state, cfg, event)
+        reference.feed(event)
+        for name in COMPARED:
+            assert getattr(state, name) == getattr(reference, name), (name, event)

@@ -408,7 +408,7 @@ def test_the_public_lfilter_fallback_gives_the_same_bytes(monkeypatch):
 
 
 def test_import_leaves_scipy_signal_unloaded():
-    src = str(Path(frontend.__file__).resolve().parents[2])
+    src = str(Path(frontend.__file__).resolve().parents[1])
     code = "import sys; sys.path.insert(0, sys.argv[1]); import aquawake; print(*sys.modules)"
     loaded = subprocess.run(
         [sys.executable, "-c", code, src], capture_output=True, text=True, check=True, timeout=60

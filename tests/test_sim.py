@@ -219,6 +219,10 @@ def test_sweep_rejects_bad_arguments():
     # checked before the rescale divides by it
     with pytest.raises(ConfigurationError, match="^bit_rate must be positive, got 0.0"):
         sweep(reference_scenario(), "bit_rate", [0.0], trials=1)
+    # the seconds given are named, not the extra_path metres they become
+    for delay in (-0.001, 0.0):
+        with pytest.raises(ConfigurationError, match=f"^echo_delay .*, got {delay}$"):
+            sweep(echo_scenario(), "echo_delay", [delay], trials=1)
 
 
 def test_sweep_rejects_too_many_runs_before_the_first(monkeypatch):
