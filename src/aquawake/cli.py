@@ -15,10 +15,11 @@ output directory.
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import os
 import re
 import sys
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -72,21 +73,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
-    """Write rows under a leading schema_version column, atomically."""
+def _write_csv(path: Path, header: tuple[str, ...], lines: Iterable[str]) -> None:
+    """Write comma-joined field lines under a leading schema_version column,
+    atomically. Lines end in \\r\\n, as the csv module's default dialect
+    writes them. No field needs quoting: each is a float, an int, true/false,
+    a harvester mode or row type, or a sweep parameter name, and none of
+    those holds a comma, a quote or a line break."""
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["schema_version", *header])
-        for row in rows:
-            writer.writerow([SCHEMA_VERSION, *map(_fmt, row)])
+        fh.write(",".join(("schema_version", *header)) + "\r\n")
+        fh.writelines(f"{SCHEMA_VERSION},{line}\r\n" for line in lines)
     os.replace(tmp, path)
 
 
 def _write_records(path: Path, columns: tuple[str, ...], records: list[dict]) -> None:
     """Write one row per record; a column the record lacks stays empty."""
     keys = [_UNIT_SUFFIX.sub("", c) for c in columns]
-    _write_csv(path, columns, ([rec.get(k) for k in keys] for rec in records))
+    _write_csv(path, columns, (",".join(_fmt(rec.get(k)) for k in keys) for rec in records))
 
 
 @contextmanager
@@ -102,27 +105,38 @@ def _out_dir(arg: str | None):
         ) from exc
 
 
+PRESETS_DIR = Path(__file__).with_name("presets")
+
+
 def preset_path(name: str) -> Path:
     """Filesystem path of a bundled scenario preset."""
-    presets = Path(__file__).with_name("presets")
-    path = presets / f"{name}.scenario"
+    if not PRESETS_DIR.is_dir():  # the package was imported from a zip
+        raise ConfigurationError(
+            f"bundled presets not found: {PRESETS_DIR} is not a directory "
+            "(installs that keep the package zipped are unsupported)"
+        )
+    path = PRESETS_DIR / f"{name}.scenario"
     if not path.exists():
-        available = ", ".join(sorted(p.stem for p in presets.glob("*.scenario")))
+        available = ", ".join(sorted(p.stem for p in PRESETS_DIR.glob("*.scenario")))
         raise ConfigurationError(f"unknown preset {name!r}; available: {available}")
     return path
 
 
 def _write_run_outputs(result: ScenarioResult, out: Path) -> None:
     _write_records(out / "result.csv", RESULT_COLUMNS, [vars(result)])
+    # repr of a Python float from .tolist() is what _fmt prints for a numpy float
+    times, values = result.vcap_times.tolist(), result.vcap_values.tolist()
     _write_csv(
         out / "vcap_trace.csv",
         ("time_s", "v_cap_v", "mode"),
-        zip(result.vcap_times, result.vcap_values, result.mode_values),
+        (f"{t!r},{v!r},{m}" for t, v, m in zip(times, values, result.mode_values)),
     )
+    edges = result.edge_trace
     _write_csv(
         out / "comparator_edges.csv",
         ("time_s", "level"),
-        zip(result.edge_trace.edge_times, map(bool, result.edge_trace.edge_levels)),
+        (f"{t!r},{'true' if level else 'false'}"
+         for t, level in zip(edges.edge_times.tolist(), edges.edge_levels.tolist())),
     )
 
 
@@ -167,6 +181,7 @@ def _cmd_preset_path(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # argparse keeps no state between parse_args calls
 def _build_parser() -> _Parser:
     parser = _Parser(prog="aquawake", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -17,6 +17,8 @@ from pathlib import Path
 from typing import Any
 
 import yaml
+from yaml.composer import Composer
+from yaml.events import AliasEvent
 
 from .config import FieldError
 from .errors import ConfigurationError, SchemaError
@@ -103,8 +105,54 @@ def scenario_from_dict(doc: Any) -> Scenario:
     return Scenario(**kwargs)
 
 
-class _Loader(yaml.SafeLoader):
-    """SafeLoader that rejects a mapping key given twice, at any depth."""
+# The bundled presets nest 5 levels deep: document, section, echoes list, echo, value
+MAX_NESTING = 32
+
+# libyaml's parser when PyYAML was built with it, else PyYAML's own
+_SafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+class _Loader(_SafeLoader, Composer):
+    """Safe loader that rejects a mapping key given twice, at any depth, and
+    nesting deeper than MAX_NESTING levels, through aliases too.
+
+    Nodes are composed by PyYAML's Python composer even over libyaml's
+    parser: its C composer recurses once per level, and about 100 000 nested
+    brackets overflow the C stack before any check could run.
+    """
+
+    get_single_node = Composer.get_single_node  # libyaml's loader composes in C
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        Composer.__init__(self)
+        self._depth = 0  # levels open above the node being composed
+        self._height: dict[yaml.Node, int] = {}  # levels in each composed node's tree
+
+    def compose_node(self, parent, index):
+        if self.check_event(AliasEvent):
+            # the alias repeats its anchor's tree here; an alias to an
+            # enclosing node (a cycle) has no height yet and adds none
+            node = super().compose_node(parent, index)
+            self._check_depth(self._depth + self._height.get(node, 0))
+            return node
+        self._check_depth(self._depth + 1)
+        self._depth += 1
+        try:
+            node = super().compose_node(parent, index)
+        finally:
+            self._depth -= 1
+        if isinstance(node, yaml.MappingNode):
+            children = [child for pair in node.value for child in pair]
+        else:
+            children = node.value if isinstance(node, yaml.SequenceNode) else ()
+        self._height[node] = 1 + max((self._height.get(c, 0) for c in children), default=0)
+        return node
+
+    @staticmethod
+    def _check_depth(depth: int) -> None:
+        if depth > MAX_NESTING:
+            raise SchemaError(f"nests deeper than {MAX_NESTING} levels")
 
     def construct_mapping(self, node, deep=False):
         seen = set()
@@ -113,7 +161,7 @@ class _Loader(yaml.SafeLoader):
                 key = self.construct_object(key_node)
                 if key in seen:
                     raise SchemaError(
-                        f"duplicate key {key!r} on line {key_node.start_mark.line + 1}"
+                        f"has duplicate key {key!r} on line {key_node.start_mark.line + 1}"
                     )
                 seen.add(key)
         return super().construct_mapping(node, deep)
@@ -131,9 +179,9 @@ def load_scenario(path: str | Path) -> Scenario:
         raise SchemaError(f"scenario file {path} is not UTF-8 text: {exc}") from exc
     try:
         doc = yaml.load(text, Loader=_Loader)
-    except SchemaError:
-        raise  # a duplicate key, named with its line
-    # ValueError: a tagged scalar like !!int abc; RecursionError: brackets nested thousands deep
-    except (yaml.YAMLError, ValueError, RecursionError) as exc:
+    except SchemaError as exc:  # a duplicate key, named with its line, or nesting too deep
+        raise SchemaError(f"scenario file {path} {exc}") from exc
+    # ValueError: a tagged scalar like !!int abc
+    except (yaml.YAMLError, ValueError) as exc:
         raise SchemaError(f"scenario file {path} is not valid YAML: {exc}") from exc
     return scenario_from_dict(doc)

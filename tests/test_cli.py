@@ -5,11 +5,19 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aquawake import sim
-from aquawake.cli import main, preset_path
+from aquawake import cli as cli_module
+from aquawake import load_scenario, sim
+from aquawake.cli import SCHEMA_VERSION, _fmt, _write_run_outputs, main, preset_path
+from aquawake.power import HarvesterMode
+from aquawake.scenario_io import MAX_NESTING, _Loader
 
 # short preamble keeps each in-process run a few milliseconds
 FAST_SCENARIO = """\
@@ -210,49 +218,52 @@ def test_bundled_preset_runs_end_to_end(tmp_path):
     assert (out / "result.csv").exists()
 
 
-@pytest.mark.parametrize(
-    "old, new, message",
-    [
-        ("channel:\n", "channel:\n  rng_seed: 7\n", "unknown key channel.rng_seed"),
-        ("sim:\n", "load:\n  p_decode: .nan\nsim:\n", "load.p_decode must be a finite number"),
-        ("sim:\n", "sim:\n  tail_duration: .inf\n", "sim.tail_duration must be a finite number"),
-        ("sim:\n", "sim:\n  harvester_decimation: 0x10000000000\n", "above the limit of 8388608"),
-        ("harvester:\n", "harvester:\n  v_out: 3.3\n", "unknown key harvester.v_out"),
-        ("sim:\n", "sim:\n  harvester_decimation: 8.5\n",
-         "sim.harvester_decimation must be an integer, got 8.5"),
-        ("assigned_uuid: 0xA5", "assigned_uuid: 165.5",
-         "decoder.assigned_uuid must be an integer, got 165.5"),
-        ("  uuid: 0xA5", "  uuid: true", "frame.uuid must be an integer, got True"),
-        # PyYAML reads 1e5 (no dot) as a string
-        ("channel:\n", "channel:\n  spreading_exponent: 1e5\n",
-         "channel.spreading_exponent must be a number, got '1e5'"),
-        ("  seed: 0\n", "  seed: -1\n", "sim.seed must be >= 0, got -1"),
-        # so is 1.0e5: a float needs the dot and a signed exponent (1.0e+5)
-        ("channel:\n", "channel:\n  spreading_exponent: 1.0e5\n",
-         "channel.spreading_exponent must be a number, got '1.0e5'"),
-        # each of these overflows the harvester input power or the cap voltage
-        ("tx_amplitude: 34.6064", "tx_amplitude: 1.0e+200", DRIVE_CHAIN),
-        ("sim:\n", "transducer:\n  sensitivity: 1.0e+300\nsim:\n", DRIVE_CHAIN),
-        ("noise_rms: 0.1", "noise_rms: 1.0e+300", DRIVE_CHAIN),
-        ("harvester:\n", "harvester:\n  c_store: 1.0e-320\n", "raise harvester.c_store"),
-        # signal levels that overflow before the harvester input power is formed
-        ("tx_amplitude: 34.6064", "tx_amplitude: 1.0e+200\ntransducer:\n  sensitivity: 1.0e+200",
-         SIGNAL_LEVEL),
-        ("tx_amplitude: 34.6064\nchannel:\n  distance: 1.0\n  noise_rms: 0.1",
-         "tx_amplitude: 1.0e+308\nchannel:\n  distance: 1.0\n  noise_rms: 1.0e+308", SIGNAL_LEVEL),
-        ("tx_amplitude: 34.6064\nchannel:\n  distance: 1.0\n",
-         "tx_amplitude: 1.0e+20\nchannel:\n  distance: 1.0e-100\n  spreading_exponent: 3.0\n",
-         SIGNAL_LEVEL),
-        ("  uuid: 0xA5\n", "  uuid: 0xA5\n  uuid: 0x5A\n", "duplicate key 'uuid' on line 3"),
-        ("sim:\n", "load:\n  p_idle: 0.0\nsim:\n", "unknown key load.p_idle"),
-    ],
-    ids=["rng_seed", "nan_p_decode", "inf_tail_duration", "huge_decimation", "v_out",
-         "fractional_decimation", "fractional_assigned_uuid", "bool_uuid", "string_exponent",
-         "negative_seed", "dotted_exponent", "huge_tx_amplitude", "huge_sensitivity",
-         "huge_noise_rms", "tiny_c_store", "huge_tx_amplitude_and_sensitivity",
-         "huge_tx_amplitude_and_noise_rms", "tiny_distance_steep_spreading", "duplicate_uuid",
-         "p_idle"],
-)
+# (old, new, message): FAST_SCENARIO with `old` edited to `new` fails with `message`
+BAD_KEY_EDITS = [
+    ("channel:\n", "channel:\n  rng_seed: 7\n", "unknown key channel.rng_seed"),
+    ("sim:\n", "load:\n  p_decode: .nan\nsim:\n", "load.p_decode must be a finite number"),
+    ("sim:\n", "sim:\n  tail_duration: .inf\n", "sim.tail_duration must be a finite number"),
+    ("sim:\n", "sim:\n  harvester_decimation: 0x10000000000\n", "above the limit of 8388608"),
+    ("harvester:\n", "harvester:\n  v_out: 3.3\n", "unknown key harvester.v_out"),
+    ("sim:\n", "sim:\n  harvester_decimation: 8.5\n",
+     "sim.harvester_decimation must be an integer, got 8.5"),
+    ("assigned_uuid: 0xA5", "assigned_uuid: 165.5",
+     "decoder.assigned_uuid must be an integer, got 165.5"),
+    ("  uuid: 0xA5", "  uuid: true", "frame.uuid must be an integer, got True"),
+    # PyYAML reads 1e5 (no dot) as a string
+    ("channel:\n", "channel:\n  spreading_exponent: 1e5\n",
+     "channel.spreading_exponent must be a number, got '1e5'"),
+    ("  seed: 0\n", "  seed: -1\n", "sim.seed must be >= 0, got -1"),
+    # so is 1.0e5: a float needs the dot and a signed exponent (1.0e+5)
+    ("channel:\n", "channel:\n  spreading_exponent: 1.0e5\n",
+     "channel.spreading_exponent must be a number, got '1.0e5'"),
+    # each of these overflows the harvester input power or the cap voltage
+    ("tx_amplitude: 34.6064", "tx_amplitude: 1.0e+200", DRIVE_CHAIN),
+    ("sim:\n", "transducer:\n  sensitivity: 1.0e+300\nsim:\n", DRIVE_CHAIN),
+    ("noise_rms: 0.1", "noise_rms: 1.0e+300", DRIVE_CHAIN),
+    ("harvester:\n", "harvester:\n  c_store: 1.0e-320\n", "raise harvester.c_store"),
+    # signal levels that overflow before the harvester input power is formed
+    ("tx_amplitude: 34.6064", "tx_amplitude: 1.0e+200\ntransducer:\n  sensitivity: 1.0e+200",
+     SIGNAL_LEVEL),
+    ("tx_amplitude: 34.6064\nchannel:\n  distance: 1.0\n  noise_rms: 0.1",
+     "tx_amplitude: 1.0e+308\nchannel:\n  distance: 1.0\n  noise_rms: 1.0e+308", SIGNAL_LEVEL),
+    ("tx_amplitude: 34.6064\nchannel:\n  distance: 1.0\n",
+     "tx_amplitude: 1.0e+20\nchannel:\n  distance: 1.0e-100\n  spreading_exponent: 3.0\n",
+     SIGNAL_LEVEL),
+    ("  uuid: 0xA5\n", "  uuid: 0xA5\n  uuid: 0x5A\n", "duplicate key 'uuid' on line 3"),
+    ("sim:\n", "load:\n  p_idle: 0.0\nsim:\n", "unknown key load.p_idle"),
+]
+BAD_KEY_IDS = [
+    "rng_seed", "nan_p_decode", "inf_tail_duration", "huge_decimation", "v_out",
+    "fractional_decimation", "fractional_assigned_uuid", "bool_uuid", "string_exponent",
+    "negative_seed", "dotted_exponent", "huge_tx_amplitude", "huge_sensitivity",
+    "huge_noise_rms", "tiny_c_store", "huge_tx_amplitude_and_sensitivity",
+    "huge_tx_amplitude_and_noise_rms", "tiny_distance_steep_spreading", "duplicate_uuid",
+    "p_idle",
+]
+
+
+@pytest.mark.parametrize("old, new, message", BAD_KEY_EDITS, ids=BAD_KEY_IDS)
 def test_run_rejects_a_bad_key_by_name(old, new, message, tmp_path):
     path = tmp_path / "bad.yaml"
     new_text = FAST_SCENARIO.replace(old, new)
@@ -337,8 +348,13 @@ def test_run_on_a_directory_fails_by_name(tmp_path):
         b"frame:\n  uuid: !!int abc\n",
         b"frame:\n  uuid: !!timestamp 2020-13-45\n",
         b"frame: " + b"[" * 5000 + b"]" * 5000 + b"\n",
+        # the root mapping, brackets and a scalar: one level past the limit
+        b"frame: " + b"[" * (MAX_NESTING - 1) + b"1" + b"]" * (MAX_NESTING - 1) + b"\n",
+        # libyaml's own composer overflows the C stack here
+        b"frame: " + b"[" * 100_000 + b"]" * 100_000 + b"\n",
     ],
-    ids=["not_utf8", "bad_int_tag", "bad_timestamp_tag", "deep_nesting"],
+    ids=["not_utf8", "bad_int_tag", "bad_timestamp_tag", "deep_nesting", "past_nesting_limit",
+         "hundred_thousand_deep"],
 )
 def test_an_unparsable_scenario_file_fails_by_name(content, tmp_path):
     path = tmp_path / "bad.yaml"
@@ -418,3 +434,92 @@ def test_a_bit_rate_sweep_of_paper_fig5_wakes_at_every_rate(tmp_path):
         trials = [r for r in csv.DictReader(fh) if r["row_type"] == "trial"]
     assert [float(r["value"]) for r in trials] == [100.0, 200.0, 400.0, 800.0]
     assert all(r["woke"] == "true" and r["decoded_uuid"] == "165" for r in trials)
+
+
+# the presets, FAST_SCENARIO and its edits, less the duplicate key: PyYAML's
+# own loader keeps its last copy
+LOADER_TEXTS = {
+    name: preset_path(name).read_text()
+    for name in ("paper_fig5", "paper_echo", "paper_critical_distance")
+}
+LOADER_TEXTS["fast"] = FAST_SCENARIO
+LOADER_TEXTS.update(
+    (id_, FAST_SCENARIO.replace(old, new))
+    for (old, new, _), id_ in zip(BAD_KEY_EDITS, BAD_KEY_IDS) if id_ != "duplicate_uuid"
+)
+
+
+@pytest.mark.parametrize("text", LOADER_TEXTS.values(), ids=LOADER_TEXTS.keys())
+def test_the_loader_reads_what_pyyaml_safe_loader_reads(text):
+    # repr tells 1 from 1.0 and '1e5' from 1e5, and a NaN equals itself there
+    assert repr(yaml.load(text, Loader=_Loader)) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+
+
+def _reference_csv(path, header, rows):
+    """What the writer wrote before it formatted lines itself: csv.writer over _fmt."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["schema_version", *header])
+        for row in rows:
+            writer.writerow([SCHEMA_VERSION, *map(_fmt, row)])
+
+
+odd_floats = st.one_of(
+    st.floats(),  # NaN, +-inf, +-0.0 and subnormals included
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 2.0**53]),
+    st.integers(-(2**53), 2**53).map(float),
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    ticks=st.lists(
+        st.tuples(odd_floats, odd_floats, st.sampled_from([m.value for m in HarvesterMode])),
+        max_size=20,
+    ),
+    edges=st.lists(st.tuples(odd_floats, st.booleans()), max_size=20),
+)
+def test_run_files_match_the_csv_module_byte_for_byte(ticks, edges, tmp_path_factory):
+    out = tmp_path_factory.mktemp("out")
+    times, values, modes = map(list, zip(*ticks)) if ticks else ([], [], [])
+    edge_times, levels = map(list, zip(*edges)) if edges else ([], [])
+    result = SimpleNamespace(
+        vcap_times=np.array(times, dtype=float),
+        vcap_values=np.array(values, dtype=float),
+        mode_values=modes,
+        edge_trace=SimpleNamespace(
+            edge_times=np.array(edge_times, dtype=float), edge_levels=np.array(levels, dtype=bool)
+        ),
+    )
+    _write_run_outputs(result, out)
+    ref = out / "ref.csv"
+    vcap_rows = zip(result.vcap_times, result.vcap_values, modes)
+    _reference_csv(ref, ("time_s", "v_cap_v", "mode"), vcap_rows)
+    assert (out / "vcap_trace.csv").read_bytes() == ref.read_bytes()
+    edge_rows = zip(result.edge_trace.edge_times, map(bool, result.edge_trace.edge_levels))
+    _reference_csv(ref, ("time_s", "level"), edge_rows)
+    assert (out / "comparator_edges.csv").read_bytes() == ref.read_bytes()
+
+
+def test_the_reused_parser_keeps_no_state(tmp_path):
+    path = str(preset_path("paper_fig5"))
+    own_seed = str(load_scenario(path).sim.seed)
+    assert own_seed != "5"
+    assert cli("run", path, "--seed", "5", "--out", str(tmp_path / "a"))[0] == 0
+    assert cli("run", path, "--out", str(tmp_path / "b"))[0] == 0
+    seeds = [(tmp_path / d / "result.csv").read_text().splitlines()[1].split(",")[1] for d in "ab"]
+    assert seeds == ["5", own_seed]
+    code, _, stderr = cli("run")
+    assert code == 1
+    assert stderr.startswith("usage error: ")
+
+
+def test_presets_in_a_zipped_package_fail_by_name(monkeypatch):
+    zipped = Path("site-packages/aquawake.egg/aquawake/presets")
+    monkeypatch.setattr(cli_module, "PRESETS_DIR", zipped)
+    code, _, stderr = cli("preset-path", "paper_fig5")
+    assert code == 2
+    assert stderr == (
+        f"error: bundled presets not found: {zipped} is not a directory "
+        "(installs that keep the package zipped are unsupported)\n"
+    )

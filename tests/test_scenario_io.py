@@ -1,6 +1,11 @@
+import json
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+import yaml
 
 from aquawake import (
     DemodParams,
@@ -10,6 +15,7 @@ from aquawake import (
     scenario_from_dict,
 )
 from aquawake.cli import preset_path
+from aquawake.scenario_io import MAX_NESTING, _Loader
 from helpers import ALIASED_EXTRA_PATH, echo_scenario, reference_scenario
 
 MINIMAL = {"frame": {"uuid": 0xA5}, "decoder": {"assigned_uuid": 0xA5}}
@@ -246,3 +252,80 @@ def test_non_finite_numbers_are_rejected_by_key(value):
     doc = dict(MINIMAL, channel={"echoes": [{"extra_path": value, "gain": 0.5}]})
     with pytest.raises(SchemaError, match=r"channel\.echoes\[0\]\.extra_path must be"):
         scenario_from_dict(doc)
+
+
+def nested(levels: int) -> str:
+    """A document `levels` deep: the root mapping, brackets, a scalar."""
+    return "frame: " + "[" * (levels - 2) + "1" + "]" * (levels - 2) + "\n"
+
+
+def aliased(levels: int) -> str:
+    """A document `levels` deep only through an alias to an 11-level anchor."""
+    return "a: &a " + "[" * 10 + "1" + "]" * 10 + "\nb: " + "[" * (levels - 12) + "*a" + "]" * (levels - 12) + "\n"
+
+
+@pytest.mark.parametrize("make", [nested, aliased])
+def test_a_document_at_the_nesting_limit_loads(make, tmp_path):
+    assert yaml.load(make(MAX_NESTING), Loader=_Loader)
+    path = tmp_path / "deep.yaml"
+    path.write_text(make(MAX_NESTING + 1))
+    with pytest.raises(SchemaError, match=f"^scenario file {path} nests deeper than {MAX_NESTING} levels$"):
+        load_scenario(path)
+
+
+def test_an_alias_to_an_enclosing_node_loads_as_a_cycle():
+    doc = yaml.load("a: &a [0, *a]\n", Loader=_Loader)
+    assert doc["a"][1] is doc["a"]
+
+
+def test_a_repeated_key_names_the_file(tmp_path):
+    path = tmp_path / "dup.yaml"
+    path.write_text("frame: {uuid: 165, uuid: 90}\n")
+    with pytest.raises(SchemaError) as info:
+        load_scenario(path)
+    assert str(info.value) == f"scenario file {path} has duplicate key 'uuid' on line 1"
+
+
+def _outcome(path):
+    try:
+        load_scenario(path)
+    except SchemaError as exc:
+        return str(exc)
+    return "ok"
+
+
+def test_the_python_parser_fallback_reports_the_same(tmp_path):
+    # without libyaml, _Loader parses with PyYAML's own parser; every check stays
+    texts = {
+        "at_limit": nested(MAX_NESTING),
+        "past_limit": nested(MAX_NESTING + 1),
+        "thousands_deep": nested(5000),
+        "aliased_past_limit": aliased(MAX_NESTING + 1),
+        "duplicate": "frame: {uuid: 165}\nframe: {uuid: 90}\n",
+        "bad_tag": "frame:\n  uuid: !!int abc\n",
+        "string_exponent": "frame: {uuid: 165}\ndecoder: {assigned_uuid: 165}\n"
+                           "channel: {distance: 1e5}\n",
+    }
+    paths = [str(preset_path(name)) for name in ("paper_fig5", "paper_echo", "paper_critical_distance")]
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+        paths.append(str(tmp_path / name))
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import yaml\n"
+        "vars(yaml).pop('CSafeLoader', None)\n"
+        "from aquawake.scenario_io import _Loader, load_scenario, SchemaError\n"
+        "assert yaml.SafeLoader in _Loader.__mro__\n"
+        "def outcome(p):\n"
+        "    try:\n"
+        "        load_scenario(p)\n"
+        "    except SchemaError as exc:\n"
+        "        return str(exc)\n"
+        "    return 'ok'\n"
+        "print(json.dumps([outcome(p) for p in sys.argv[2:]]))\n"
+    )
+    src = str(Path(preset_path("paper_fig5")).resolve().parents[2])
+    fallback = json.loads(subprocess.run(
+        [sys.executable, "-c", code, src, *paths], capture_output=True, text=True, check=True, timeout=60
+    ).stdout)
+    assert fallback == [_outcome(p) for p in paths]
+    assert fallback[:4] == ["ok", "ok", "ok", "section 'frame' must be a mapping"]
