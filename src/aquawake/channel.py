@@ -59,9 +59,9 @@ class ChannelModel(Config):
 
 def echo_delay(extra_path: float, sound_speed: float = ChannelModel.sound_speed) -> float:
     """Arrival lag of a reflection traveling extra_path beyond the direct ray."""
-    if extra_path <= 0:
+    if not extra_path > 0:
         raise ValueError(f"extra_path must be positive, got {extra_path}")
-    if sound_speed <= 0:
+    if not sound_speed > 0:
         raise ValueError(f"sound_speed must be positive, got {sound_speed}")
     return extra_path / sound_speed
 
@@ -72,9 +72,9 @@ def critical_reflection_distance(bit_rate: float, sound_speed: float = ChannelMo
     Reflections with this detour land on the next bit's sampling instant and
     are the worst case for OOK decoding.
     """
-    if bit_rate <= 0:
+    if not bit_rate > 0:
         raise ValueError(f"bit_rate must be positive, got {bit_rate}")
-    if sound_speed <= 0:
+    if not sound_speed > 0:
         raise ValueError(f"sound_speed must be positive, got {sound_speed}")
     return sound_speed / bit_rate
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import reprlib
 from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -31,6 +32,32 @@ Byte = Annotated[int, "in [0, 255]", lambda v: 0 <= v <= 0xFF]
 
 # accepted classes per annotated kind; concrete, as isinstance on numbers.Real is slower
 _KINDS = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
+
+
+class _Shown(reprlib.Repr):
+    """repr cut short at every level: a few items per container, a few levels deep."""
+
+    def repr_int(self, x, level):
+        # repr raises beyond sys.get_int_max_str_digits(); its middle digits would go anyway
+        if x.bit_length() > 1000:
+            return f"<int of {x.bit_length()} bits>"
+        return super().repr_int(x, level)
+
+    def repr_instance(self, x, level):
+        # a numpy number prints as its value, as a Python number does
+        return str(x) if isinstance(x, np.number) else super().repr_instance(x, level)
+
+
+_SHOWN = _Shown()
+_SHOWN.maxlevel = 3
+_SHOWN.maxlist = _SHOWN.maxtuple = _SHOWN.maxdict = _SHOWN.maxset = 4
+
+
+def shown(value) -> str:
+    """`value` as an error message prints it: its repr, cut short to at most 200
+    characters; never raises."""
+    text = _SHOWN.repr(value)
+    return text if len(text) <= 200 else text[:197] + "..."
 
 
 def is_finite(value) -> bool:
@@ -62,8 +89,8 @@ class Config:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, _KINDS[hint]):
                 kind = "an integer" if hint is int else "a number"
-                raise FieldError(f"{name} must be {kind}, got {value!r}")
+                raise FieldError(f"{name} must be {kind}, got {shown(value)}")
             if hint is float and not is_finite(value):
-                raise FieldError(f"{name} must be a finite number, got {value}")
+                raise FieldError(f"{name} must be a finite number, got {shown(value)}")
             if holds is not None and not holds(value):
-                raise FieldError(f"{name} must be {text}, got {value}")
+                raise FieldError(f"{name} must be {text}, got {shown(value)}")

@@ -93,7 +93,7 @@ def decoder_feed(
     levels (echo artifacts) cannot move it.
     """
     t = event.time
-    if t < state.last_event_time:
+    if not t >= state.last_event_time:
         raise ProtocolError(
             f"event at t={t} arrived after t={state.last_event_time}; "
             "events must be fed in time order"

@@ -59,9 +59,9 @@ class HarvesterState:
 
 def cap_energy(capacitance: float, voltage: float) -> float:
     """Energy stored on a capacitor, 0.5 * C * V^2."""
-    if capacitance <= 0:
+    if not capacitance > 0:
         raise ValueError(f"capacitance must be positive, got {capacitance}")
-    if voltage < 0:
+    if not voltage >= 0:
         raise ValueError(f"voltage must be >= 0, got {voltage}")
     return 0.5 * capacitance * voltage**2
 
@@ -85,9 +85,9 @@ def harvester_step(
     use the post-step cap voltage. The per-step energy ledger is exact:
     delta cap energy == banked - drained.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if input_power < 0 or load_power < 0:
+    if not (input_power >= 0 and load_power >= 0):
         raise ValueError("input_power and load_power must be >= 0")
 
     mode = state.mode

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import typing
+from collections.abc import Iterable
 from pathlib import Path
 from typing import Any
 
@@ -44,10 +45,24 @@ def _list_items(cls: type) -> dict[str, type]:
     return {k: _inner(h) for k, h in hints.items() if typing.get_origin(h) is list}
 
 
+def _require(mappings: Iterable[tuple[str, type, dict]]) -> None:
+    """Name every field without a default that a (name, cls, data) mapping leaves out."""
+    missing = [
+        f"{name}.{f.name}"
+        for name, cls, data in mappings
+        for f in dataclasses.fields(cls)
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        and f.name not in data
+    ]
+    if missing:
+        raise SchemaError("missing required key(s): " + ", ".join(missing))
+
+
 def _build(name: str, cls: type, data: Any, make=None):
     """Build `cls` (through `make` if given) from the mapping at `name`."""
     if not isinstance(data, dict):
         raise SchemaError(f"{name} must be a mapping")
+    _require([(name, cls, data)])  # a list item's; the sections' are checked together
     items = _list_items(cls)
     known = {f.name for f in dataclasses.fields(cls)}
     kwargs = {}
@@ -83,15 +98,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
         if not isinstance(data, dict):
             raise SchemaError(f"section {name!r} must be a mapping")
 
-    missing = [
-        f"{name}.{f.name}"
-        for name, cls in _SECTIONS.items()
-        for f in dataclasses.fields(cls)
-        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-        and f.name not in sections.get(name, {})
-    ]
-    if missing:
-        raise SchemaError("missing required key(s): " + ", ".join(missing))
+    _require((name, cls, sections.get(name, {})) for name, cls in _SECTIONS.items())
 
     # absent sections keep Scenario's defaults
     kwargs: dict[str, Any] = {}

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import decoder as dec
 from .channel import ChannelModel, propagate
-from .config import Config, Count, FieldError, NonNegative, NonNegativeInt, Positive, is_finite
+from .config import Config, Count, NonNegative, NonNegativeInt, Positive, is_finite, shown
 from .errors import ConfigurationError, InvariantError, SignalRangeError
 from .frame import ModulationParams, WakeupFrame, modulate_frame
 from .frontend import (
@@ -270,6 +270,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
 
 
 def _with_parameter(sc: Scenario, name: str, value: float) -> Scenario:
+    """`sc` with the swept value set, checked as a run of it would be."""
     if name not in _SWEEP_TARGETS:
         raise ConfigurationError(
             f"unknown sweep parameter {name!r}; choose from {', '.join(SWEEPABLE_PARAMETERS)}"
@@ -279,13 +280,11 @@ def _with_parameter(sc: Scenario, name: str, value: float) -> Scenario:
     if name == "echo_delay":
         if not part.echoes:
             raise ConfigurationError("echo_delay sweep needs at least one configured echo")
-        try:
-            first = replace(part.echoes[0], extra_path=value * part.sound_speed)
-        except FieldError as exc:  # Echo.extra_path's rule, named by the seconds swept
-            rule = str(exc).partition(" must be ")[2].rpartition(", got ")[0]
-            msg = f"echo_delay must make the first echo's extra_path {rule}, got {value}"
-            raise ConfigurationError(msg) from exc
-        value = [first, *part.echoes[1:]]
+        extra_path = value * part.sound_speed
+        if not 0 < extra_path < inf:  # Echo.extra_path's rule, named by the seconds swept
+            msg = f"echo_delay must give the first echo a positive, finite extra_path, got {value}"
+            raise ConfigurationError(msg)
+        value = [replace(part.echoes[0], extra_path=extra_path), *part.echoes[1:]]
     sc = replace(sc, **{section: replace(part, **{key: value})})
     if name == "bit_rate":
         # the guard and explicit taus keep their share of the bit period (a demod
@@ -296,12 +295,23 @@ def _with_parameter(sc: Scenario, name: str, value: float) -> Scenario:
             demod = replace(demod, **{t: getattr(demod, t) * scale for t in BIT_PERIOD_SHARES})
         frame = replace(sc.frame, guard_duration=part.guard_duration * scale)
         sc = replace(sc, frame=frame, demod=demod)
+    _validate(sc, sc.resolved_demod())
     return sc
 
 
 def _trial_seed(base_seed: int, value_index: int, trial: int) -> int:
     seq = np.random.SeedSequence([base_seed, value_index, trial])
     return int(seq.generate_state(1)[0])
+
+
+@dataclass
+class _SweepTrials(Config):  # sweep's trials, checked as a config field is
+    trials: Count
+
+
+# the ScenarioResult fields each trial row copies
+_ROW_FIELDS = ("woke", "decoded_uuid", "time_to_wake", "peak_v_cap", "harvested_energy",
+               "consumed_energy")
 
 
 @dataclass
@@ -312,9 +322,8 @@ class SweepResult:
 
 def sweep(base: Scenario, parameter: str, values: list[float], trials: int = 1) -> SweepResult:
     """Run `trials` seeded runs per parameter value and tabulate outcomes."""
-    if trials < 1:
-        raise ConfigurationError("trials must be >= 1")
-    if not values:
+    trials = int(_SweepTrials(trials).trials)
+    if len(values) == 0:
         raise ConfigurationError("values must be non-empty")
     runs = len(values) * trials
     if runs > MAX_SWEEP_RUNS:
@@ -322,36 +331,26 @@ def sweep(base: Scenario, parameter: str, values: list[float], trials: int = 1) 
             f"trials {trials} over {len(values)} values make {runs} runs, "
             f"above the limit of {MAX_SWEEP_RUNS}"
         )
+    plan = []  # every value's scenario, built and checked before the first run
     for value in values:
         if not is_finite(value):
-            raise ConfigurationError(f"{parameter} values must be finite, got {value}")
+            raise ConfigurationError(f"{parameter} values must be finite, got {shown(value)}")
+        value = float(value)
+        plan.append((value, _with_parameter(base, parameter, value)))
     rows: list[dict] = []
     aggregates: list[dict] = []
-    for vi, value in enumerate(values):
-        sc_v = _with_parameter(base, parameter, float(value))
+    for vi, (value, sc_v) in enumerate(plan):
         for trial in range(trials):
             seed = _trial_seed(base.sim.seed, vi, trial)
             result = run_scenario(replace(sc_v, sim=replace(sc_v.sim, seed=seed)))
-            rows.append(
-                {
-                    "parameter": parameter,
-                    "value": float(value),
-                    "trial": trial,
-                    "seed": seed,
-                    "woke": result.woke,
-                    "decoded_uuid": result.decoded_uuid,
-                    "time_to_wake": result.time_to_wake,
-                    "peak_v_cap": result.peak_v_cap,
-                    "harvested_energy": result.harvested_energy,
-                    "consumed_energy": result.consumed_energy,
-                }
-            )
+            row = {"parameter": parameter, "value": value, "trial": trial, "seed": seed}
+            rows.append(row | {k: getattr(result, k) for k in _ROW_FIELDS})
         value_rows = rows[-trials:]
         times = [r["time_to_wake"] for r in value_rows if r["time_to_wake"] is not None]
         aggregates.append(
             {
                 "parameter": parameter,
-                "value": float(value),
+                "value": value,
                 "trials": trials,
                 "wake_success_rate": sum(r["woke"] for r in value_rows) / trials,
                 "mean_peak_v_cap": float(np.mean([r["peak_v_cap"] for r in value_rows])),

@@ -26,7 +26,9 @@ def test_echo_delay_values():
     assert echo_delay(8.15, 1630.0) == pytest.approx(5.0e-3, rel=1e-12)
 
 
-@pytest.mark.parametrize("args", [(0.0, 1630.0), (-1.0, 1630.0), (5.0, 0.0)])
+@pytest.mark.parametrize(
+    "args", [(0.0, 1630.0), (-1.0, 1630.0), (5.0, 0.0), (np.nan, 1630.0), (5.0, np.nan)]
+)
 def test_echo_delay_rejects_nonpositive_inputs(args):
     with pytest.raises(ValueError):
         echo_delay(*args)
@@ -38,7 +40,7 @@ def test_critical_reflection_distance_values():
     assert critical_reflection_distance(400.0, 1500.0) == pytest.approx(3.75)
 
 
-@pytest.mark.parametrize("args", [(0.0, 1630.0), (200.0, -5.0)])
+@pytest.mark.parametrize("args", [(0.0, 1630.0), (200.0, -5.0), (np.nan, 1630.0), (200.0, np.nan)])
 def test_critical_reflection_distance_rejects_nonpositive_inputs(args):
     with pytest.raises(ValueError):
         critical_reflection_distance(*args)

@@ -333,6 +333,52 @@ def test_sweep_rejects_an_unbounded_trial_count_before_running(monkeypatch, tmp_
     assert not (out / "sweep.csv").exists()
 
 
+# each sweep's last value fails, with the message a run of that value gives
+@pytest.mark.parametrize(
+    "name, param, values, message",
+    [
+        ("paper_fig5", "distance", "1,1.5,-1", "^error: distance must be positive, got -1.0\n$"),
+        ("paper_fig5", "distance", "1,1e9",
+         r"^error: scenario needs 1.37423e\+11 samples per signal, above the limit of 8388608: "),
+        ("paper_echo", "bit_rate", "200,8000",
+         r"^error: demod.envelope_tau 6.25e-06 s must sit above the carrier period "),
+        ("paper_echo", "echo_delay", "0.0031,0.0", "^error: echo_delay .*, got 0.0\n$"),
+    ],
+    ids=["negative_distance", "distance_over_sample_limit", "bit_rate_over_tau",
+         "zero_echo_delay"],
+)
+def test_a_sweep_with_a_bad_last_value_fails_before_the_first_run(
+    name, param, values, message, monkeypatch, tmp_path
+):
+    ran = []
+    monkeypatch.setattr(sim, "run_scenario", ran.append)
+    out = tmp_path / "out"
+    code, _, stderr = cli(
+        "sweep", str(preset_path(name)), "--param", param, "--values", values,
+        "--trials", "20", "--out", str(out),
+    )
+    assert code == 2
+    assert re.search(message, stderr)
+    assert ran == []
+    assert not (out / "sweep.csv").exists()
+
+
+def test_a_huge_rejected_value_is_printed_short(tmp_path):
+    # six levels of ten-way alias fan-out: a million list items from a few hundred bytes
+    node = "0"
+    for anchor in "abcdef":
+        node = f"[&{anchor} {node}" + f", *{anchor}" * 9 + "]"
+    path = tmp_path / "fanout.yaml"
+    path.write_text(f"frame:\n  uuid: {node}\ndecoder:\n  assigned_uuid: 0xA5\n")
+    assert path.stat().st_size < 400
+    out = tmp_path / "out"
+    code, _, stderr = cli("run", str(path), "--out", str(out))
+    assert code == 2
+    assert stderr.startswith("error: frame.uuid must be an integer, got [[[")
+    assert len(stderr.encode()) < 1024
+    assert not out.exists()
+
+
 def test_run_on_a_directory_fails_by_name(tmp_path):
     out = tmp_path / "out"
     code, _, stderr = cli("run", str(tmp_path), "--out", str(out))
@@ -420,6 +466,17 @@ def test_an_engine_invariant_violation_exits_three(tmp_path, monkeypatch):
     assert code == 3
     assert "error: energy ledger violation" in stderr
     assert "Traceback" not in stderr
+    assert not (out / "result.csv").exists()
+
+
+def test_a_wake_without_the_assigned_uuid_exits_three(tmp_path, monkeypatch):
+    monkeypatch.setattr("aquawake.decoder.wake_output", lambda state: True)
+    path = tmp_path / "mismatched.yaml"
+    path.write_text(FAST_SCENARIO.replace("assigned_uuid: 0xA5", "assigned_uuid: 0x5A"))
+    out = tmp_path / "out"
+    code, _, stderr = cli("run", str(path), "--out", str(out))
+    assert code == 3
+    assert stderr == "error: wake asserted without a matching UUID\n"
     assert not (out / "result.csv").exists()
 
 

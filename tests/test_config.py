@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from aquawake import ConfigurationError, Echo
-from aquawake.config import Config
+from aquawake.config import Config, shown
 from aquawake.scenario_io import _SECTIONS
 
 CLASSES = [*_SECTIONS.values(), Echo]
@@ -88,6 +88,32 @@ def test_numpy_scalars_are_accepted(cls):
 def test_float_fields_accept_ints():
     assert build(_SECTIONS["frame"], bit_rate=200).bit_rate == 200
     assert build(_SECTIONS["channel"], distance=np.int64(2)).distance == 2
+
+
+def test_a_huge_int_is_rejected_without_printing_it():
+    # str() of an int past 4300 digits raises ValueError
+    with pytest.raises(ConfigurationError, match=r"^uuid must be in \[0, 255\], got <int of "):
+        build(_SECTIONS["frame"], uuid=10**5000)
+    with pytest.raises(ConfigurationError, match=r"^distance must be a finite number, got <int "):
+        build(_SECTIONS["channel"], distance=10**5000)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(True, "True"), ("1e5", "'1e5'"), (165.5, "165.5"), (-1, "-1"), (np.float64(np.nan), "nan"),
+     (np.int64(-1), "-1"), (None, "None"), ([1.0], "[1.0]")],
+)
+def test_ordinary_values_print_as_before(value, text):
+    assert shown(value) == text
+
+
+def test_a_rejected_value_prints_in_at_most_200_characters():
+    fanout = 0
+    for _ in range(30):
+        fanout = [fanout] * 10
+    assert len(shown(fanout)) <= 200
+    assert len(shown("x" * 10_000)) <= 200
+    assert len(shown({"k" * 100 + str(i): "v" * 100 for i in range(100)})) <= 200
 
 
 @pytest.mark.parametrize(

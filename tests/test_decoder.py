@@ -156,6 +156,16 @@ def test_out_of_order_events_raise():
         decoder_feed(state, cfg, RisingEdge(0.5))
 
 
+@pytest.mark.parametrize("event", [RisingEdge(math.nan), LevelSample(math.nan, True)])
+def test_an_event_at_nan_raises(event):
+    # NaN compares false against every time, so it cannot be in order
+    cfg = DecoderConfig(assigned_uuid=0xA5)
+    with pytest.raises(ProtocolError):
+        decoder_feed(DecoderState(), cfg, event)
+    with pytest.raises(ProtocolError):
+        decoder_feed(decoder_feed(DecoderState(), cfg, RisingEdge(1.0)), cfg, event)
+
+
 def test_next_sample_time_only_while_sampling():
     cfg = DecoderConfig(assigned_uuid=0xA5)
     state = DecoderState()

@@ -343,6 +343,22 @@ def test_comparator_requires_volts():
         comparator(Waveform(SR, np.zeros(16), SignalUnit.PRESSURE), DemodParams())
 
 
+@pytest.mark.parametrize(
+    "stage, model, unit",
+    [
+        (transduce, TransducerModel(), SignalUnit.VOLTS),
+        (rectify, RectifierModel(), SignalUnit.PRESSURE),
+        (bandpass, DemodParams(), SignalUnit.PRESSURE),
+        (envelope, DemodParams(), SignalUnit.PRESSURE),
+        (comparator, DemodParams(), SignalUnit.PRESSURE),
+    ],
+    ids=["transduce", "rectify", "bandpass", "envelope", "comparator"],
+)
+def test_every_stage_rejects_the_wrong_unit(stage, model, unit):
+    with pytest.raises(UnitMismatchError, match=f"must be .*, got {unit.value}$"):
+        stage(Waveform(SR, np.zeros(16), unit), model)
+
+
 # chain-level pulse counting
 
 

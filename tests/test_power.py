@@ -33,6 +33,11 @@ def test_cap_energy_rejects_bad_inputs():
         cap_energy(0.0, 1.0)
     with pytest.raises(ValueError):
         cap_energy(100e-6, -0.1)
+    # NaN passes every `<` and `<=` test
+    with pytest.raises(ValueError, match="capacitance must be positive, got nan"):
+        cap_energy(math.nan, 1.0)
+    with pytest.raises(ValueError, match="voltage must be >= 0, got nan"):
+        cap_energy(100e-6, math.nan)
 
 
 def test_depleted_with_no_input_is_absorbing():
@@ -182,6 +187,20 @@ def test_step_input_validation():
         harvester_step(HarvesterState(), HarvesterParams(), 0.0, -1e-6, 0.0, 1e-3)
     with pytest.raises(ValueError):
         harvester_step(HarvesterState(), HarvesterParams(), 0.0, 0.0, -1e-6, 1e-3)
+
+
+@pytest.mark.parametrize(
+    "input_power, load_power, dt, message",
+    [
+        (0.0, 0.0, math.nan, "dt must be positive, got nan"),
+        (math.nan, 0.0, 1e-3, "input_power and load_power must be >= 0"),
+        (0.0, math.nan, 1e-3, "input_power and load_power must be >= 0"),
+    ],
+    ids=["dt", "input_power", "load_power"],
+)
+def test_step_rejects_nan_inputs(input_power, load_power, dt, message):
+    with pytest.raises(ValueError, match=message):
+        harvester_step(HarvesterState(), HarvesterParams(), 0.0, input_power, load_power, dt)
 
 
 def test_params_validation():

@@ -142,6 +142,13 @@ def test_echo_list_validation():
         )
 
 
+def test_an_echo_item_names_its_missing_key_and_its_kind():
+    with pytest.raises(SchemaError, match=r"^missing required key\(s\): channel\.echoes\[0\]\.extra_path$"):
+        scenario_from_dict(dict(MINIMAL, channel={"echoes": [{"gain": 0.5}]}))
+    with pytest.raises(SchemaError, match=r"^channel\.echoes\[0\] must be a mapping$"):
+        scenario_from_dict(dict(MINIMAL, channel={"echoes": [1]}))
+
+
 def test_load_scenario_file_errors(tmp_path):
     with pytest.raises(SchemaError, match="not found"):
         load_scenario(tmp_path / "missing.yaml")

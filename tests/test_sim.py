@@ -216,6 +216,13 @@ def test_sweep_rejects_bad_arguments():
         sweep(reference_scenario(), "distance", [1.0], trials=0)
     with pytest.raises(ConfigurationError, match="distance values must be finite"):
         sweep(reference_scenario(), "distance", [10**400], trials=1)
+    # past 4300 digits an int has no str(); the message gives its size
+    with pytest.raises(ConfigurationError, match="^distance values must be finite, got <int of"):
+        sweep(reference_scenario(), "distance", [10**5000], trials=1)
+    # trials follows a Count field's rule
+    for trials in (1.5, True, "2", None):
+        with pytest.raises(ConfigurationError, match="^trials must be an integer, got "):
+            sweep(reference_scenario(), "distance", [1.0], trials=trials)
     # checked before the rescale divides by it
     with pytest.raises(ConfigurationError, match="^bit_rate must be positive, got 0.0"):
         sweep(reference_scenario(), "bit_rate", [0.0], trials=1)
@@ -237,6 +244,36 @@ def test_sweep_rejects_too_many_runs_before_the_first(monkeypatch):
     assert ran == []
     assert len(sweep(reference_scenario(), "distance", [1.0, 2.0], trials=2).rows) == 4
     assert len(ran) == 4
+
+
+def test_sweep_trials_may_be_a_numpy_int():
+    with pytest.raises(ConfigurationError, match="^trials must be >= 1, got 0$"):
+        sweep(reference_scenario(), "distance", [1.0], trials=np.int64(0))
+    res = sweep(reference_scenario(), "distance", [1.0], trials=np.int64(2))
+    assert [r["trial"] for r in res.rows] == [0, 1]
+    assert type(res.aggregates[0]["trials"]) is int
+
+
+def test_sweep_values_may_be_any_sequence():
+    listed = sweep(reference_scenario(), "distance", [1.0, 1.5], trials=1)
+    for values in (np.array([1.0, 1.5]), (1, 1.5)):
+        res = sweep(reference_scenario(), "distance", values, trials=1)
+        assert res == listed
+        assert all(type(r["value"]) is float for r in res.rows + res.aggregates)
+    with pytest.raises(ConfigurationError, match="^values must be non-empty$"):
+        sweep(reference_scenario(), "distance", np.array([]), trials=1)
+
+
+def test_sweep_rows_keep_their_keys():
+    res = sweep(reference_scenario(), "distance", [1.0], trials=1)
+    assert list(res.rows[0]) == [
+        "parameter", "value", "trial", "seed", "woke", "decoded_uuid", "time_to_wake",
+        "peak_v_cap", "harvested_energy", "consumed_energy",
+    ]
+    assert list(res.aggregates[0]) == [
+        "parameter", "value", "trials", "wake_success_rate", "mean_peak_v_cap",
+        "mean_time_to_wake",
+    ]
 
 
 def test_bit_rate_sweep_rederives_demod_per_value():
