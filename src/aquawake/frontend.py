@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Config, NonNegative, Positive, is_finite
+from .config import Config, NonNegative, Positive, is_finite, shown
 from .errors import ConfigurationError, UnitMismatchError
 from .waveform import DigitalTrace, SignalUnit, Waveform
 
@@ -83,7 +83,8 @@ class DemodParams(Config):
     def for_bit_rate(cls, bit_rate: float, **overrides) -> "DemodParams":
         """Taus at their BIT_PERIOD_SHARES of the period; other fields at their defaults."""
         if not (is_finite(bit_rate) and bit_rate > 0):
-            raise ConfigurationError(f"bit_rate must be a positive finite number, got {bit_rate}")
+            msg = f"bit_rate must be a positive finite number, got {shown(bit_rate)}"
+            raise ConfigurationError(msg)
         period = 1.0 / bit_rate
         values = {name: share * period for name, share in BIT_PERIOD_SHARES.items()}
         values.update(overrides)

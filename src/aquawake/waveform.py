@@ -12,6 +12,7 @@ from enum import Enum
 
 import numpy as np
 
+from .config import shown
 from .errors import ConfigurationError, SignalRangeError
 
 
@@ -27,8 +28,8 @@ class Waveform:
     unit: SignalUnit = SignalUnit.VOLTS
 
     def __post_init__(self) -> None:
-        if self.sample_rate <= 0:
-            raise ConfigurationError(f"sample_rate must be positive, got {self.sample_rate}")
+        if not self.sample_rate > 0:
+            raise ConfigurationError(f"sample_rate must be positive, got {shown(self.sample_rate)}")
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ConfigurationError("waveform samples must be one-dimensional")

@@ -160,8 +160,8 @@ def test_defaults_are_the_bit_period_rule_at_200_bps():
 
 @pytest.mark.parametrize(
     "bit_rate",
-    [math.nan, math.inf, -math.inf, 0.0, -200.0, 10**400],
-    ids=["nan", "inf", "-inf", "zero", "negative", "huge_int"],
+    [math.nan, math.inf, -math.inf, 0.0, -200.0, 10**400, -(10**5000)],
+    ids=["nan", "inf", "-inf", "zero", "negative", "huge_int", "int_past_4300_digits"],
 )
 def test_for_bit_rate_rejects_a_bad_rate_by_its_own_name(bit_rate):
     with pytest.raises(ConfigurationError, match=r"^bit_rate must be a positive finite number"):

@@ -4,9 +4,12 @@ import pytest
 from aquawake import ConfigurationError, DigitalTrace, SignalUnit, Waveform
 
 
-@pytest.mark.parametrize("rate", [0.0, -8.0])
+# NaN passes every `<=` test; an int past 4300 digits has no str()
+@pytest.mark.parametrize(
+    "rate", [0.0, -8.0, float("nan"), -(10**5000)], ids=["0.0", "-8.0", "nan", "huge_int"]
+)
 def test_waveform_rejects_nonpositive_sample_rate(rate):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="^sample_rate must be positive, got "):
         Waveform(rate, np.zeros(4))
 
 
