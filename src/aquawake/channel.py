@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import Config, Fraction, Gain, NonNegative, Positive, is_finite
+from .config import Config, Fraction, Gain, NonNegative, Positive, is_finite, shown
 from .errors import ConfigurationError
 from .waveform import Waveform
 
@@ -60,9 +60,9 @@ class ChannelModel(Config):
 def echo_delay(extra_path: float, sound_speed: float = ChannelModel.sound_speed) -> float:
     """Arrival lag of a reflection traveling extra_path beyond the direct ray."""
     if not extra_path > 0:
-        raise ValueError(f"extra_path must be positive, got {extra_path}")
+        raise ValueError(f"extra_path must be positive, got {shown(extra_path)}")
     if not sound_speed > 0:
-        raise ValueError(f"sound_speed must be positive, got {sound_speed}")
+        raise ValueError(f"sound_speed must be positive, got {shown(sound_speed)}")
     return extra_path / sound_speed
 
 
@@ -73,9 +73,9 @@ def critical_reflection_distance(bit_rate: float, sound_speed: float = ChannelMo
     are the worst case for OOK decoding.
     """
     if not bit_rate > 0:
-        raise ValueError(f"bit_rate must be positive, got {bit_rate}")
+        raise ValueError(f"bit_rate must be positive, got {shown(bit_rate)}")
     if not sound_speed > 0:
-        raise ValueError(f"sound_speed must be positive, got {sound_speed}")
+        raise ValueError(f"sound_speed must be positive, got {shown(sound_speed)}")
     return sound_speed / bit_rate
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import sqrt
 
-from .config import Config, Fraction, NonNegative, Positive
+from .config import Config, Fraction, NonNegative, Positive, shown
 from .errors import ConfigurationError
 
 
@@ -60,9 +60,9 @@ class HarvesterState:
 def cap_energy(capacitance: float, voltage: float) -> float:
     """Energy stored on a capacitor, 0.5 * C * V^2."""
     if not capacitance > 0:
-        raise ValueError(f"capacitance must be positive, got {capacitance}")
+        raise ValueError(f"capacitance must be positive, got {shown(capacitance)}")
     if not voltage >= 0:
-        raise ValueError(f"voltage must be >= 0, got {voltage}")
+        raise ValueError(f"voltage must be >= 0, got {shown(voltage)}")
     return 0.5 * capacitance * voltage**2
 
 
@@ -86,7 +86,7 @@ def harvester_step(
     delta cap energy == banked - drained.
     """
     if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+        raise ValueError(f"dt must be positive, got {shown(dt)}")
     if not (input_power >= 0 and load_power >= 0):
         raise ValueError("input_power and load_power must be >= 0")
 

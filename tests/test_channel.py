@@ -34,6 +34,14 @@ def test_echo_delay_rejects_nonpositive_inputs(args):
         echo_delay(*args)
 
 
+def test_a_huge_int_argument_is_named_by_its_size():
+    # str() of an int past 4300 digits raises a ValueError of its own
+    with pytest.raises(ValueError, match="^extra_path must be positive, got <int of "):
+        echo_delay(-(10**5000), 1630.0)
+    with pytest.raises(ValueError, match="^bit_rate must be positive, got <int of "):
+        critical_reflection_distance(-(10**5000), 1630.0)
+
+
 def test_critical_reflection_distance_values():
     assert critical_reflection_distance(200.0, 1630.0) == 8.15
     assert critical_reflection_distance(1.0, 1630.0) == pytest.approx(1630.0)

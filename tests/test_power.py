@@ -38,6 +38,8 @@ def test_cap_energy_rejects_bad_inputs():
         cap_energy(math.nan, 1.0)
     with pytest.raises(ValueError, match="voltage must be >= 0, got nan"):
         cap_energy(100e-6, math.nan)
+    with pytest.raises(ValueError, match="^capacitance must be positive, got <int of "):
+        cap_energy(-(10**5000), 1.0)
 
 
 def test_depleted_with_no_input_is_absorbing():
