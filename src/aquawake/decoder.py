@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from math import inf
 
-from .config import Byte, Config, Fraction, Positive
+from .config import Byte, Config, Fraction, Positive, shown
 from .errors import ProtocolError
 from .frame import UUID_BITS
 
@@ -93,6 +93,8 @@ def decoder_feed(
     levels (echo artifacts) cannot move it.
     """
     t = event.time
+    if t != t:  # NaN, which no order test could place
+        raise ProtocolError(f"event time must be a number, got {shown(t)}")
     if not t >= state.last_event_time:
         raise ProtocolError(
             f"event at t={t} arrived after t={state.last_event_time}; "

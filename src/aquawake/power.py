@@ -10,6 +10,7 @@ cheap enough to call on a decimated tick.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from math import sqrt
@@ -66,8 +67,61 @@ def cap_energy(capacitance: float, voltage: float) -> float:
     return 0.5 * capacitance * voltage**2
 
 
-def _cap_voltage(capacitance: float, energy: float) -> float:
-    return sqrt(max(0.0, 2.0 * energy / capacitance))
+def harvester_ticker(
+    params: HarvesterParams, dt: float
+) -> Callable[..., tuple[HarvesterMode, float, float, float]]:
+    """The harvester tick of duration dt, on plain floats.
+
+    `tick(mode, v_cap, input_voltage, input_power, load_power)` returns
+    `(mode, v_cap, banked, drained)`: the next mode and cap voltage, and the
+    energy (J) the tick banked into the cap and drained from it. It is the
+    arithmetic `harvester_step` describes, with dt checked once here and the
+    two powers on every tick.
+    """
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {shown(dt)}")
+    min_voltage = params.coldstart_min_voltage
+    min_power = params.coldstart_min_power
+    boost_min_voltage = params.boost_min_voltage
+    c_store = params.c_store
+    coldstart_efficiency = params.coldstart_efficiency
+    boost_efficiency = params.boost_efficiency
+    enable_voltage = params.regulation_enable_voltage
+    uvlo = params.uvlo
+    depleted = HarvesterMode.DEPLETED
+    cold_start = HarvesterMode.COLD_START
+    regulating = HarvesterMode.REGULATING
+
+    def tick(mode, v_cap, input_voltage, input_power, load_power):
+        if not (input_power >= 0 and load_power >= 0):
+            raise ValueError("input_power and load_power must be >= 0")
+        cold_input_ok = input_voltage >= min_voltage and input_power >= min_power
+        if mode is depleted and cold_input_ok:
+            mode = cold_start
+
+        # keep each product's order: a hoisted dt * efficiency rounds differently
+        if mode is cold_start and cold_input_ok:
+            banked = input_power * dt * coldstart_efficiency
+        elif mode is regulating and input_voltage >= boost_min_voltage:
+            banked = input_power * dt * boost_efficiency
+        else:
+            banked = 0.0
+
+        energy = 0.5 * c_store * v_cap**2 + banked
+        if mode is cold_start and sqrt(max(0.0, 2.0 * energy / c_store)) >= enable_voltage:
+            mode = regulating
+
+        drained = 0.0
+        if mode is regulating and load_power > 0:
+            drained = min(load_power * dt / boost_efficiency, energy)
+            energy -= drained
+
+        v_cap = sqrt(max(0.0, 2.0 * energy / c_store))
+        if mode is regulating and v_cap < uvlo:
+            mode = depleted  # rail collapses, load sheds next tick
+        return mode, v_cap, banked, drained
+
+    return tick
 
 
 def harvester_step(
@@ -85,40 +139,11 @@ def harvester_step(
     use the post-step cap voltage. The per-step energy ledger is exact:
     delta cap energy == banked - drained.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {shown(dt)}")
-    if not (input_power >= 0 and load_power >= 0):
-        raise ValueError("input_power and load_power must be >= 0")
-
-    mode = state.mode
-    cold_input_ok = (
-        input_voltage >= params.coldstart_min_voltage
-        and input_power >= params.coldstart_min_power
+    tick = harvester_ticker(params, dt)
+    cap_energy(params.c_store, state.v_cap)  # checks the state, which a tick trusts
+    mode, v_cap, banked, drained = tick(
+        state.mode, state.v_cap, input_voltage, input_power, load_power
     )
-    if mode is HarvesterMode.DEPLETED and cold_input_ok:
-        mode = HarvesterMode.COLD_START
-
-    if mode is HarvesterMode.COLD_START and cold_input_ok:
-        banked = input_power * dt * params.coldstart_efficiency
-    elif mode is HarvesterMode.REGULATING and input_voltage >= params.boost_min_voltage:
-        banked = input_power * dt * params.boost_efficiency
-    else:
-        banked = 0.0
-
-    energy = cap_energy(params.c_store, state.v_cap) + banked
-    if mode is HarvesterMode.COLD_START:
-        if _cap_voltage(params.c_store, energy) >= params.regulation_enable_voltage:
-            mode = HarvesterMode.REGULATING
-
-    drained = 0.0
-    if mode is HarvesterMode.REGULATING and load_power > 0:
-        drained = min(load_power * dt / params.boost_efficiency, energy)
-        energy -= drained
-
-    v_cap = _cap_voltage(params.c_store, energy)
-    if mode is HarvesterMode.REGULATING and v_cap < params.uvlo:
-        mode = HarvesterMode.DEPLETED  # rail collapses, load sheds next tick
-
     return HarvesterState(
         mode, v_cap, state.harvested_energy + banked, state.consumed_energy + drained
     )

@@ -3,7 +3,6 @@ import io
 import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -453,14 +452,19 @@ def test_negative_seed_flag_is_rejected_by_name(scenario_file, tmp_path):
 
 
 def test_an_engine_invariant_violation_exits_three(tmp_path, monkeypatch):
-    # a harvester step that lets the cap leak breaks the energy ledger
-    real = sim.harvester_step
+    # a harvester tick that lets the cap leak breaks the energy ledger
+    real = sim.harvester_ticker
 
-    def leaky(*args):
-        state = real(*args)
-        return replace(state, v_cap=0.99 * state.v_cap)
+    def leaky(params, dt):
+        tick = real(params, dt)
 
-    monkeypatch.setattr(sim, "harvester_step", leaky)
+        def leaky_tick(*args):
+            mode, v_cap, banked, drained = tick(*args)
+            return mode, 0.99 * v_cap, banked, drained
+
+        return leaky_tick
+
+    monkeypatch.setattr(sim, "harvester_ticker", leaky)
     out = tmp_path / "out"
     code, _, stderr = cli("run", str(preset_path("paper_fig5")), "--out", str(out))
     assert code == 3

@@ -158,11 +158,12 @@ def test_out_of_order_events_raise():
 
 @pytest.mark.parametrize("event", [RisingEdge(math.nan), LevelSample(math.nan, True)])
 def test_an_event_at_nan_raises(event):
-    # NaN compares false against every time, so it cannot be in order
+    # NaN compares false against every time, so it is named as no number, not as out of order
     cfg = DecoderConfig(assigned_uuid=0xA5)
-    with pytest.raises(ProtocolError):
+    message = "^event time must be a number, got nan$"
+    with pytest.raises(ProtocolError, match=message):
         decoder_feed(DecoderState(), cfg, event)
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ProtocolError, match=message):
         decoder_feed(decoder_feed(DecoderState(), cfg, RisingEdge(1.0)), cfg, event)
 
 

@@ -1,3 +1,5 @@
+import importlib.machinery
+import importlib.util
 import math
 import subprocess
 import sys
@@ -421,6 +423,25 @@ def test_filters_run_on_scipys_private_kernel_byte_for_byte():
 def test_the_public_lfilter_fallback_gives_the_same_bytes(monkeypatch):
     monkeypatch.setattr(frontend, "_linear_filter", signal.lfilter)
     assert_filter_route_matches_lfilter()
+
+
+def test_the_loader_falls_back_to_lfilter_without_scipys_kernel(monkeypatch):
+    with monkeypatch.context() as patch:
+        find_spec = importlib.util.find_spec
+        patch.setattr(
+            importlib.util, "find_spec",
+            lambda name, package=None: None if name == "scipy" else find_spec(name, package),
+        )
+        assert frontend._load_linear_filter() is signal.lfilter
+
+    class FinderWithoutSigtools(importlib.machinery.FileFinder):
+        def find_spec(self, fullname, target=None):
+            if fullname == "scipy.signal._sigtools":
+                return None
+            return super().find_spec(fullname, target)
+
+    monkeypatch.setattr(importlib.machinery, "FileFinder", FinderWithoutSigtools)
+    assert frontend._load_linear_filter() is signal.lfilter
 
 
 def test_import_leaves_scipy_signal_unloaded():
