@@ -152,7 +152,8 @@ def transduce(pressure: Waveform, model: TransducerModel) -> Waveform:
     b, a = _biquad_bandpass_coeffs(
         model.resonance_freq, model.q, pressure.sample_rate, "transducer.resonance_freq"
     )
-    volts = model.sensitivity * _lfilter(b, a, pressure.samples)
+    volts = _lfilter(b, a, pressure.samples)
+    volts *= model.sensitivity
     return Waveform(pressure.sample_rate, volts, SignalUnit.VOLTS)
 
 
@@ -165,9 +166,9 @@ def rectify(v: Waveform, model: RectifierModel) -> Waveform:
     """
     if v.unit is not SignalUnit.VOLTS:
         raise UnitMismatchError(f"rectifier input must be volts, got {v.unit.value}")
-    mag = np.abs(v.samples)
-    drop = np.where(mag < model.threshold_voltage, model.diode_drop, model.residual_drop)
-    out = np.maximum(0.0, mag - drop)
+    out = np.abs(v.samples)
+    out -= np.where(out < model.threshold_voltage, model.diode_drop, model.residual_drop)
+    np.maximum(0.0, out, out=out)
     return Waveform(v.sample_rate, out, SignalUnit.VOLTS)
 
 

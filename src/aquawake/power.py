@@ -69,14 +69,18 @@ def cap_energy(capacitance: float, voltage: float) -> float:
 
 def harvester_ticker(
     params: HarvesterParams, dt: float
-) -> Callable[..., tuple[HarvesterMode, float, float, float]]:
-    """The harvester tick of duration dt, on plain floats.
+) -> Callable[..., tuple[HarvesterMode, float, float, float, int]]:
+    """The harvester over a span of ticks of duration dt, on plain floats.
 
-    `tick(mode, v_cap, input_voltage, input_power, load_power)` returns
-    `(mode, v_cap, banked, drained)`: the next mode and cap voltage, and the
-    energy (J) the tick banked into the cap and drained from it. It is the
-    arithmetic `harvester_step` describes, with dt checked once here and the
-    two powers on every tick.
+    `run(mode, v_cap, harvested, consumed, v_in, p_in, k, stop, load_power,
+    vcap, modes)` advances ticks `k..stop-1` under one load, tick `j` fed
+    `v_in[j]` (V) and `p_in[j]` (W), and appends each tick's cap voltage and
+    mode to `vcap` and `modes`. It returns `(mode, v_cap, harvested, consumed,
+    k)`, with the two energy sums (J) carried on tick by tick and `k` the
+    next tick, after the first tick whose mode crosses the rail boundary
+    (regulating or not), or `stop`. It is the arithmetic `harvester_step`
+    describes, with dt checked once here, the load once per span and the
+    input power on every tick.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {shown(dt)}")
@@ -92,36 +96,49 @@ def harvester_ticker(
     cold_start = HarvesterMode.COLD_START
     regulating = HarvesterMode.REGULATING
 
-    def tick(mode, v_cap, input_voltage, input_power, load_power):
-        if not (input_power >= 0 and load_power >= 0):
+    def run(mode, v_cap, harvested, consumed, v_in, p_in, k, stop, load_power, vcap, modes):
+        if not load_power >= 0:
             raise ValueError("input_power and load_power must be >= 0")
-        cold_input_ok = input_voltage >= min_voltage and input_power >= min_power
-        if mode is depleted and cold_input_ok:
-            mode = cold_start
+        railed = mode is regulating
+        append_v_cap, append_mode = vcap.append, modes.append
+        for j in range(k, stop):
+            input_voltage = v_in[j]
+            input_power = p_in[j]
+            if not input_power >= 0:
+                raise ValueError("input_power and load_power must be >= 0")
+            cold_input_ok = input_voltage >= min_voltage and input_power >= min_power
+            if mode is depleted and cold_input_ok:
+                mode = cold_start
 
-        # keep each product's order: a hoisted dt * efficiency rounds differently
-        if mode is cold_start and cold_input_ok:
-            banked = input_power * dt * coldstart_efficiency
-        elif mode is regulating and input_voltage >= boost_min_voltage:
-            banked = input_power * dt * boost_efficiency
-        else:
-            banked = 0.0
+            # keep each product's order: a hoisted dt * efficiency rounds differently
+            if mode is cold_start and cold_input_ok:
+                banked = input_power * dt * coldstart_efficiency
+            elif mode is regulating and input_voltage >= boost_min_voltage:
+                banked = input_power * dt * boost_efficiency
+            else:
+                banked = 0.0
 
-        energy = 0.5 * c_store * v_cap**2 + banked
-        if mode is cold_start and sqrt(max(0.0, 2.0 * energy / c_store)) >= enable_voltage:
-            mode = regulating
+            energy = 0.5 * c_store * v_cap**2 + banked
+            if mode is cold_start and sqrt(max(0.0, 2.0 * energy / c_store)) >= enable_voltage:
+                mode = regulating
 
-        drained = 0.0
-        if mode is regulating and load_power > 0:
-            drained = min(load_power * dt / boost_efficiency, energy)
-            energy -= drained
+            drained = 0.0
+            if mode is regulating and load_power > 0:
+                drained = min(load_power * dt / boost_efficiency, energy)
+                energy -= drained
 
-        v_cap = sqrt(max(0.0, 2.0 * energy / c_store))
-        if mode is regulating and v_cap < uvlo:
-            mode = depleted  # rail collapses, load sheds next tick
-        return mode, v_cap, banked, drained
+            v_cap = sqrt(max(0.0, 2.0 * energy / c_store))
+            if mode is regulating and v_cap < uvlo:
+                mode = depleted  # rail collapses, load sheds next tick
+            harvested += banked
+            consumed += drained
+            append_v_cap(v_cap)
+            append_mode(mode)
+            if (mode is regulating) is not railed:
+                return mode, v_cap, harvested, consumed, j + 1
+        return mode, v_cap, harvested, consumed, stop
 
-    return tick
+    return run
 
 
 def harvester_step(
@@ -139,11 +156,10 @@ def harvester_step(
     use the post-step cap voltage. The per-step energy ledger is exact:
     delta cap energy == banked - drained.
     """
-    tick = harvester_ticker(params, dt)
-    cap_energy(params.c_store, state.v_cap)  # checks the state, which a tick trusts
-    mode, v_cap, banked, drained = tick(
-        state.mode, state.v_cap, input_voltage, input_power, load_power
+    run = harvester_ticker(params, dt)
+    cap_energy(params.c_store, state.v_cap)  # checks the state, which a span trusts
+    mode, v_cap, harvested, consumed, _ = run(
+        state.mode, state.v_cap, state.harvested_energy, state.consumed_energy,
+        [input_voltage], [input_power], 0, 1, load_power, [], [],
     )
-    return HarvesterState(
-        mode, v_cap, state.harvested_energy + banked, state.consumed_energy + drained
-    )
+    return HarvesterState(mode, v_cap, harvested, consumed)

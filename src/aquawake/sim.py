@@ -10,13 +10,17 @@ The analog chain is computed vectorized over the full run; the harvester
 advances on a decimated tick and gates the decoder, which only sees
 comparator events while the regulated rail is up. The load steps from
 listening to decoding at the first accepted sync edge and back after the
-decision, mirroring how the real receiver spends its budget.
+decision, mirroring how the real receiver spends its budget. Like the
+receiver, the engine is event-driven: the harvester advances in spans of
+ticks between decoder events and rail-boundary crossings, and only a span
+boundary costs an engine iteration.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from math import inf
 
 import numpy as np
@@ -142,6 +146,75 @@ def _validate(sc: Scenario, demod: DemodParams) -> None:
         )
 
 
+def _run_ticks(sc: Scenario, trace: DigitalTrace, dt: float, ends, v_in, p_in):
+    """The harvester and decoder over the ticks ending at `ends`, fed `v_in`/`p_in`.
+
+    The harvester advances in spans: each rail-up span starts by feeding
+    the decoder its events due in that tick, and runs on while no event
+    falls due; a rail-down span runs until the rail comes up. Returns the
+    final decoder and harvester states, the per-tick cap voltages and
+    modes, and the rail-up and first-sync times.
+    """
+    n_ticks = len(ends)
+    rising = [*trace.rising_times().tolist(), inf]  # inf: no edge left
+    edge_idx = 0
+    dec_state = dec.DecoderState()
+    decided = dec.DecoderPhase.DECIDED
+    run = harvester_ticker(sc.harvester, dt)
+    mode, v_cap, harvested, consumed = HarvesterMode.DEPLETED, 0.0, 0.0, 0.0
+    regulating = HarvesterMode.REGULATING
+
+    vcap: list[float] = []
+    modes: list[HarvesterMode] = []
+    rail_up_time: float | None = None
+    first_sync_time: float | None = None
+
+    k = 0
+    while k < n_ticks:
+        railed = mode is regulating
+        if railed:
+            if rail_up_time is None:
+                rail_up_time = k * dt  # the tick's start, as np.arange(n_ticks) * dt rounds it
+            # feed rising edges and due level samples in time order; ties go to the edge
+            t1 = ends[k]
+            nxt = inf  # the earliest event left after this tick's; none once decided
+            while dec_state.phase is not decided:
+                due = dec_state.next_sample_time
+                edge = rising[edge_idx]
+                if due is not None and due < t1 and due < edge:
+                    event = dec.LevelSample(due, trace.level_at(due))
+                elif edge < t1:
+                    event = dec.RisingEdge(edge)
+                    edge_idx += 1
+                else:
+                    nxt = edge if due is None else min(due, edge)
+                    break
+                dec_state = dec.decoder_feed(dec_state, sc.decoder, event)
+                if first_sync_time is None:
+                    first_sync_time = dec_state.first_edge_time
+            # decode draw applies while the decoder is mid-frame, listen otherwise
+            if dec_state.mid_frame:
+                load = sc.load.p_decode
+            else:
+                load = sc.load.p_listen
+            # tick j feeds an event only when it falls before ends[j]
+            stop = bisect_right(ends, nxt, k + 1)
+        else:
+            # rail down: the passive receiver draws nothing, comparator events
+            # are lost and any progress is gone
+            load = 0.0
+            if dec_state.mid_frame:
+                dec_state = dec.DecoderState()
+            stop = n_ticks
+        mode, v_cap, harvested, consumed, k = run(
+            mode, v_cap, harvested, consumed, v_in, p_in, k, stop, load, vcap, modes
+        )
+        if not railed:
+            edge_idx = bisect_left(rising, ends[k - 1], edge_idx)
+    state = HarvesterState(mode, v_cap, harvested, consumed)
+    return dec_state, state, vcap, modes, rail_up_time, first_sync_time
+
+
 def run_scenario(sc: Scenario) -> ScenarioResult:
     """Simulate one frame against one receiver; deterministic per seed."""
     demod = sc.resolved_demod()
@@ -180,62 +253,15 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
             "or channel.absorption_db_per_km"
         ) from exc
     dt = decim / sr
-    starts = np.arange(n_ticks) * dt
-    ends = starts + dt
-
-    rising = [*trace.rising_times().tolist(), inf]  # inf: no edge left
-    edge_idx = 0
-    dec_state = dec.DecoderState()
-    tick = harvester_ticker(sc.harvester, dt)
-    mode, v_cap, harvested, consumed = HarvesterMode.DEPLETED, 0.0, 0.0, 0.0
-    initial_energy = cap_energy(sc.harvester.c_store, v_cap)
-    regulating = HarvesterMode.REGULATING
-
-    vcap: list[float] = []
-    modes: list[HarvesterMode] = []
-    rail_up_time: float | None = None
-    first_sync_time: float | None = None
-
+    ends = np.arange(n_ticks) * dt + dt
     # plain floats: the harvester arithmetic overflows to inf without a numpy warning
-    ticks = zip(starts.tolist(), ends.tolist(), v_in.tolist(), p_in.tolist())
-    for t0, t1, tick_v_in, tick_p_in in ticks:
-        if mode is regulating:
-            if rail_up_time is None:
-                rail_up_time = t0
-            # feed rising edges and due level samples in time order; ties go to the edge
-            while dec_state.phase is not dec.DecoderPhase.DECIDED:
-                due = dec_state.next_sample_time
-                edge = rising[edge_idx]
-                if due is not None and due < t1 and due < edge:
-                    event = dec.LevelSample(due, trace.level_at(due))
-                elif edge < t1:
-                    event = dec.RisingEdge(edge)
-                    edge_idx += 1
-                else:
-                    break
-                dec_state = dec.decoder_feed(dec_state, sc.decoder, event)
-                if first_sync_time is None:
-                    first_sync_time = dec_state.first_edge_time
-            # decode draw applies while the decoder is mid-frame, listen otherwise
-            if dec_state.mid_frame:
-                load = sc.load.p_decode
-            else:
-                load = sc.load.p_listen
-        else:
-            # rail down: the passive receiver draws nothing, comparator events
-            # are lost and any progress is gone
-            load = 0.0
-            edge_idx = bisect_left(rising, t1, edge_idx)
-            if dec_state.mid_frame:
-                dec_state = dec.DecoderState()
-
-        mode, v_cap, banked, drained = tick(mode, v_cap, tick_v_in, tick_p_in, load)
-        harvested += banked
-        consumed += drained
-        vcap.append(v_cap)
-        modes.append(mode)
+    dec_state, state, vcap, modes, rail_up_time, first_sync_time = _run_ticks(
+        sc, trace, dt, ends.tolist(), v_in.tolist(), p_in.tolist()
+    )
     vcap_values = np.array(vcap)
-    state = HarvesterState(mode, v_cap, harvested, consumed)
+    mode_values: list[str] = []
+    for mode, same in groupby(modes):  # one Enum .value read per run of equal modes
+        mode_values += [mode.value] * len(list(same))
 
     # the outcome is the decoder's: DECIDED is terminal and never reset
     decided = dec_state.phase is dec.DecoderPhase.DECIDED
@@ -250,6 +276,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         )
 
     # energy ledger must close: E0 + banked - drained == E_final; NaN fails it too
+    initial_energy = cap_energy(sc.harvester.c_store, 0.0)  # the ticks start on an empty cap
     final_energy = cap_energy(sc.harvester.c_store, state.v_cap)
     closure = initial_energy + state.harvested_energy - state.consumed_energy - final_energy
     if not abs(closure) <= 1e-3 * state.harvested_energy:
@@ -266,7 +293,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         consumed_energy=float(state.consumed_energy),
         vcap_times=ends,
         vcap_values=vcap_values,
-        mode_values=[m.value for m in modes],
+        mode_values=mode_values,
         edge_trace=trace,
         rail_up_time=rail_up_time,
         first_sync_time=first_sync_time,

@@ -452,17 +452,17 @@ def test_negative_seed_flag_is_rejected_by_name(scenario_file, tmp_path):
 
 
 def test_an_engine_invariant_violation_exits_three(tmp_path, monkeypatch):
-    # a harvester tick that lets the cap leak breaks the energy ledger
+    # a harvester span that lets the cap leak breaks the energy ledger
     real = sim.harvester_ticker
 
     def leaky(params, dt):
-        tick = real(params, dt)
+        run = real(params, dt)
 
-        def leaky_tick(*args):
-            mode, v_cap, banked, drained = tick(*args)
-            return mode, 0.99 * v_cap, banked, drained
+        def leaky_run(*args):
+            mode, v_cap, harvested, consumed, k = run(*args)
+            return mode, 0.99 * v_cap, harvested, consumed, k
 
-        return leaky_tick
+        return leaky_run
 
     monkeypatch.setattr(sim, "harvester_ticker", leaky)
     out = tmp_path / "out"

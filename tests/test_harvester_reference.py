@@ -1,11 +1,13 @@
 """Reference harvester: run_scenario's tick loop against harvester_step.
 
 The loop keeps the harvester's mode, cap voltage and energy sums as plain
-locals and calls the closure `harvester_ticker` returns. Here every tick's
-inputs are recorded through a wrapper around that closure, replayed through
-a plain per-tick loop over the public `harvester_step`, and the traces and
-sums must agree bit for bit, over scenarios near the echo-free and echo
-presets and harvester decimations from 1 to 64.
+locals and advances them in spans through the runner `harvester_ticker`
+returns. Here every span call's inputs are recorded through a wrapper around
+that runner, expanded to one entry per tick, replayed through a plain
+per-tick loop over the public `harvester_step`, and the traces and sums must
+agree bit for bit, over scenarios near the echo-free and echo presets,
+listening loads heavy enough to drop the rail after rail-up, and harvester
+decimations from 1 to 64.
 """
 
 import math
@@ -41,26 +43,40 @@ def scenarios(draw):
         sc,
         modulation=replace(sc.modulation, tx_amplitude=drive),
         harvester=replace(sc.harvester, c_store=draw(st.floats(min_value=20e-6, max_value=400e-6))),
-        load=replace(sc.load, p_decode=draw(st.floats(min_value=0.0, max_value=500e-6))),
-        sim=replace(sc.sim, harvester_decimation=draw(st.integers(1, 64))),
+        load=replace(
+            sc.load,
+            # up to 50 mW of listening, over a tail of up to 50 ms, drains the
+            # cap below UVLO after rail-up
+            p_listen=draw(st.sampled_from([50e-3, 10e-3, 1e-3, sc.load.p_listen])),
+            p_decode=draw(st.floats(min_value=0.0, max_value=500e-6)),
+        ),
+        sim=replace(
+            sc.sim,
+            harvester_decimation=draw(st.integers(1, 64)),
+            tail_duration=draw(st.sampled_from([0.05, sc.sim.tail_duration])),
+        ),
     )
 
 
 def run_recording_ticks(sc):
-    """The run, its ticker's (params, dt), and each tick's non-state inputs."""
+    """The run, its runner's (params, dt), and each tick's non-state inputs."""
     built = []
     inputs = []  # (input_voltage, input_power, load_power) per tick
     real = sim.harvester_ticker
 
     def recording_ticker(params, dt):
-        tick = real(params, dt)
+        run = real(params, dt)
         built.append((params, dt))
 
-        def recording_tick(mode, v_cap, *tick_inputs):
-            inputs.append(tick_inputs)
-            return tick(mode, v_cap, *tick_inputs)
+        def recording_run(mode, v_cap, harvested, consumed, v_in, p_in, k, stop, load_power,
+                          vcap, modes):
+            assert k == len(inputs) < stop  # spans tile the ticks, none empty
+            out = run(mode, v_cap, harvested, consumed, v_in, p_in, k, stop, load_power,
+                      vcap, modes)
+            inputs.extend((v_in[j], p_in[j], load_power) for j in range(k, out[-1]))
+            return out
 
-        return recording_tick
+        return recording_run
 
     with patch.object(sim, "harvester_ticker", recording_ticker):
         result = run_scenario(sc)
@@ -99,6 +115,9 @@ def test_the_ticker_rejects_a_dt_that_is_not_positive(dt):
     [(-1e-6, 0.0), (0.0, -1e-6), (math.nan, 0.0), (0.0, math.nan)],
 )
 def test_a_tick_rejects_a_negative_or_nan_power(input_power, load_power):
-    tick = harvester_ticker(HarvesterParams(), 1e-3)
+    run = harvester_ticker(HarvesterParams(), 1e-3)
+    vcap, modes = [], []
     with pytest.raises(ValueError, match="^input_power and load_power must be >= 0$"):
-        tick(HarvesterMode.DEPLETED, 0.0, 0.7, input_power, load_power)
+        run(HarvesterMode.DEPLETED, 0.0, 0.0, 0.0, [0.7], [input_power], 0, 1, load_power,
+            vcap, modes)
+    assert vcap == modes == []

@@ -1,0 +1,230 @@
+"""Reference tick loop: run_scenario's span engine against a per-tick loop.
+
+`sim._run_ticks` advances the harvester over whole spans of ticks between
+decoder events. `per_tick_run_ticks` below is the loop it replaced: one
+iteration per tick, the event merge checked on every rail-up tick, and the
+public `harvester_step` for the harvester. Both must agree bit for bit, on
+synthetic tick inputs whose edges and sampling instants fall on exact tick
+ends, on hand-built ties and a mid-frame rail-down reset, and on whole runs
+near the echo-free and echo presets.
+"""
+
+import math
+from bisect import bisect_left
+from dataclasses import replace
+from unittest.mock import patch
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aquawake import (
+    DecoderConfig,
+    DecoderState,
+    HarvesterMode,
+    HarvesterParams,
+    HarvesterState,
+    LoadProfile,
+    decoder_feed,
+    harvester_step,
+    load_scenario,
+    run_scenario,
+    sim,
+)
+from aquawake.cli import preset_path
+from aquawake.decoder import DecoderPhase, LevelSample, RisingEdge
+from aquawake.waveform import DigitalTrace
+from helpers import reference_scenario
+
+
+def per_tick_run_ticks(sc, trace, dt, ends, v_in, p_in):
+    """`sim._run_ticks`, one loop iteration and one `harvester_step` per tick."""
+    starts = (np.arange(len(ends)) * dt).tolist()
+    rising = [*trace.rising_times().tolist(), math.inf]
+    edge_idx = 0
+    dec_state = DecoderState()
+    state = HarvesterState()
+    vcap, modes = [], []
+    rail_up_time = first_sync_time = None
+    for t0, t1, tick_v_in, tick_p_in in zip(starts, ends, v_in, p_in):
+        if state.mode is HarvesterMode.REGULATING:
+            if rail_up_time is None:
+                rail_up_time = t0
+            while dec_state.phase is not DecoderPhase.DECIDED:
+                due = dec_state.next_sample_time
+                edge = rising[edge_idx]
+                if due is not None and due < t1 and due < edge:
+                    event = LevelSample(due, trace.level_at(due))
+                elif edge < t1:
+                    event = RisingEdge(edge)
+                    edge_idx += 1
+                else:
+                    break
+                dec_state = decoder_feed(dec_state, sc.decoder, event)
+                if first_sync_time is None:
+                    first_sync_time = dec_state.first_edge_time
+            load = sc.load.p_decode if dec_state.mid_frame else sc.load.p_listen
+        else:
+            load = 0.0
+            edge_idx = bisect_left(rising, t1, edge_idx)
+            if dec_state.mid_frame:
+                dec_state = DecoderState()
+        state = harvester_step(state, sc.harvester, tick_v_in, tick_p_in, load, dt)
+        vcap.append(state.v_cap)
+        modes.append(state.mode)
+    return dec_state, state, vcap, modes, rail_up_time, first_sync_time
+
+
+DT = 0.125  # s; tick ends and the 1/32 s edge grid below are exact binary fractions
+GRID = DT / 4
+
+
+def tick_ends(n):
+    return (np.arange(n) * DT + DT).tolist()
+
+
+def alternating_trace(grid_steps):
+    """Rising at even entries, falling at odd ones, times in GRID steps."""
+    levels = [i % 2 == 0 for i in range(len(grid_steps))]
+    return DigitalTrace(np.array(grid_steps, dtype=float) * GRID, np.array(levels))
+
+
+def base_scenario(load, decoder):
+    # a 1 uF cap rails up within a tick of 1 mW input and empties under 10 mW of load
+    harvester = HarvesterParams(c_store=1e-6)
+    return replace(reference_scenario(), harvester=harvester, load=load, decoder=decoder)
+
+
+def both(sc, trace, v_in, p_in):
+    ends = tick_ends(len(v_in))
+    spans = sim._run_ticks(sc, trace, DT, ends, v_in, p_in)
+    reference = per_tick_run_ticks(sc, trace, DT, ends, v_in, p_in)
+    assert repr(spans) == repr(reference)  # float reprs round-trip, so bit for bit
+    return spans
+
+
+@st.composite
+def tick_cases(draw):
+    n = draw(st.integers(1, 120))
+    v_in = draw(st.lists(st.sampled_from([1.0, 0.0]), min_size=n, max_size=n))
+    p_in = draw(st.lists(st.sampled_from([1e-3, 0.0, 1e-5, 0.1]), min_size=n, max_size=n))
+    # on a half-tick grid, every other edge and many sampling instants sit on a tick end
+    spacing = draw(st.sampled_from([2, 1]))
+    steps = draw(st.lists(st.integers(0, 4 * n // spacing + 8), unique=True, max_size=40))
+    load = LoadProfile(
+        p_listen=draw(st.sampled_from([1e-5, 0.0, 1e-2])),
+        p_decode=draw(st.sampled_from([1e-4, 1e-2, 0.0])),
+    )
+    decoder = DecoderConfig(
+        assigned_uuid=draw(st.integers(0, 0xFF)),
+        max_sync_interval=draw(st.sampled_from([100.0, 0.3])),
+        sample_offset=draw(st.sampled_from([0.5, 0.25, 1.0])),
+    )
+    trace = alternating_trace([spacing * m for m in sorted(steps)])
+    return base_scenario(load, decoder), trace, v_in, p_in
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(tick_cases())
+def test_the_span_engine_matches_the_per_tick_loop(case):
+    sc, trace, v_in, p_in = case
+    both(sc, trace, v_in, p_in)
+
+
+STEADY = LoadProfile(p_listen=1e-5, p_decode=1e-4)  # the rail stays up on 1 mW
+
+
+def test_an_edge_on_a_tick_end_is_fed_in_the_next_tick():
+    ends = tick_ends(12)
+    sc = base_scenario(STEADY, DecoderConfig(assigned_uuid=0xA5, max_sync_interval=1.0))
+    # first sync edge exactly at ends[3], the second exactly at ends[5]
+    trace = alternating_trace([16, 17, 24, 25])
+    assert ends[3] == 16 * GRID and ends[5] == 24 * GRID
+    dec_state, state, _, _, rail_up_time, first_sync_time = both(
+        sc, trace, [1.0] * 12, [1e-3] * 12
+    )
+    assert rail_up_time == 0.125  # tick 1 starts regulating
+    assert first_sync_time == ends[3]
+    assert dec_state.phase is DecoderPhase.SAMPLING and dec_state.reference_period == 0.25
+    # the decode draw starts in tick 4, not in tick 3 whose end the edge sits on
+    listen, decode = (p * DT / sc.harvester.boost_efficiency for p in (1e-5, 1e-4))
+    assert state.consumed_energy == pytest.approx(3 * listen + 8 * decode, rel=1e-12)
+
+
+def test_a_sample_due_on_a_tick_end_is_fed_in_the_next_tick():
+    ends = tick_ends(40)
+    sc = base_scenario(
+        STEADY, DecoderConfig(assigned_uuid=0xA5, max_sync_interval=1.0, sample_offset=0.5)
+    )
+    # sync at 0.5 s and 0.75 s: bit k is due at 0.75 + (k + 1.5) * 0.25 s, each a tick end
+    bits = [1, 0, 1, 0, 0, 1, 0, 1]  # 0xA5, MSB first
+    steps = [16, 17, 24, 25]
+    for k, bit in enumerate(bits):
+        if bit:
+            slot = 24 + 8 * (k + 1)  # rising at the slot's start, falling after the sample
+            steps += [slot, slot + 7]
+    dec_state, _, _, _, _, _ = both(sc, alternating_trace(steps), [1.0] * 40, [1e-3] * 40)
+    assert all(t in ends for t in dec_state.sample_times)
+    assert dec_state.phase is DecoderPhase.DECIDED and dec_state.match
+    assert dec_state.last_event_time == dec_state.sample_times[-1] == ends[22]
+
+
+def test_a_rail_drop_mid_frame_resets_the_decoder():
+    # 1 mW charges the cap, 10 mW of decode drains it in a tick, then 100 mW holds the rail
+    v_in, p_in = [1.0] * 60, [1e-3] * 6 + [0.1] * 54
+    sc = base_scenario(
+        LoadProfile(p_listen=1e-5, p_decode=1e-2),
+        DecoderConfig(assigned_uuid=0xA5, max_sync_interval=1.0, sample_offset=0.5),
+    )
+    # a lone edge at 0.3125 s starts a frame that the drop cuts, then a clean 0xA5 frame
+    steps = [10, 11, 64, 65, 72, 73]
+    for k, bit in enumerate([1, 0, 1, 0, 0, 1, 0, 1]):
+        if bit:
+            steps += [72 + 8 * (k + 1), 72 + 8 * (k + 1) + 7]
+    dec_state, _, _, modes, _, first_sync_time = both(
+        sc, alternating_trace(steps), v_in, p_in
+    )
+    assert modes[1:4] == [HarvesterMode.REGULATING, HarvesterMode.DEPLETED,
+                          HarvesterMode.REGULATING]
+    assert first_sync_time == 10 * GRID  # the cut frame's edge, kept across the reset
+    assert dec_state.first_edge_time == 64 * GRID
+    assert dec_state.phase is DecoderPhase.DECIDED and dec_state.match
+
+
+PRESETS = {name: load_scenario(preset_path(name)) for name in ("paper_fig5", "paper_echo")}
+
+
+@st.composite
+def scenarios(draw):
+    sc = PRESETS[draw(st.sampled_from(sorted(PRESETS)))]
+    drive = sc.modulation.tx_amplitude * draw(st.floats(min_value=0.2, max_value=2.0))
+    return replace(
+        sc,
+        modulation=replace(sc.modulation, tx_amplitude=drive),
+        harvester=replace(sc.harvester, c_store=draw(st.floats(min_value=20e-6, max_value=400e-6))),
+        # heavy loads drop the rail after rail-up, mid-frame when it is the decode draw
+        load=LoadProfile(
+            p_listen=draw(st.sampled_from([50e-3, 1e-3, sc.load.p_listen])),
+            p_decode=draw(st.sampled_from([50e-3, 5e-3, sc.load.p_decode])),
+        ),
+        sim=replace(
+            sc.sim,
+            harvester_decimation=draw(st.integers(4, 64)),
+            tail_duration=draw(st.sampled_from([0.05, sc.sim.tail_duration])),
+            seed=draw(st.integers(0, 2**32 - 1)),
+        ),
+    )
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(scenarios())
+def test_a_run_matches_a_run_on_the_per_tick_loop(sc):
+    result = run_scenario(sc)
+    with patch.object(sim, "_run_ticks", per_tick_run_ticks):
+        reference = run_scenario(sc)
+    for name, value in vars(result).items():
+        if isinstance(value, np.ndarray):
+            assert value.tobytes() == getattr(reference, name).tobytes(), name
+        elif name != "edge_trace":  # the comparator's, made before the loop
+            assert repr(value) == repr(getattr(reference, name)), name
