@@ -204,8 +204,9 @@ def comparator(env: Waveform, params: DemodParams) -> DigitalTrace:
         raise UnitMismatchError(f"comparator input must be volts, got {env.unit.value}")
     sr = env.sample_rate
     plus = _one_pole_lowpass(env.samples, params.fast_tau, sr)
-    minus = params.reference_gain * _one_pole_lowpass(env.samples, params.slow_tau, sr)
-    diff = plus - minus
+    minus = _one_pole_lowpass(env.samples, params.slow_tau, sr)
+    minus *= params.reference_gain
+    diff = np.subtract(plus, minus, out=plus)
 
     # the level changes only at samples outside the band, and is low before the first
     decided = np.flatnonzero(np.abs(diff) > params.hysteresis)

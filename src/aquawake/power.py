@@ -4,8 +4,9 @@ The storage cap is the receiver's only energy reserve. The harvester has
 three regimes: Depleted (nothing runs), ColdStart (inefficient charge pump,
 needs a healthy input), and Regulating (boost charger plus the regulated
 rail that feeds the listening/decoding loads). Transitions depend only on
-cap voltage and the windowed input, which keeps the step function pure and
-cheap enough to call on a decimated tick.
+the cap's charge and the windowed input. The model keeps the cap's energy,
+so a run of ticks under one load is a running sum and the voltage
+thresholds are compared as the energies at them.
 """
 
 from __future__ import annotations
@@ -13,10 +14,16 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
-from math import sqrt
+from math import inf, sqrt
+
+import numpy as np
 
 from .config import Config, Fraction, NonNegative, Positive, shown
 from .errors import ConfigurationError
+
+
+# ticks in a span's first window; each further window is twice the last
+_FIRST_WINDOW = 64
 
 
 class HarvesterMode(Enum):
@@ -67,78 +74,116 @@ def cap_energy(capacitance: float, voltage: float) -> float:
     return 0.5 * capacitance * voltage**2
 
 
-def harvester_ticker(
-    params: HarvesterParams, dt: float
-) -> Callable[..., tuple[HarvesterMode, float, float, float, int]]:
-    """The harvester over a span of ticks of duration dt, on plain floats.
+def _threshold_energy(c_store: float, voltage: float) -> float:
+    """The cap energy at a voltage threshold; -inf for one at or below 0 V, which any cap meets.
 
-    `run(mode, v_cap, harvested, consumed, v_in, p_in, k, stop, load_power,
-    vcap, modes)` advances ticks `k..stop-1` under one load, tick `j` fed
-    `v_in[j]` (V) and `p_in[j]` (W), and appends each tick's cap voltage and
-    mode to `vcap` and `modes`. It returns `(mode, v_cap, harvested, consumed,
-    k)`, with the two energy sums (J) carried on tick by tick and `k` the
-    next tick, after the first tick whose mode crosses the rail boundary
-    (regulating or not), or `stop`. It is the arithmetic `harvester_step`
-    describes, with dt checked once here, the load once per span and the
-    input power on every tick.
+    `voltage * voltage`, not `voltage**2`: a float square that overflows is inf, not an error.
+    """
+    return 0.5 * c_store * (voltage * voltage) if voltage > 0 else -inf
+
+
+def harvester_ticker(
+    params: HarvesterParams, dt: float, v_in, p_in
+) -> tuple[Callable[..., tuple[HarvesterMode, float, float, float, int]], np.ndarray, list]:
+    """The harvester over a run of ticks of duration dt, in the cap-energy domain.
+
+    Tick `j` is fed `v_in[j]` (V) and `p_in[j]` (W). Returns `(run, energy,
+    modes)`. `run(mode, e_cap, harvested, consumed, k, stop, load_power)`
+    advances ticks from `k` under one load and returns `(mode, e_cap,
+    harvested, consumed, k)`, with `e_cap` the cap energy and `k` the next
+    tick: `stop`, or the tick after the first whose mode crosses the rail
+    boundary (regulating or not) or whose load empties the cap. It writes
+    each tick's closing cap energy (J) to `energy[j]` and appends the ticks'
+    modes to `modes` as `(mode, run length)` pairs.
+
+    It is the arithmetic `harvester_step` describes. The banked energy of
+    every tick is computed once here. A span is one `np.add.accumulate` per
+    window of ticks, which adds left to right like a scalar loop, so the cap
+    energy and the two energy sums (J) add up tick by tick. Cap-voltage
+    thresholds are compared as energies. Like plain floats, the sums
+    overflow to inf; call `run` under `np.errstate(over="ignore",
+    invalid="ignore")`.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {shown(dt)}")
-    min_voltage = params.coldstart_min_voltage
-    min_power = params.coldstart_min_power
-    boost_min_voltage = params.boost_min_voltage
-    c_store = params.c_store
-    coldstart_efficiency = params.coldstart_efficiency
+    v_in = np.asarray(v_in, dtype=float)
+    p_in = np.asarray(p_in, dtype=float)
+    if not (p_in >= 0).all():
+        raise ValueError("input_power and load_power must be >= 0")
     boost_efficiency = params.boost_efficiency
-    enable_voltage = params.regulation_enable_voltage
-    uvlo = params.uvlo
+    cold_ok = (v_in >= params.coldstart_min_voltage) & (p_in >= params.coldstart_min_power)
+    with np.errstate(over="ignore"):
+        # keep each product's order: a hoisted dt * efficiency rounds differently
+        b_cold = np.where(cold_ok, p_in * dt * params.coldstart_efficiency, 0.0)
+        b_reg = np.where(v_in >= params.boost_min_voltage, p_in * dt * boost_efficiency, 0.0)
+    e_enable = _threshold_energy(params.c_store, params.regulation_enable_voltage)
+    e_uvlo = _threshold_energy(params.c_store, params.uvlo)
+    floor = max(e_uvlo, 0.0)  # below it a rail-up tick ends the span: UVLO, or an emptied cap
     depleted = HarvesterMode.DEPLETED
     cold_start = HarvesterMode.COLD_START
     regulating = HarvesterMode.REGULATING
+    energy = np.empty(len(p_in))
+    modes: list[tuple[HarvesterMode, int]] = []
 
-    def run(mode, v_cap, harvested, consumed, v_in, p_in, k, stop, load_power, vcap, modes):
+    def advance(mode, e_cap, harvested, consumed, k, end, drain):
+        # ticks k..end-1 on one accumulate; the returned flag says a tick ended the span
+        if mode is regulating:
+            banked, steps = b_reg, 2 if drain > 0 else 1  # a bank row, then a drain row
+        else:
+            if mode is depleted:  # nothing banks until the input can cold-start
+                woke = k + int(cold_ok[k:end].argmax())
+                if not cold_ok[woke]:
+                    woke = end
+                energy[k:woke] = e_cap
+                if woke > k:
+                    modes.append((depleted, woke - k))
+                if woke == end:
+                    return mode, e_cap, harvested, consumed, end, False
+                mode, k = cold_start, woke
+            banked, steps = b_cold, 1
+        rows = np.zeros((steps * (end - k) + 1, 3))  # cap energy, harvested, consumed
+        rows[0] = e_cap, harvested, consumed
+        rows[1::steps, :2] = banked[k:end, None]
+        if steps == 2:
+            rows[2::2, 0] = -drain
+            rows[2::2, 2] = drain
+        np.add.accumulate(rows, out=rows)
+        closing = rows[steps::steps, 0]
+        hit = closing < floor if mode is regulating else closing >= e_enable
+        i = int(hit.argmax())
+        if not hit[i]:
+            energy[k:end] = closing
+            modes.append((mode, end - k))
+            return (mode, *rows[-1].tolist(), end, False)
+        energy[k : k + i] = closing[:i]
+        if i:
+            modes.append((mode, i))
+        # the tick that ends the span: cold start reaches the enable level and the
+        # load draws from this tick on, or the draw empties the cap or crosses UVLO
+        opened, harvested, consumed = rows[steps * i + 1].tolist()
+        drained = min(drain, opened)
+        e_cap = opened - drained
+        mode = depleted if e_cap < e_uvlo else regulating  # rail collapses, load sheds next tick
+        energy[k + i] = e_cap
+        modes.append((mode, 1))
+        return mode, e_cap, harvested, consumed + drained, k + i + 1, True
+
+    def run(mode, e_cap, harvested, consumed, k, stop, load_power):
         if not load_power >= 0:
             raise ValueError("input_power and load_power must be >= 0")
-        railed = mode is regulating
-        append_v_cap, append_mode = vcap.append, modes.append
-        for j in range(k, stop):
-            input_voltage = v_in[j]
-            input_power = p_in[j]
-            if not input_power >= 0:
-                raise ValueError("input_power and load_power must be >= 0")
-            cold_input_ok = input_voltage >= min_voltage and input_power >= min_power
-            if mode is depleted and cold_input_ok:
-                mode = cold_start
+        drain = load_power * dt / boost_efficiency
+        # windows that double: a span that ends early, as one does each time the
+        # rail comes up, costs at most about twice its length, not the run's rest
+        window, hit = _FIRST_WINDOW, False
+        while k < stop and not hit:
+            end = min(stop, k + window)
+            mode, e_cap, harvested, consumed, k, hit = advance(
+                mode, e_cap, harvested, consumed, k, end, drain
+            )
+            window *= 2
+        return mode, e_cap, harvested, consumed, k
 
-            # keep each product's order: a hoisted dt * efficiency rounds differently
-            if mode is cold_start and cold_input_ok:
-                banked = input_power * dt * coldstart_efficiency
-            elif mode is regulating and input_voltage >= boost_min_voltage:
-                banked = input_power * dt * boost_efficiency
-            else:
-                banked = 0.0
-
-            energy = 0.5 * c_store * v_cap**2 + banked
-            if mode is cold_start and sqrt(max(0.0, 2.0 * energy / c_store)) >= enable_voltage:
-                mode = regulating
-
-            drained = 0.0
-            if mode is regulating and load_power > 0:
-                drained = min(load_power * dt / boost_efficiency, energy)
-                energy -= drained
-
-            v_cap = sqrt(max(0.0, 2.0 * energy / c_store))
-            if mode is regulating and v_cap < uvlo:
-                mode = depleted  # rail collapses, load sheds next tick
-            harvested += banked
-            consumed += drained
-            append_v_cap(v_cap)
-            append_mode(mode)
-            if (mode is regulating) is not railed:
-                return mode, v_cap, harvested, consumed, j + 1
-        return mode, v_cap, harvested, consumed, stop
-
-    return run
+    return run, energy, modes
 
 
 def harvester_step(
@@ -156,10 +201,10 @@ def harvester_step(
     use the post-step cap voltage. The per-step energy ledger is exact:
     delta cap energy == banked - drained.
     """
-    run = harvester_ticker(params, dt)
-    cap_energy(params.c_store, state.v_cap)  # checks the state, which a span trusts
-    mode, v_cap, harvested, consumed, _ = run(
-        state.mode, state.v_cap, state.harvested_energy, state.consumed_energy,
-        [input_voltage], [input_power], 0, 1, load_power, [], [],
-    )
-    return HarvesterState(mode, v_cap, harvested, consumed)
+    run, _, _ = harvester_ticker(params, dt, [input_voltage], [input_power])
+    e_cap = cap_energy(params.c_store, state.v_cap)  # checks the state, which a span trusts
+    with np.errstate(over="ignore", invalid="ignore"):
+        mode, e_cap, harvested, consumed, _ = run(
+            state.mode, e_cap, state.harvested_energy, state.consumed_energy, 0, 1, load_power
+        )
+    return HarvesterState(mode, sqrt(2.0 * e_cap / params.c_store), harvested, consumed)

@@ -13,14 +13,16 @@ listening to decoding at the first accepted sync edge and back after the
 decision, mirroring how the real receiver spends its budget. Like the
 receiver, the engine is event-driven: the harvester advances in spans of
 ticks between decoder events and rail-boundary crossings, and only a span
-boundary costs an engine iteration.
+boundary costs an engine iteration. The harvester keeps the cap's energy,
+not its voltage: a span is one running sum of the ticks' banked and
+drained energy, computed by numpy, and the cap-voltage trace is one square
+root over the per-tick energies after the loop.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from itertools import groupby
 from math import inf
 
 import numpy as np
@@ -44,7 +46,6 @@ from .frontend import (
 from .power import (
     HarvesterMode,
     HarvesterParams,
-    HarvesterState,
     LoadProfile,
     cap_energy,
     harvester_step,  # not called here; perfbench/tracing.py still names it as a patch point
@@ -152,20 +153,19 @@ def _run_ticks(sc: Scenario, trace: DigitalTrace, dt: float, ends, v_in, p_in):
     The harvester advances in spans: each rail-up span starts by feeding
     the decoder its events due in that tick, and runs on while no event
     falls due; a rail-down span runs until the rail comes up. Returns the
-    final decoder and harvester states, the per-tick cap voltages and
-    modes, and the rail-up and first-sync times.
+    final decoder state, the per-tick cap energies, the tick modes as
+    `(mode, run length)` pairs, the harvested and consumed energy sums, and
+    the rail-up and first-sync times.
     """
     n_ticks = len(ends)
     rising = [*trace.rising_times().tolist(), inf]  # inf: no edge left
     edge_idx = 0
     dec_state = dec.DecoderState()
     decided = dec.DecoderPhase.DECIDED
-    run = harvester_ticker(sc.harvester, dt)
-    mode, v_cap, harvested, consumed = HarvesterMode.DEPLETED, 0.0, 0.0, 0.0
+    run, energy, modes = harvester_ticker(sc.harvester, dt, v_in, p_in)
+    mode, e_cap, harvested, consumed = HarvesterMode.DEPLETED, 0.0, 0.0, 0.0
     regulating = HarvesterMode.REGULATING
 
-    vcap: list[float] = []
-    modes: list[HarvesterMode] = []
     rail_up_time: float | None = None
     first_sync_time: float | None = None
 
@@ -206,13 +206,10 @@ def _run_ticks(sc: Scenario, trace: DigitalTrace, dt: float, ends, v_in, p_in):
             if dec_state.mid_frame:
                 dec_state = dec.DecoderState()
             stop = n_ticks
-        mode, v_cap, harvested, consumed, k = run(
-            mode, v_cap, harvested, consumed, v_in, p_in, k, stop, load, vcap, modes
-        )
+        mode, e_cap, harvested, consumed, k = run(mode, e_cap, harvested, consumed, k, stop, load)
         if not railed:
             edge_idx = bisect_left(rising, ends[k - 1], edge_idx)
-    state = HarvesterState(mode, v_cap, harvested, consumed)
-    return dec_state, state, vcap, modes, rail_up_time, first_sync_time
+    return dec_state, energy, modes, harvested, consumed, rail_up_time, first_sync_time
 
 
 def run_scenario(sc: Scenario) -> ScenarioResult:
@@ -254,14 +251,16 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         ) from exc
     dt = decim / sr
     ends = np.arange(n_ticks) * dt + dt
-    # plain floats: the harvester arithmetic overflows to inf without a numpy warning
-    dec_state, state, vcap, modes, rail_up_time, first_sync_time = _run_ticks(
-        sc, trace, dt, ends.tolist(), v_in.tolist(), p_in.tolist()
-    )
-    vcap_values = np.array(vcap)
+    # the harvester's sums overflow to inf without a numpy warning, as plain floats
+    # would, and so does the voltage of a cap too small for its charge: named below
+    with np.errstate(over="ignore", invalid="ignore"):
+        dec_state, energy, modes, harvested, consumed, rail_up_time, first_sync_time = (
+            _run_ticks(sc, trace, dt, ends.tolist(), v_in, p_in)
+        )
+        vcap_values = np.sqrt(2.0 * energy / sc.harvester.c_store)
     mode_values: list[str] = []
-    for mode, same in groupby(modes):  # one Enum .value read per run of equal modes
-        mode_values += [mode.value] * len(list(same))
+    for mode, count in modes:
+        mode_values += [mode.value] * count
 
     # the outcome is the decoder's: DECIDED is terminal and never reset
     decided = dec_state.phase is dec.DecoderPhase.DECIDED
@@ -277,9 +276,8 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
 
     # energy ledger must close: E0 + banked - drained == E_final; NaN fails it too
     initial_energy = cap_energy(sc.harvester.c_store, 0.0)  # the ticks start on an empty cap
-    final_energy = cap_energy(sc.harvester.c_store, state.v_cap)
-    closure = initial_energy + state.harvested_energy - state.consumed_energy - final_energy
-    if not abs(closure) <= 1e-3 * state.harvested_energy:
+    closure = initial_energy + harvested - consumed - float(energy[-1])
+    if not abs(closure) <= 1e-3 * harvested:
         raise InvariantError(f"energy ledger violation: {closure} J unaccounted")
     if woke and dec_state.decoded_uuid != sc.decoder.assigned_uuid:
         raise InvariantError("wake asserted without a matching UUID")
@@ -289,8 +287,8 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         decoded_uuid=dec_state.decoded_uuid,
         time_to_wake=decision_time if woke else None,
         peak_v_cap=peak_v_cap,
-        harvested_energy=float(state.harvested_energy),
-        consumed_energy=float(state.consumed_energy),
+        harvested_energy=harvested,
+        consumed_energy=consumed,
         vcap_times=ends,
         vcap_values=vcap_values,
         mode_values=mode_values,

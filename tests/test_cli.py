@@ -452,17 +452,17 @@ def test_negative_seed_flag_is_rejected_by_name(scenario_file, tmp_path):
 
 
 def test_an_engine_invariant_violation_exits_three(tmp_path, monkeypatch):
-    # a harvester span that lets the cap leak breaks the energy ledger
+    # a harvester span that lets the cap's energy leak breaks the energy ledger
     real = sim.harvester_ticker
 
-    def leaky(params, dt):
-        run = real(params, dt)
+    def leaky(params, dt, v_in, p_in):
+        run, energy, modes = real(params, dt, v_in, p_in)
 
         def leaky_run(*args):
-            mode, v_cap, harvested, consumed, k = run(*args)
-            return mode, 0.99 * v_cap, harvested, consumed, k
+            mode, e_cap, harvested, consumed, k = run(*args)
+            return mode, 0.99 * e_cap, harvested, consumed, k
 
-        return leaky_run
+        return leaky_run, energy, modes
 
     monkeypatch.setattr(sim, "harvester_ticker", leaky)
     out = tmp_path / "out"

@@ -17,24 +17,24 @@ from aquawake.cli import main, preset_path
 
 RUN_DIGESTS = {
     "paper_fig5": {
-        "result.csv": "47b7a099d10afb9391067ab1fe3770e95e6f8059f98dcfcebac458e4b9869d86",
-        "vcap_trace.csv": "fe9fc5e003a7873594a222ffac7e5beca9d8da9e6897cbc2e0a978ffb3f62a62",
+        "result.csv": "d806fa849fd07d8444118580ec123f9b7f24e9bdb321a3d77d81d8ae977d4fbc",
+        "vcap_trace.csv": "938ea33f7fbf65bab0b27f2e8202da1ed15cbab941d59c25e5e5497292312774",
         "comparator_edges.csv": "f997921ae059a1bfdb1d2ad69c42d840569db9b0aa3b9389fe42ccec8ea6c982",
     },
     "paper_echo": {
-        "result.csv": "e99d220727580a7c975123fb5570e5bdf6b700033e485c3c9a2f629c372c255d",
-        "vcap_trace.csv": "c467f3af00c33caefe1ccfed822658f8eb2fe2afbf10935dcf7c7cc15f9189a7",
+        "result.csv": "d4146255c62f4775e0a2cf89724e85f26eb6734247b7425a3db94900bf3bb07c",
+        "vcap_trace.csv": "8ffed07ffefc9c4f2601c738d470ce774ceab364f7165964f755848f77d84407",
         "comparator_edges.csv": "76ec8408b71d724edb48a2b8c57f8c9860f62ee00baf7b6c5b618a0e85061e96",
     },
     "paper_critical_distance": {
-        "result.csv": "c9b6753f61cd6ad6aeff37d727f3b3d5ad7a4c047fbb6117a05b8c6f9a566d41",
-        "vcap_trace.csv": "540bd5bf9c963df87f14b84e5560cbd0db642949ae7b3b228843b0340a82f3d8",
+        "result.csv": "6c052d7d0a716e7bada6de1f35db52bed9ccb8efa011d901a7bbbe798002dcb3",
+        "vcap_trace.csv": "685ae0048572d8a5a21a8ea9409b57072955e8eadc6edd1129f40ef0d0a7f086",
         "comparator_edges.csv": "a3d8920f736c7d066671e2834978c9c67e4d4ab2db0753de890a930e01283b20",
     },
 }
 
 # paper_echo carries channel noise, so this also pins the per-trial seeding
-NOISY_SWEEP_DIGEST = "4d4162d67cd082992681018488c0e08b74c0bec94d84571aa4c99f317fcbe761"
+NOISY_SWEEP_DIGEST = "41056ed44a75c931e7baab644c9e0d51685e09b302a3f250c9247182bb4bb5c8"
 
 
 def sha256(path) -> str:

@@ -3,10 +3,11 @@
 `sim._run_ticks` advances the harvester over whole spans of ticks between
 decoder events. `per_tick_run_ticks` below is the loop it replaced: one
 iteration per tick, the event merge checked on every rail-up tick, and the
-public `harvester_step` for the harvester. Both must agree bit for bit, on
-synthetic tick inputs whose edges and sampling instants fall on exact tick
-ends, on hand-built ties and a mid-frame rail-down reset, and on whole runs
-near the echo-free and echo presets.
+plain-float energy-domain harvester of `harvester_oracle` one tick at a
+time. Both must agree bit for bit, on synthetic tick inputs whose edges and
+sampling instants fall on exact tick ends, on hand-built ties and a
+mid-frame rail-down reset, and on whole runs near the echo-free and echo
+presets.
 """
 
 import math
@@ -24,10 +25,8 @@ from aquawake import (
     DecoderState,
     HarvesterMode,
     HarvesterParams,
-    HarvesterState,
     LoadProfile,
     decoder_feed,
-    harvester_step,
     load_scenario,
     run_scenario,
     sim,
@@ -35,20 +34,21 @@ from aquawake import (
 from aquawake.cli import preset_path
 from aquawake.decoder import DecoderPhase, LevelSample, RisingEdge
 from aquawake.waveform import DigitalTrace
+from harvester_oracle import oracle_tick
 from helpers import reference_scenario
 
 
 def per_tick_run_ticks(sc, trace, dt, ends, v_in, p_in):
-    """`sim._run_ticks`, one loop iteration and one `harvester_step` per tick."""
+    """`sim._run_ticks`, one loop iteration and one `oracle_tick` per tick."""
     starts = (np.arange(len(ends)) * dt).tolist()
     rising = [*trace.rising_times().tolist(), math.inf]
     edge_idx = 0
     dec_state = DecoderState()
-    state = HarvesterState()
-    vcap, modes = [], []
+    mode, energy, harvested, consumed = HarvesterMode.DEPLETED, 0.0, 0.0, 0.0
+    energies, modes = [], []
     rail_up_time = first_sync_time = None
     for t0, t1, tick_v_in, tick_p_in in zip(starts, ends, v_in, p_in):
-        if state.mode is HarvesterMode.REGULATING:
+        if mode is HarvesterMode.REGULATING:
             if rail_up_time is None:
                 rail_up_time = t0
             while dec_state.phase is not DecoderPhase.DECIDED:
@@ -70,10 +70,21 @@ def per_tick_run_ticks(sc, trace, dt, ends, v_in, p_in):
             edge_idx = bisect_left(rising, t1, edge_idx)
             if dec_state.mid_frame:
                 dec_state = DecoderState()
-        state = harvester_step(state, sc.harvester, tick_v_in, tick_p_in, load, dt)
-        vcap.append(state.v_cap)
-        modes.append(state.mode)
-    return dec_state, state, vcap, modes, rail_up_time, first_sync_time
+        mode, energy, banked, drained = oracle_tick(
+            sc.harvester, dt, mode, energy, float(tick_v_in), float(tick_p_in), load
+        )
+        harvested += banked
+        consumed += drained
+        energies.append(energy)
+        modes.append((mode, 1))
+    return (dec_state, np.array(energies), modes, harvested, consumed, rail_up_time,
+            first_sync_time)
+
+
+def per_tick(out):
+    """A `_run_ticks` result with the energies as floats and one mode per tick."""
+    dec_state, energy, modes, *rest = out
+    return dec_state, energy.tolist(), [m for m, count in modes for _ in range(count)], *rest
 
 
 DT = 0.125  # s; tick ends and the 1/32 s edge grid below are exact binary fractions
@@ -98,8 +109,8 @@ def base_scenario(load, decoder):
 
 def both(sc, trace, v_in, p_in):
     ends = tick_ends(len(v_in))
-    spans = sim._run_ticks(sc, trace, DT, ends, v_in, p_in)
-    reference = per_tick_run_ticks(sc, trace, DT, ends, v_in, p_in)
+    spans = per_tick(sim._run_ticks(sc, trace, DT, ends, v_in, p_in))
+    reference = per_tick(per_tick_run_ticks(sc, trace, DT, ends, v_in, p_in))
     assert repr(spans) == repr(reference)  # float reprs round-trip, so bit for bit
     return spans
 
@@ -141,7 +152,7 @@ def test_an_edge_on_a_tick_end_is_fed_in_the_next_tick():
     # first sync edge exactly at ends[3], the second exactly at ends[5]
     trace = alternating_trace([16, 17, 24, 25])
     assert ends[3] == 16 * GRID and ends[5] == 24 * GRID
-    dec_state, state, _, _, rail_up_time, first_sync_time = both(
+    dec_state, _, _, _, consumed, rail_up_time, first_sync_time = both(
         sc, trace, [1.0] * 12, [1e-3] * 12
     )
     assert rail_up_time == 0.125  # tick 1 starts regulating
@@ -149,7 +160,7 @@ def test_an_edge_on_a_tick_end_is_fed_in_the_next_tick():
     assert dec_state.phase is DecoderPhase.SAMPLING and dec_state.reference_period == 0.25
     # the decode draw starts in tick 4, not in tick 3 whose end the edge sits on
     listen, decode = (p * DT / sc.harvester.boost_efficiency for p in (1e-5, 1e-4))
-    assert state.consumed_energy == pytest.approx(3 * listen + 8 * decode, rel=1e-12)
+    assert consumed == pytest.approx(3 * listen + 8 * decode, rel=1e-12)
 
 
 def test_a_sample_due_on_a_tick_end_is_fed_in_the_next_tick():
@@ -164,7 +175,7 @@ def test_a_sample_due_on_a_tick_end_is_fed_in_the_next_tick():
         if bit:
             slot = 24 + 8 * (k + 1)  # rising at the slot's start, falling after the sample
             steps += [slot, slot + 7]
-    dec_state, _, _, _, _, _ = both(sc, alternating_trace(steps), [1.0] * 40, [1e-3] * 40)
+    dec_state, *_ = both(sc, alternating_trace(steps), [1.0] * 40, [1e-3] * 40)
     assert all(t in ends for t in dec_state.sample_times)
     assert dec_state.phase is DecoderPhase.DECIDED and dec_state.match
     assert dec_state.last_event_time == dec_state.sample_times[-1] == ends[22]
@@ -182,7 +193,7 @@ def test_a_rail_drop_mid_frame_resets_the_decoder():
     for k, bit in enumerate([1, 0, 1, 0, 0, 1, 0, 1]):
         if bit:
             steps += [72 + 8 * (k + 1), 72 + 8 * (k + 1) + 7]
-    dec_state, _, _, modes, _, first_sync_time = both(
+    dec_state, _, modes, _, _, _, first_sync_time = both(
         sc, alternating_trace(steps), v_in, p_in
     )
     assert modes[1:4] == [HarvesterMode.REGULATING, HarvesterMode.DEPLETED,
