@@ -35,14 +35,7 @@ from .frontend import (
     rectify,
     transduce,
 )
-from .power import (
-    HarvesterMode,
-    HarvesterParams,
-    HarvesterState,
-    LoadProfile,
-    cap_energy,
-    harvester_step,
-)
+from .power import HarvesterMode, HarvesterParams, LoadProfile, cap_energy
 from .scenario_io import load_scenario, scenario_from_dict
 from .sim import (
     Scenario,

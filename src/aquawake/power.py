@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
-from math import inf, sqrt
+from math import inf
 
 import numpy as np
 
@@ -57,29 +57,21 @@ class LoadProfile(Config):
     p_decode: NonNegative = 63e-6  # W, sampling the UUID
 
 
-@dataclass
-class HarvesterState:
-    mode: HarvesterMode = HarvesterMode.DEPLETED
-    v_cap: float = 0.0  # V
-    harvested_energy: float = 0.0  # J banked into the cap so far
-    consumed_energy: float = 0.0  # J drained from the cap so far
-
-
 def cap_energy(capacitance: float, voltage: float) -> float:
-    """Energy stored on a capacitor, 0.5 * C * V^2."""
+    """Energy stored on a capacitor, 0.5 * C * V^2.
+
+    `voltage * voltage`, not `voltage**2`: a float square that overflows is inf, not an error.
+    """
     if not capacitance > 0:
         raise ValueError(f"capacitance must be positive, got {shown(capacitance)}")
     if not voltage >= 0:
         raise ValueError(f"voltage must be >= 0, got {shown(voltage)}")
-    return 0.5 * capacitance * voltage**2
+    return 0.5 * capacitance * (voltage * voltage)
 
 
 def _threshold_energy(c_store: float, voltage: float) -> float:
-    """The cap energy at a voltage threshold; -inf for one at or below 0 V, which any cap meets.
-
-    `voltage * voltage`, not `voltage**2`: a float square that overflows is inf, not an error.
-    """
-    return 0.5 * c_store * (voltage * voltage) if voltage > 0 else -inf
+    """The cap energy at a voltage threshold; -inf for one at or below 0 V, which any cap meets."""
+    return cap_energy(c_store, voltage) if voltage > 0 else -inf
 
 
 def harvester_ticker(
@@ -96,13 +88,24 @@ def harvester_ticker(
     each tick's closing cap energy (J) to `energy[j]` and appends the ticks'
     modes to `modes` as `(mode, run length)` pairs.
 
-    It is the arithmetic `harvester_step` describes. The banked energy of
-    every tick is computed once here. A span is one `np.add.accumulate` per
-    window of ticks, which adds left to right like a scalar loop, so the cap
-    energy and the two energy sums (J) add up tick by tick. Cap-voltage
-    thresholds are compared as energies. Like plain floats, the sums
-    overflow to inf; call `run` under `np.errstate(over="ignore",
-    invalid="ignore")`.
+    Each tick follows one rule, in order:
+    - a depleted harvester whose input reaches both `coldstart_min_voltage`
+      and `coldstart_min_power` enters cold start;
+    - cold start banks `p_in * dt * coldstart_efficiency` while that input
+      holds, and regulation banks `p_in * dt * boost_efficiency` while
+      `v_in` reaches `boost_min_voltage`;
+    - cold start turns to regulating once the cap reaches the enable level;
+    - while regulating, the load draws `load_power * dt / boost_efficiency`
+      from the cap, never more than it holds;
+    - a regulating cap left below UVLO collapses the rail to depleted, and
+      the load sheds from the next tick.
+
+    The banked energy of every tick is computed once here. A span is one
+    `np.add.accumulate` per window of ticks, which adds left to right like
+    a scalar loop, so the cap energy and the two energy sums (J) add up
+    tick by tick. Cap-voltage thresholds are compared as energies. Like
+    plain floats, the sums overflow to inf; call `run` under
+    `np.errstate(over="ignore", invalid="ignore")`.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {shown(dt)}")
@@ -184,27 +187,3 @@ def harvester_ticker(
         return mode, e_cap, harvested, consumed, k
 
     return run, energy, modes
-
-
-def harvester_step(
-    state: HarvesterState,
-    params: HarvesterParams,
-    input_voltage: float,
-    input_power: float,
-    load_power: float,
-    dt: float,
-) -> HarvesterState:
-    """Advance the harvester by one tick of duration dt.
-
-    Charging happens at the regime's efficiency, the load drains the cap
-    through the output converter (boost_efficiency), and mode transitions
-    use the post-step cap voltage. The per-step energy ledger is exact:
-    delta cap energy == banked - drained.
-    """
-    run, _, _ = harvester_ticker(params, dt, [input_voltage], [input_power])
-    e_cap = cap_energy(params.c_store, state.v_cap)  # checks the state, which a span trusts
-    with np.errstate(over="ignore", invalid="ignore"):
-        mode, e_cap, harvested, consumed, _ = run(
-            state.mode, e_cap, state.harvested_energy, state.consumed_energy, 0, 1, load_power
-        )
-    return HarvesterState(mode, sqrt(2.0 * e_cap / params.c_store), harvested, consumed)

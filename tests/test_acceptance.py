@@ -15,14 +15,13 @@ from aquawake import (
     ChannelModel,
     HarvesterMode,
     HarvesterParams,
-    HarvesterState,
     calibrate_tx_amplitude,
     cap_energy,
     critical_reflection_distance,
     echo_delay,
-    harvester_step,
     run_scenario,
 )
+from harvester_oracle import run_spans
 from helpers import (
     ALIASED_EXTRA_PATH,
     IMMUNE_EXTRA_PATH,
@@ -170,8 +169,8 @@ def test_criterion_7_cold_start_gate():
     v_on, p_on = params.coldstart_min_voltage, params.coldstart_min_power
 
     def exits_depleted(v_in: float, power: float) -> bool:
-        out = harvester_step(HarvesterState(), params, v_in, power, 0.0, 1e-3)
-        return out.mode is not HarvesterMode.DEPLETED
+        _, [mode], _, _, _ = run_spans(params, 1e-3, [v_in], [power], 0.0)
+        return mode is not HarvesterMode.DEPLETED
 
     below = [
         (v_on * 0.99, p_on), (v_on, p_on * 0.99), (v_on * 0.99, p_on * 0.99),

@@ -7,9 +7,10 @@ replayed one at a time, and the results are compared:
 
 - through the plain-float energy-domain oracle in `harvester_oracle`, the
   cap energies, modes and energy sums must agree bit for bit;
-- through the public `harvester_step`, which converts the cap voltage to
-  energy and back on every tick, the cap voltages may drift by rounding
-  (at most 1e-12 relative) but the modes and energy sums must not move.
+- through a voltage-domain loop over the same oracle, which turns the cap
+  voltage into energy and back on every tick, the cap voltages may drift
+  by rounding (at most 1e-12 relative) but the modes and energy sums must
+  not move.
 
 Scenarios sit near the echo-free and echo presets, with listening loads
 heavy enough to drop the rail after rail-up and harvester decimations from
@@ -31,15 +32,13 @@ from hypothesis import strategies as st
 from aquawake import (
     HarvesterMode,
     HarvesterParams,
-    HarvesterState,
-    harvester_step,
+    cap_energy,
     load_scenario,
     run_scenario,
     sim,
 )
 from aquawake.cli import preset_path
-from aquawake.power import harvester_ticker
-from harvester_oracle import oracle_ticks
+from harvester_oracle import oracle_tick, oracle_ticks, run_spans
 
 PRESETS = {name: load_scenario(preset_path(name)) for name in ("paper_fig5", "paper_echo")}
 
@@ -112,36 +111,27 @@ def test_the_tick_loop_matches_the_per_tick_energy_oracle(sc):
 
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(scenarios())
-def test_a_per_tick_harvester_step_loop_drifts_only_by_rounding(sc):
-    # harvester_step rounds the cap energy through a voltage on every tick
+def test_a_voltage_domain_per_tick_loop_drifts_only_by_rounding(sc):
+    # the loop rounds the cap energy through a voltage on every tick
     result, params, dt, _, inputs = run_recording_ticks(sc)
 
-    state = HarvesterState()
+    mode, v_cap, harvested, consumed = HarvesterMode.DEPLETED, 0.0, 0.0, 0.0
     vcap, modes = [], []
     for input_voltage, input_power, load_power in inputs:
-        state = harvester_step(state, params, input_voltage, input_power, load_power, dt)
-        vcap.append(state.v_cap)
-        modes.append(state.mode.value)
+        mode, energy, banked, drained = oracle_tick(
+            params, dt, mode, cap_energy(params.c_store, v_cap),
+            input_voltage, input_power, load_power,
+        )
+        v_cap = math.sqrt(2.0 * energy / params.c_store)
+        harvested += banked
+        consumed += drained
+        vcap.append(v_cap)
+        modes.append(mode.value)
 
     np.testing.assert_allclose(vcap, result.vcap_values, rtol=1e-12, atol=0.0)
     assert modes == result.mode_values
-    assert state.harvested_energy.hex() == result.harvested_energy.hex()
-    assert state.consumed_energy.hex() == result.consumed_energy.hex()
-
-
-def run_spans(params, dt, v_in, p_in, load_power, mode, e_cap):
-    """The runner over every tick under one load, called again after each early return."""
-    run, energy, modes = harvester_ticker(params, dt, v_in, p_in)
-    harvested = consumed = 0.0
-    k, calls = 0, 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while k < len(p_in):
-            mode, e_cap, harvested, consumed, k = run(
-                mode, e_cap, harvested, consumed, k, len(p_in), load_power
-            )
-            calls += 1
-    per_tick = [m for m, count in modes for _ in range(count)]
-    return energy.tolist(), per_tick, harvested, consumed, calls
+    assert harvested.hex() == result.harvested_energy.hex()
+    assert consumed.hex() == result.consumed_energy.hex()
 
 
 def spans_match_the_oracle(
@@ -240,20 +230,3 @@ def test_a_rail_down_span_longer_than_a_window_finds_the_enable_tick():
     enabled = modes.index(HarvesterMode.REGULATING)
     assert 64 + 128 + 256 < enabled < n and calls == 2
 
-
-@pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan])
-def test_the_ticker_rejects_a_dt_that_is_not_positive(dt):
-    with pytest.raises(ValueError, match="^dt must be positive, got "):
-        harvester_ticker(HarvesterParams(), dt, [0.7], [1e-3])
-
-
-@pytest.mark.parametrize(
-    "input_power, load_power",
-    [(-1e-6, 0.0), (0.0, -1e-6), (math.nan, 0.0), (0.0, math.nan)],
-)
-def test_a_tick_rejects_a_negative_or_nan_power(input_power, load_power):
-    modes = []
-    with pytest.raises(ValueError, match="^input_power and load_power must be >= 0$"):
-        run, _, modes = harvester_ticker(HarvesterParams(), 1e-3, [0.7], [input_power])
-        run(HarvesterMode.DEPLETED, 0.0, 0.0, 0.0, 0, 1, load_power)
-    assert modes == []

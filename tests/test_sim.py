@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -332,3 +333,24 @@ def test_calibration_reports_no_convergence():
     sc = reference_scenario(amplitude=1.0)
     with pytest.raises(ConfigurationError, match="did not converge"):
         calibrate_tx_amplitude(sc, 4.12, rel_tol=1e-15, max_iter=5)
+
+
+@pytest.mark.parametrize(
+    "target, max_iter, message",
+    [
+        (math.nan, 60, "^target_peak_v must be positive and finite, got nan$"),
+        (math.inf, 60, "^target_peak_v must be positive and finite, got inf$"),
+        (-1.0, 60, "^target_peak_v must be positive and finite, got -1.0$"),
+        (0.0, 60, "^target_peak_v must be positive and finite, got 0.0$"),
+        (4.12, 0, "^max_iter must be >= 1, got 0$"),
+    ],
+)
+def test_calibration_names_a_bad_argument_before_the_first_run(
+    target, max_iter, message, monkeypatch
+):
+    def no_run(sc):
+        raise AssertionError("a run was made")
+
+    monkeypatch.setattr(sim, "run_scenario", no_run)
+    with pytest.raises(ConfigurationError, match=message):
+        calibrate_tx_amplitude(reference_scenario(amplitude=1.0), target, max_iter=max_iter)
