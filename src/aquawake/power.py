@@ -11,7 +11,6 @@ thresholds are compared as the energies at them.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from math import inf
@@ -74,19 +73,13 @@ def _threshold_energy(c_store: float, voltage: float) -> float:
     return cap_energy(c_store, voltage) if voltage > 0 else -inf
 
 
-def harvester_ticker(
-    params: HarvesterParams, dt: float, v_in, p_in
-) -> tuple[Callable[..., tuple[HarvesterMode, float, float, float, int]], np.ndarray, list]:
+class Harvester:
     """The harvester over a run of ticks of duration dt, in the cap-energy domain.
 
-    Tick `j` is fed `v_in[j]` (V) and `p_in[j]` (W). Returns `(run, energy,
-    modes)`. `run(mode, e_cap, harvested, consumed, k, stop, load_power)`
-    advances ticks from `k` under one load and returns `(mode, e_cap,
-    harvested, consumed, k)`, with `e_cap` the cap energy and `k` the next
-    tick: `stop`, or the tick after the first whose mode crosses the rail
-    boundary (regulating or not) or whose load empties the cap. It writes
-    each tick's closing cap energy (J) to `energy[j]` and appends the ticks'
-    modes to `modes` as `(mode, run length)` pairs.
+    Tick `j` is fed `v_in[j]` (V) and `p_in[j]` (W). The state, `mode`, cap
+    energy `e_cap`, energy sums `harvested` and `consumed` (J) and next tick
+    `k`, starts depleted on an empty cap. `run` writes each tick's closing cap
+    energy (J) to `energy[j]` and appends `(mode, run length)` pairs to `modes`.
 
     Each tick follows one rule, in order:
     - a depleted harvester whose input reaches both `coldstart_min_voltage`
@@ -104,86 +97,91 @@ def harvester_ticker(
     `np.add.accumulate` per window of ticks, which adds left to right like
     a scalar loop, so the cap energy and the two energy sums (J) add up
     tick by tick. Cap-voltage thresholds are compared as energies. Like
-    plain floats, the sums overflow to inf; call `run` under
-    `np.errstate(over="ignore", invalid="ignore")`.
+    plain floats, the sums overflow to inf, without a numpy warning.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {shown(dt)}")
-    v_in = np.asarray(v_in, dtype=float)
-    p_in = np.asarray(p_in, dtype=float)
-    if not (p_in >= 0).all():
-        raise ValueError("input_power and load_power must be >= 0")
-    boost_efficiency = params.boost_efficiency
-    cold_ok = (v_in >= params.coldstart_min_voltage) & (p_in >= params.coldstart_min_power)
-    with np.errstate(over="ignore"):
-        # keep each product's order: a hoisted dt * efficiency rounds differently
-        b_cold = np.where(cold_ok, p_in * dt * params.coldstart_efficiency, 0.0)
-        b_reg = np.where(v_in >= params.boost_min_voltage, p_in * dt * boost_efficiency, 0.0)
-    e_enable = _threshold_energy(params.c_store, params.regulation_enable_voltage)
-    e_uvlo = _threshold_energy(params.c_store, params.uvlo)
-    floor = max(e_uvlo, 0.0)  # below it a rail-up tick ends the span: UVLO, or an emptied cap
-    depleted = HarvesterMode.DEPLETED
-    cold_start = HarvesterMode.COLD_START
-    regulating = HarvesterMode.REGULATING
-    energy = np.empty(len(p_in))
-    modes: list[tuple[HarvesterMode, int]] = []
 
-    def advance(mode, e_cap, harvested, consumed, k, end, drain):
-        # ticks k..end-1 on one accumulate; the returned flag says a tick ended the span
-        if mode is regulating:
-            banked, steps = b_reg, 2 if drain > 0 else 1  # a bank row, then a drain row
-        else:
-            if mode is depleted:  # nothing banks until the input can cold-start
-                woke = k + int(cold_ok[k:end].argmax())
-                if not cold_ok[woke]:
-                    woke = end
-                energy[k:woke] = e_cap
-                if woke > k:
-                    modes.append((depleted, woke - k))
-                if woke == end:
-                    return mode, e_cap, harvested, consumed, end, False
-                mode, k = cold_start, woke
-            banked, steps = b_cold, 1
-        rows = np.zeros((steps * (end - k) + 1, 3))  # cap energy, harvested, consumed
-        rows[0] = e_cap, harvested, consumed
-        rows[1::steps, :2] = banked[k:end, None]
-        if steps == 2:
-            rows[2::2, 0] = -drain
-            rows[2::2, 2] = drain
-        np.add.accumulate(rows, out=rows)
-        closing = rows[steps::steps, 0]
-        hit = closing < floor if mode is regulating else closing >= e_enable
-        i = int(hit.argmax())
-        if not hit[i]:
-            energy[k:end] = closing
-            modes.append((mode, end - k))
-            return (mode, *rows[-1].tolist(), end, False)
-        energy[k : k + i] = closing[:i]
-        if i:
-            modes.append((mode, i))
-        # the tick that ends the span: cold start reaches the enable level and the
-        # load draws from this tick on, or the draw empties the cap or crosses UVLO
-        opened, harvested, consumed = rows[steps * i + 1].tolist()
-        drained = min(drain, opened)
-        e_cap = opened - drained
-        mode = depleted if e_cap < e_uvlo else regulating  # rail collapses, load sheds next tick
-        energy[k + i] = e_cap
-        modes.append((mode, 1))
-        return mode, e_cap, harvested, consumed + drained, k + i + 1, True
+    def __init__(self, params: HarvesterParams, dt: float, v_in, p_in) -> None:
+        if not dt > 0:
+            raise ValueError(f"dt must be positive, got {shown(dt)}")
+        v_in = np.asarray(v_in, dtype=float)
+        p_in = np.asarray(p_in, dtype=float)
+        if not (v_in.ndim == p_in.ndim == 1 and len(v_in) == len(p_in)):
+            raise ValueError(f"v_in {v_in.shape} and p_in {p_in.shape} must be 1-D of equal length")
+        if not (p_in >= 0).all():
+            raise ValueError("input_power and load_power must be >= 0")
+        self._dt, self._boost_efficiency = dt, params.boost_efficiency
+        cold_ok = (v_in >= params.coldstart_min_voltage) & (p_in >= params.coldstart_min_power)
+        self._cold_ok = cold_ok
+        with np.errstate(over="ignore"):
+            # keep each product's order: a hoisted dt * efficiency rounds differently
+            self._b_cold = np.where(cold_ok, p_in * dt * params.coldstart_efficiency, 0.0)
+            boosting = v_in >= params.boost_min_voltage
+            self._b_reg = np.where(boosting, p_in * dt * params.boost_efficiency, 0.0)
+        self._e_enable = _threshold_energy(params.c_store, params.regulation_enable_voltage)
+        self._e_uvlo = _threshold_energy(params.c_store, params.uvlo)
+        self._floor = max(self._e_uvlo, 0.0)  # below it a rail-up tick ends the span
+        self.mode, self.k = HarvesterMode.DEPLETED, 0
+        self.e_cap = self.harvested = self.consumed = 0.0
+        self.energy = np.empty(len(p_in))
+        self.modes: list[tuple[HarvesterMode, int]] = []
 
-    def run(mode, e_cap, harvested, consumed, k, stop, load_power):
+    def run(self, stop: int, load_power: float) -> None:
+        """Advance from tick `k` under one load, up to `stop` or past the first
+        tick whose mode crosses the rail boundary or whose load empties the cap."""
         if not load_power >= 0:
             raise ValueError("input_power and load_power must be >= 0")
-        drain = load_power * dt / boost_efficiency
+        drain = load_power * self._dt / self._boost_efficiency
         # windows that double: a span that ends early, as one does each time the
         # rail comes up, costs at most about twice its length, not the run's rest
         window, hit = _FIRST_WINDOW, False
-        while k < stop and not hit:
-            end = min(stop, k + window)
-            mode, e_cap, harvested, consumed, k, hit = advance(
-                mode, e_cap, harvested, consumed, k, end, drain
-            )
-            window *= 2
-        return mode, e_cap, harvested, consumed, k
+        with np.errstate(over="ignore", invalid="ignore"):
+            while self.k < stop and not hit:
+                hit = self._advance(min(stop, self.k + window), drain)
+                window *= 2
 
-    return run, energy, modes
+    def _advance(self, end: int, drain: float) -> bool:  # ticks k..end-1 on one accumulate
+        k, mode, energy = self.k, self.mode, self.energy
+        regulating = mode is HarvesterMode.REGULATING
+        if regulating:
+            banked, steps = self._b_reg, 2 if drain > 0 else 1  # a bank row, then a drain row
+        else:
+            if mode is HarvesterMode.DEPLETED:  # nothing banks until the input can cold-start
+                woke = k + int(self._cold_ok[k:end].argmax())
+                if not self._cold_ok[woke]:
+                    woke = end
+                energy[k:woke] = self.e_cap
+                if woke > k:
+                    self.modes.append((mode, woke - k))
+                self.k = k = woke
+                if woke == end:
+                    return False
+                mode = self.mode = HarvesterMode.COLD_START
+            banked, steps = self._b_cold, 1
+        rows = np.zeros((steps * (end - k) + 1, 3))  # cap energy, harvested, consumed
+        rows[0] = self.e_cap, self.harvested, self.consumed
+        rows[1::steps, :2] = banked[k:end, None]
+        if steps == 2:
+            rows[2::2, ::2] = -drain, drain  # off the cap energy, onto consumed
+        np.add.accumulate(rows, out=rows)
+        closing = rows[steps::steps, 0]
+        hit = closing < self._floor if regulating else closing >= self._e_enable
+        i = int(hit.argmax())
+        if not hit[i]:
+            energy[k:end] = closing
+            self.modes.append((mode, end - k))
+            self.e_cap, self.harvested, self.consumed = rows[-1].tolist()
+            self.k = end
+            return False
+        energy[k : k + i] = closing[:i]
+        if i:
+            self.modes.append((mode, i))
+        # the tick that ends the span: cold start reaches the enable level and the
+        # load draws from this tick on, or the draw empties the cap or crosses UVLO
+        opened, self.harvested, consumed = rows[steps * i + 1].tolist()
+        drained = min(drain, opened)
+        self.e_cap = energy[k + i] = opened - drained
+        self.consumed, self.k = consumed + drained, k + i + 1
+        collapsed = self.e_cap < self._e_uvlo  # the rail collapses: the load sheds next tick
+        self.mode = HarvesterMode.DEPLETED if collapsed else HarvesterMode.REGULATING
+        self.modes.append((self.mode, 1))
+        return True

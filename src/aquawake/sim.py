@@ -13,10 +13,10 @@ listening to decoding at the first accepted sync edge and back after the
 decision, mirroring how the real receiver spends its budget. Like the
 receiver, the engine is event-driven: the harvester advances in spans of
 ticks between decoder events and rail-boundary crossings, and only a span
-boundary costs an engine iteration. The harvester keeps the cap's energy,
-not its voltage: a span is one running sum of the ticks' banked and
-drained energy, computed by numpy, and the cap-voltage trace is one square
-root over the per-tick energies after the loop.
+boundary costs an engine iteration. The run's `power.Harvester` keeps the
+cap's energy, not its voltage: a span is one running sum of the ticks'
+banked and drained energy, computed by numpy, and the cap-voltage trace is
+one square root over the per-tick energies after the loop.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .frontend import (
     rectify,
     transduce,
 )
-from .power import HarvesterMode, HarvesterParams, LoadProfile, harvester_ticker
+from .power import Harvester, HarvesterMode, HarvesterParams, LoadProfile
 from .waveform import DigitalTrace, Waveform
 
 # a placeholder, never called: perfbench/tracing.py still names
@@ -148,28 +148,25 @@ def _validate(sc: Scenario, demod: DemodParams) -> None:
 def _run_ticks(sc: Scenario, trace: DigitalTrace, dt: float, ends, v_in, p_in):
     """The harvester and decoder over the ticks ending at `ends`, fed `v_in`/`p_in`.
 
-    The harvester advances in spans: each rail-up span starts by feeding
+    The `Harvester` advances in spans: each rail-up span starts by feeding
     the decoder its events due in that tick, and runs on while no event
     falls due; a rail-down span runs until the rail comes up. Returns the
-    final decoder state, the per-tick cap energies, the tick modes as
-    `(mode, run length)` pairs, the harvested and consumed energy sums, and
-    the rail-up and first-sync times.
+    final decoder state, the harvester after the last tick, and the rail-up
+    and first-sync times.
     """
     n_ticks = len(ends)
     rising = [*trace.rising_times().tolist(), inf]  # inf: no edge left
     edge_idx = 0
     dec_state = dec.DecoderState()
     decided = dec.DecoderPhase.DECIDED
-    run, energy, modes = harvester_ticker(sc.harvester, dt, v_in, p_in)
-    mode, e_cap, harvested, consumed = HarvesterMode.DEPLETED, 0.0, 0.0, 0.0
-    regulating = HarvesterMode.REGULATING
+    harvester = Harvester(sc.harvester, dt, v_in, p_in)
 
     rail_up_time: float | None = None
     first_sync_time: float | None = None
 
-    k = 0
-    while k < n_ticks:
-        railed = mode is regulating
+    while harvester.k < n_ticks:
+        k = harvester.k
+        railed = harvester.mode is HarvesterMode.REGULATING
         if railed:
             if rail_up_time is None:
                 rail_up_time = k * dt  # the tick's start, as np.arange(n_ticks) * dt rounds it
@@ -204,10 +201,10 @@ def _run_ticks(sc: Scenario, trace: DigitalTrace, dt: float, ends, v_in, p_in):
             if dec_state.mid_frame:
                 dec_state = dec.DecoderState()
             stop = n_ticks
-        mode, e_cap, harvested, consumed, k = run(mode, e_cap, harvested, consumed, k, stop, load)
+        harvester.run(stop, load)
         if not railed:
-            edge_idx = bisect_left(rising, ends[k - 1], edge_idx)
-    return dec_state, energy, modes, harvested, consumed, rail_up_time, first_sync_time
+            edge_idx = bisect_left(rising, ends[harvester.k - 1], edge_idx)
+    return dec_state, harvester, rail_up_time, first_sync_time
 
 
 def run_scenario(sc: Scenario) -> ScenarioResult:
@@ -249,15 +246,14 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         ) from exc
     dt = decim / sr
     ends = np.arange(n_ticks) * dt + dt
-    # the harvester's sums overflow to inf without a numpy warning, as plain floats
-    # would, and so does the voltage of a cap too small for its charge: named below
+    dec_state, harvester, rail_up_time, first_sync_time = _run_ticks(
+        sc, trace, dt, ends.tolist(), v_in, p_in
+    )
+    # a cap too small for its charge has a voltage of inf, named below
     with np.errstate(over="ignore", invalid="ignore"):
-        dec_state, energy, modes, harvested, consumed, rail_up_time, first_sync_time = (
-            _run_ticks(sc, trace, dt, ends.tolist(), v_in, p_in)
-        )
-        vcap_values = np.sqrt(2.0 * energy / sc.harvester.c_store)
+        vcap_values = np.sqrt(2.0 * harvester.energy / sc.harvester.c_store)
     mode_values: list[str] = []
-    for mode, count in modes:
+    for mode, count in harvester.modes:
         mode_values += [mode.value] * count
 
     # the outcome is the decoder's: DECIDED is terminal and never reset
@@ -274,8 +270,8 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
 
     # energy ledger must close: banked - drained == E_final, as the ticks start on
     # an empty cap; NaN fails it too
-    closure = harvested - consumed - float(energy[-1])
-    if not abs(closure) <= 1e-3 * harvested:
+    closure = harvester.harvested - harvester.consumed - float(harvester.energy[-1])
+    if not abs(closure) <= 1e-3 * harvester.harvested:
         raise InvariantError(f"energy ledger violation: {closure} J unaccounted")
     if woke and dec_state.decoded_uuid != sc.decoder.assigned_uuid:
         raise InvariantError("wake asserted without a matching UUID")
@@ -285,8 +281,8 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         decoded_uuid=dec_state.decoded_uuid,
         time_to_wake=decision_time if woke else None,
         peak_v_cap=peak_v_cap,
-        harvested_energy=harvested,
-        consumed_energy=consumed,
+        harvested_energy=harvester.harvested,
+        consumed_energy=harvester.consumed,
         vcap_times=ends,
         vcap_values=vcap_values,
         mode_values=mode_values,
@@ -389,6 +385,12 @@ def sweep(base: Scenario, parameter: str, values: list[float], trials: int = 1) 
     return SweepResult(rows=rows, aggregates=aggregates)
 
 
+@dataclass
+class _Bisection(Config):  # calibrate_tx_amplitude's arguments, checked as config fields are
+    rel_tol: Positive
+    max_iter: Count
+
+
 def calibrate_tx_amplitude(
     sc: Scenario,
     target_peak_v: float,
@@ -404,8 +406,7 @@ def calibrate_tx_amplitude(
         raise ConfigurationError(
             f"target_peak_v must be positive and finite, got {shown(target_peak_v)}"
         )
-    if not max_iter >= 1:
-        raise ConfigurationError(f"max_iter must be >= 1, got {shown(max_iter)}")
+    _Bisection(rel_tol, max_iter)
 
     def peak(amp: float) -> float:
         mod = replace(sc.modulation, tx_amplitude=amp)

@@ -1,23 +1,21 @@
 """Reference harvester: one tick at a time on plain floats, in the cap-energy domain.
 
-`oracle_tick` states the arithmetic `power.harvester_ticker`'s span runner
-vectorises, in the form of the per-tick rule that `harvester_ticker`
-documents: the cold-start gate, the regime's charging efficiency, the
-enable check after banking, the load's draw through the output converter
-(never more than the cap holds), then UVLO. Each product keeps its order,
+`oracle_tick` states the arithmetic `power.Harvester`'s span runner
+vectorises, in the form of the per-tick rule that `Harvester` documents:
+the cold-start gate, the regime's charging efficiency, the enable check
+after banking, the load's draw through the output converter (never more
+than the cap holds), then UVLO. Each product keeps its order,
 and the voltage thresholds are compared as the cap energies at them, so a
 span runner and this loop must agree bit for bit.
 
-`run_spans` is the tests' one helper over the runner itself: a single tick
-is a span over one-element inputs.
+`run_spans` is the tests' one helper over `Harvester.run` itself: a single
+tick is a span over one-element inputs.
 """
 
 from math import inf
 
-import numpy as np
-
 from aquawake import HarvesterMode
-from aquawake.power import harvester_ticker
+from aquawake.power import Harvester
 
 
 def threshold_energy(c_store, voltage):
@@ -76,19 +74,16 @@ def oracle_ticks(params, dt, inputs, mode=HarvesterMode.DEPLETED, energy=0.0):
 
 
 def run_spans(params, dt, v_in, p_in, load_power, mode=HarvesterMode.DEPLETED, e_cap=0.0):
-    """The runner over every tick under one load, called again after each early return.
+    """`Harvester.run` over every tick under one load, called again after each early return.
 
     Returns the per-tick cap energies and modes, the two energy sums of
-    these ticks, and the number of runner calls.
+    these ticks, and the number of `run` calls.
     """
-    run, energy, modes = harvester_ticker(params, dt, v_in, p_in)
-    harvested = consumed = 0.0
-    k, calls = 0, 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while k < len(p_in):
-            mode, e_cap, harvested, consumed, k = run(
-                mode, e_cap, harvested, consumed, k, len(p_in), load_power
-            )
-            calls += 1
-    per_tick = [m for m, count in modes for _ in range(count)]
-    return energy.tolist(), per_tick, harvested, consumed, calls
+    h = Harvester(params, dt, v_in, p_in)
+    h.mode, h.e_cap = mode, e_cap
+    calls = 0
+    while h.k < len(p_in):
+        h.run(len(p_in), load_power)
+        calls += 1
+    per_tick = [m for m, count in h.modes for _ in range(count)]
+    return h.energy.tolist(), per_tick, h.harvested, h.consumed, calls

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from aquawake import cli as cli_module
 from aquawake import load_scenario, sim
 from aquawake.cli import SCHEMA_VERSION, _fmt, _write_run_outputs, main, preset_path
-from aquawake.power import HarvesterMode
+from aquawake.power import Harvester, HarvesterMode
 from aquawake.scenario_io import MAX_NESTING, _Loader
 
 # short preamble keeps each in-process run a few milliseconds
@@ -453,18 +453,13 @@ def test_negative_seed_flag_is_rejected_by_name(scenario_file, tmp_path):
 
 def test_an_engine_invariant_violation_exits_three(tmp_path, monkeypatch):
     # a harvester span that lets the cap's energy leak breaks the energy ledger
-    real = sim.harvester_ticker
+    real_run = Harvester.run
 
-    def leaky(params, dt, v_in, p_in):
-        run, energy, modes = real(params, dt, v_in, p_in)
+    def leaky_run(self, stop, load_power):
+        real_run(self, stop, load_power)
+        self.e_cap *= 0.99
 
-        def leaky_run(*args):
-            mode, e_cap, harvested, consumed, k = run(*args)
-            return mode, 0.99 * e_cap, harvested, consumed, k
-
-        return leaky_run, energy, modes
-
-    monkeypatch.setattr(sim, "harvester_ticker", leaky)
+    monkeypatch.setattr(Harvester, "run", leaky_run)
     out = tmp_path / "out"
     code, _, stderr = cli("run", str(preset_path("paper_fig5")), "--out", str(out))
     assert code == 3

@@ -1,9 +1,9 @@
 """Reference harvester: run_scenario's span runner against per-tick loops.
 
 The engine keeps the cap's energy and advances it in spans, one numpy
-accumulate each, through the runner `harvester_ticker` returns. Here the
-runner is wrapped to record each span call's load, the run's ticks are
-replayed one at a time, and the results are compared:
+accumulate each, through `Harvester.run`. Here the `Harvester` is
+wrapped to record each span call's load, the run's ticks are replayed one
+at a time, and the results are compared:
 
 - through the plain-float energy-domain oracle in `harvester_oracle`, the
   cap energies, modes and energy sums must agree bit for bit;
@@ -35,9 +35,9 @@ from aquawake import (
     cap_energy,
     load_scenario,
     run_scenario,
-    sim,
 )
 from aquawake.cli import preset_path
+from aquawake.power import Harvester
 from harvester_oracle import oracle_tick, oracle_ticks, run_spans
 
 PRESETS = {name: load_scenario(preset_path(name)) for name in ("paper_fig5", "paper_echo")}
@@ -68,25 +68,24 @@ def scenarios(draw):
 
 
 def run_recording_ticks(sc):
-    """The run, its ticker's (params, dt, energy) and each tick's inputs."""
+    """The run, its harvester's (params, dt, energy) and each tick's inputs."""
     built = []
     loads = []  # load_power per tick
-    real = sim.harvester_ticker
+    real_init, real_run = Harvester.__init__, Harvester.run
 
-    def recording_ticker(params, dt, v_in, p_in):
-        run, energy, modes = real(params, dt, v_in, p_in)
-        built.append((params, dt, energy, np.array(v_in).tolist(), np.array(p_in).tolist()))
+    def recording_init(self, params, dt, v_in, p_in):
+        real_init(self, params, dt, v_in, p_in)
+        built.append((params, dt, self.energy, np.array(v_in).tolist(), np.array(p_in).tolist()))
 
-        def recording_run(mode, e_cap, harvested, consumed, k, stop, load_power):
-            assert k == len(loads) < stop  # spans tile the ticks, none empty
-            out = run(mode, e_cap, harvested, consumed, k, stop, load_power)
-            loads.extend(repeat(load_power, out[-1] - k))
-            return out
+    def recording_run(self, stop, load_power):
+        k = self.k
+        assert k == len(loads) < stop  # spans tile the ticks, none empty
+        real_run(self, stop, load_power)
+        loads.extend(repeat(load_power, self.k - k))
 
-        return recording_run, energy, modes
-
-    with patch.object(sim, "harvester_ticker", recording_ticker):
-        result = run_scenario(sc)
+    with patch.object(Harvester, "__init__", recording_init):
+        with patch.object(Harvester, "run", recording_run):
+            result = run_scenario(sc)
     [(params, dt, energy, v_in, p_in)] = built
     assert len(loads) == len(v_in)
     return result, params, dt, energy, list(zip(v_in, p_in, loads))

@@ -10,7 +10,7 @@ from aquawake import (
     LoadProfile,
     cap_energy,
 )
-from aquawake.power import _threshold_energy, harvester_ticker
+from aquawake.power import Harvester, _threshold_energy
 from harvester_oracle import run_spans
 
 DEPLETED = HarvesterMode.DEPLETED
@@ -186,7 +186,22 @@ def test_energy_counters_never_decrease():
 @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan])
 def test_the_ticker_rejects_a_dt_that_is_not_positive(dt):
     with pytest.raises(ValueError, match=f"^dt must be positive, got {dt!r}$"):
-        harvester_ticker(HarvesterParams(), dt, [0.7], [1e-3])
+        Harvester(HarvesterParams(), dt, [0.7], [1e-3])
+
+
+@pytest.mark.parametrize(
+    "v_in, p_in, shapes",
+    [
+        # numpy would broadcast the one voltage over three ticks, or run one tick of three
+        ([0.7], [1e-3] * 3, r"v_in \(1,\) and p_in \(3,\)"),
+        ([0.7] * 3, [1e-3], r"v_in \(3,\) and p_in \(1,\)"),
+        (0.7, 1e-3, r"v_in \(\) and p_in \(\)"),
+        ([[0.7]], [[1e-3]], r"v_in \(1, 1\) and p_in \(1, 1\)"),
+    ],
+)
+def test_the_ticker_rejects_tick_inputs_that_do_not_match(v_in, p_in, shapes):
+    with pytest.raises(ValueError, match=f"^{shapes} must be 1-D of equal length$"):
+        Harvester(HarvesterParams(), 1e-3, v_in, p_in)
 
 
 @pytest.mark.parametrize(
@@ -194,11 +209,18 @@ def test_the_ticker_rejects_a_dt_that_is_not_positive(dt):
     [(-1e-6, 0.0), (0.0, -1e-6), (math.nan, 0.0), (0.0, math.nan)],
 )
 def test_a_tick_rejects_a_negative_or_nan_power(input_power, load_power):
-    modes = []
-    with pytest.raises(ValueError, match="^input_power and load_power must be >= 0$"):
-        run, _, modes = harvester_ticker(HarvesterParams(), 1e-3, [0.7], [input_power])
-        run(DEPLETED, 0.0, 0.0, 0.0, 0, 1, load_power)
-    assert modes == []
+    message = "^input_power and load_power must be >= 0$"
+    if not input_power >= 0:
+        with pytest.raises(ValueError, match=message):
+            Harvester(HarvesterParams(), 1e-3, [0.7], [input_power])
+        return
+    h = Harvester(HarvesterParams(), 1e-3, [0.7] * 2, [1e-3] * 2)
+    h.run(1, 0.0)  # one cold-start tick: not the start state
+    before = h.k, h.mode, h.e_cap, h.harvested, h.consumed, list(h.modes)
+    with pytest.raises(ValueError, match=message):
+        h.run(2, load_power)
+    # a rejected run leaves the state as it was
+    assert (h.k, h.mode, h.e_cap, h.harvested, h.consumed, h.modes) == before
 
 
 def test_params_validation():

@@ -335,6 +335,10 @@ def test_calibration_reports_no_convergence():
         calibrate_tx_amplitude(sc, 4.12, rel_tol=1e-15, max_iter=5)
 
 
+def no_run(sc):
+    raise AssertionError("a run was made")
+
+
 @pytest.mark.parametrize(
     "target, max_iter, message",
     [
@@ -343,14 +347,28 @@ def test_calibration_reports_no_convergence():
         (-1.0, 60, "^target_peak_v must be positive and finite, got -1.0$"),
         (0.0, 60, "^target_peak_v must be positive and finite, got 0.0$"),
         (4.12, 0, "^max_iter must be >= 1, got 0$"),
+        (4.12, 2.5, "^max_iter must be an integer, got 2.5$"),
+        (4.12, True, "^max_iter must be an integer, got True$"),
     ],
 )
 def test_calibration_names_a_bad_argument_before_the_first_run(
     target, max_iter, message, monkeypatch
 ):
-    def no_run(sc):
-        raise AssertionError("a run was made")
-
     monkeypatch.setattr(sim, "run_scenario", no_run)
     with pytest.raises(ConfigurationError, match=message):
         calibrate_tx_amplitude(reference_scenario(amplitude=1.0), target, max_iter=max_iter)
+
+
+@pytest.mark.parametrize(
+    "rel_tol, message",
+    [
+        (math.nan, "^rel_tol must be a finite number, got nan$"),
+        (-1.0, "^rel_tol must be positive, got -1.0$"),
+        (0.0, "^rel_tol must be positive, got 0.0$"),
+    ],
+)
+def test_calibration_names_a_bad_rel_tol_before_the_first_run(rel_tol, message, monkeypatch):
+    monkeypatch.setattr(sim, "run_scenario", no_run)
+    with pytest.raises(ConfigurationError, match=message):
+        calibrate_tx_amplitude(reference_scenario(amplitude=1.0), 4.12, rel_tol=rel_tol)
+

@@ -13,6 +13,7 @@ presets.
 import math
 from bisect import bisect_left
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import numpy as np
@@ -77,14 +78,17 @@ def per_tick_run_ticks(sc, trace, dt, ends, v_in, p_in):
         consumed += drained
         energies.append(energy)
         modes.append((mode, 1))
-    return (dec_state, np.array(energies), modes, harvested, consumed, rail_up_time,
-            first_sync_time)
+    harvester = SimpleNamespace(
+        energy=np.array(energies), modes=modes, harvested=harvested, consumed=consumed
+    )
+    return dec_state, harvester, rail_up_time, first_sync_time
 
 
 def per_tick(out):
     """A `_run_ticks` result with the energies as floats and one mode per tick."""
-    dec_state, energy, modes, *rest = out
-    return dec_state, energy.tolist(), [m for m, count in modes for _ in range(count)], *rest
+    dec_state, h, *rest = out
+    modes = [m for m, count in h.modes for _ in range(count)]
+    return dec_state, h.energy.tolist(), modes, h.harvested, h.consumed, *rest
 
 
 DT = 0.125  # s; tick ends and the 1/32 s edge grid below are exact binary fractions
