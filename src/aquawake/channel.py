@@ -79,30 +79,55 @@ def critical_reflection_distance(bit_rate: float, sound_speed: float = ChannelMo
     return sound_speed / bit_rate
 
 
-def propagate(tx: Waveform, channel: ChannelModel, seed: int = 0) -> Waveform:
-    """Apply the channel to a transmit waveform.
-
-    Each path contributes a delayed, scaled copy (delays rounded to the
-    nearest sample); echo gains are relative to the attenuated direct
-    arrival. Output is long enough to hold the latest tap in full. `seed`
-    drives the noise generator.
-    """
-    sr = tx.sample_rate
+def _taps(channel: ChannelModel, sample_rate: float) -> list[tuple[int, float]]:
+    """(delay in samples, amplitude gain) per path, the direct path first."""
     g0 = channel.direct_gain()
     taps = [(channel.distance / channel.sound_speed, g0)]
     for e in channel.echoes:
         taps.append(
             ((channel.distance + e.extra_path) / channel.sound_speed, g0 * e.gain)
         )
+    return [(round(t * sample_rate), gain) for t, gain in taps]
 
-    delays = [round(t * sr) for t, _ in taps]
-    n = len(tx.samples) + max(delays)
-    out = np.zeros(n, dtype=np.float64)
-    for d, (_, gain) in zip(delays, taps):
-        out[d : d + len(tx.samples)] += gain * tx.samples
+
+def received_length(tx: Waveform, channel: ChannelModel) -> int:
+    """Samples in the received signal: long enough to hold the latest tap in full."""
+    return len(tx.samples) + max(d for d, _ in _taps(channel, tx.sample_rate))
+
+
+def propagate(
+    tx: Waveform,
+    channel: ChannelModel,
+    seed: int | np.random.Generator = 0,
+    start: int = 0,
+    stop: int | None = None,
+) -> Waveform:
+    """Apply the channel to a transmit waveform; samples `[start, stop)` of the result.
+
+    Each path contributes a delayed, scaled copy (delays rounded to the
+    nearest sample); echo gains are relative to the attenuated direct
+    arrival. The whole output, `received_length(tx, channel)` samples, is
+    long enough to hold the latest tap in full; `stop=None` runs to its end.
+    `seed` drives the noise generator: an int seeds a new one, and a
+    `np.random.Generator` is drawn from as it stands. Consecutive ranges
+    drawn from one Generator equal one call over their union, bit for bit.
+    """
+    sr = tx.sample_rate
+    taps = _taps(channel, sr)
+    n_tx = len(tx.samples)
+    n = n_tx + max(d for d, _ in taps)
+    if stop is None:
+        stop = n
+    if not 0 <= start <= stop <= n:
+        raise ValueError(f"need 0 <= start <= stop <= {n}, got start {start} and stop {stop}")
+    out = np.zeros(stop - start, dtype=np.float64)
+    for d, gain in taps:
+        lo, hi = max(start, d), min(stop, d + n_tx)
+        if lo < hi:
+            out[lo - start : hi - start] += gain * tx.samples[lo - d : hi - d]
 
     if channel.noise_rms > 0:
         rng = np.random.default_rng(seed)
-        out += rng.normal(0.0, channel.noise_rms, size=n)
+        out += rng.normal(0.0, channel.noise_rms, size=stop - start)
 
     return Waveform(sample_rate=sr, samples=out, unit=tx.unit)

@@ -6,8 +6,11 @@ dual-time-constant comparator that turns envelope rises into digital edges.
 The harvester branch taps the rectified transducer output directly and is
 wired up in the simulation engine, not here.
 
-Every stage is a pure function on Waveforms with zero initial filter state,
-so stages are causal and runs are reproducible by construction.
+Every stage is a function on Waveforms. The filtering stages take an
+optional carried state: `None` starts from zero, and a state passed in is
+updated in place, so a signal fed block by block gives the same bytes as
+one call over the whole of it. Stages are causal, and runs are
+reproducible by construction.
 
 All filtering goes through `_lfilter`, which calls scipy's C IIR kernel
 without importing `scipy.signal` (about 1.3 s of start-up on its own).
@@ -18,7 +21,8 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -117,11 +121,22 @@ def _load_linear_filter():
 _linear_filter = _load_linear_filter()
 
 
-def _lfilter(b, a, x: np.ndarray) -> np.ndarray:
-    """IIR filter (b, a) along x from zero initial state; a has at least two taps."""
-    return _linear_filter(np.atleast_1d(b), np.atleast_1d(a), x, -1)
+def _lfilter(b, a, x: np.ndarray, zi: np.ndarray | None = None) -> np.ndarray:
+    """IIR filter (b, a) along x; a has at least two taps.
+
+    `zi` is the filter's state, `len(a) - 1` values: None starts from zero,
+    and an array passed in starts from its values and is left holding the
+    state after the last sample.
+    """
+    if zi is None:
+        return _linear_filter(b, a, x, -1)
+    y, zi[...] = _linear_filter(b, a, x, -1, zi)
+    return y
 
 
+# coefficients are computed once per distinct design, not once per block; the
+# arrays are read-only, as every caller shares them
+@lru_cache(maxsize=64)
 def _biquad_bandpass_coeffs(center: float, q: float, sample_rate: float, key: str):
     """Constant-peak-gain band-pass biquad (unity at center); `key` names the center."""
     if center >= sample_rate / 2:
@@ -134,17 +149,34 @@ def _biquad_bandpass_coeffs(center: float, q: float, sample_rate: float, key: st
     a0 = 1.0 + alpha
     b = np.array([alpha, 0.0, -alpha]) / a0
     a = np.array([1.0, -2.0 * np.cos(w0) / a0, (1.0 - alpha) / a0])
+    b.flags.writeable = a.flags.writeable = False
     return b, a
 
 
-def _one_pole_lowpass(x: np.ndarray, tau: float, sample_rate: float) -> np.ndarray:
-    """Unity-DC-gain RC low-pass, zero initial state."""
+@lru_cache(maxsize=64)
+def _one_pole_coeffs(tau: float, sample_rate: float):
     beta = np.exp(-1.0 / (tau * sample_rate))
-    return _lfilter([1.0 - beta], [1.0, -beta], x)
+    b, a = np.array([1.0 - beta]), np.array([1.0, -beta])
+    b.flags.writeable = a.flags.writeable = False
+    return b, a
 
 
-def transduce(pressure: Waveform, model: TransducerModel) -> Waveform:
-    """Pressure to open-circuit voltage through the resonant element."""
+def _one_pole_lowpass(
+    x: np.ndarray, tau: float, sample_rate: float, zi: np.ndarray | None = None
+) -> np.ndarray:
+    """Unity-DC-gain RC low-pass; `zi` as for `_lfilter`, one value."""
+    b, a = _one_pole_coeffs(tau, sample_rate)
+    return _lfilter(b, a, x, zi)
+
+
+def transduce(
+    pressure: Waveform, model: TransducerModel, zi: np.ndarray | None = None
+) -> Waveform:
+    """Pressure to open-circuit voltage through the resonant element.
+
+    `zi` is the element's biquad state (two values): None starts at rest,
+    and an array passed in is carried on in place.
+    """
     if pressure.unit is not SignalUnit.PRESSURE:
         raise UnitMismatchError(
             f"transducer input must be pressure, got {pressure.unit.value}"
@@ -152,7 +184,7 @@ def transduce(pressure: Waveform, model: TransducerModel) -> Waveform:
     b, a = _biquad_bandpass_coeffs(
         model.resonance_freq, model.q, pressure.sample_rate, "transducer.resonance_freq"
     )
-    volts = _lfilter(b, a, pressure.samples)
+    volts = _lfilter(b, a, pressure.samples, zi)
     volts *= model.sensitivity
     return Waveform(pressure.sample_rate, volts, SignalUnit.VOLTS)
 
@@ -172,44 +204,74 @@ def rectify(v: Waveform, model: RectifierModel) -> Waveform:
     return Waveform(v.sample_rate, out, SignalUnit.VOLTS)
 
 
-def bandpass(v: Waveform, params: DemodParams) -> Waveform:
-    """Carrier-selection band-pass, unity gain at its center frequency."""
+def bandpass(v: Waveform, params: DemodParams, zi: np.ndarray | None = None) -> Waveform:
+    """Carrier-selection band-pass, unity gain at its center frequency.
+
+    `zi` is its biquad state (two values), as for `transduce`.
+    """
     if v.unit is not SignalUnit.VOLTS:
         raise UnitMismatchError(f"band-pass input must be volts, got {v.unit.value}")
     b, a = _biquad_bandpass_coeffs(
         params.bandpass_center, params.bandpass_q, v.sample_rate, "demod.bandpass_center"
     )
-    return Waveform(v.sample_rate, _lfilter(b, a, v.samples), SignalUnit.VOLTS)
+    return Waveform(v.sample_rate, _lfilter(b, a, v.samples, zi), SignalUnit.VOLTS)
 
 
-def envelope(v: Waveform, params: DemodParams) -> Waveform:
-    """One-pole envelope detector over a rectified input."""
+def envelope(v: Waveform, params: DemodParams, zi: np.ndarray | None = None) -> Waveform:
+    """One-pole envelope detector over a rectified input.
+
+    `zi` is its RC state (one value), as for `transduce`.
+    """
     if v.unit is not SignalUnit.VOLTS:
         raise UnitMismatchError(f"envelope input must be volts, got {v.unit.value}")
-    if np.any(v.samples < 0):
+    if (v.samples < 0).any():
         raise ValueError("envelope expects a non-negative (rectified) input")
-    out = _one_pole_lowpass(v.samples, params.envelope_tau, v.sample_rate)
+    out = _one_pole_lowpass(v.samples, params.envelope_tau, v.sample_rate, zi)
     return Waveform(v.sample_rate, out, SignalUnit.VOLTS)
 
 
-def comparator(env: Waveform, params: DemodParams) -> DigitalTrace:
+@dataclass
+class ComparatorState:
+    """What the comparator carries from one block of its input to the next."""
+
+    fast_zi: np.ndarray = field(default_factory=lambda: np.zeros(1))  # plus input's RC
+    slow_zi: np.ndarray = field(default_factory=lambda: np.zeros(1))  # minus input's RC
+    level: bool = False  # the latched output; low before the first edge
+    offset: int = 0  # samples before the block, so edge times stay index / sample rate
+
+
+def comparator(
+    env: Waveform, params: DemodParams, state: ComparatorState | None = None
+) -> DigitalTrace:
     """Dual-time-constant edge detector.
 
     The plus input follows the envelope through a fast RC, the minus input
     through a slow RC scaled by reference_gain. Output goes high while
     plus > minus + hysteresis, low while plus < minus - hysteresis, and
-    latches in between. Returns the transition list.
+    latches in between. Returns the transition list. `state` is None for a
+    whole signal; a `ComparatorState` passed in carries the comparator from
+    the previous block and is updated in place.
     """
     if env.unit is not SignalUnit.VOLTS:
         raise UnitMismatchError(f"comparator input must be volts, got {env.unit.value}")
+    if state is None:
+        state = ComparatorState()
     sr = env.sample_rate
-    plus = _one_pole_lowpass(env.samples, params.fast_tau, sr)
-    minus = _one_pole_lowpass(env.samples, params.slow_tau, sr)
+    plus = _one_pole_lowpass(env.samples, params.fast_tau, sr, state.fast_zi)
+    minus = _one_pole_lowpass(env.samples, params.slow_tau, sr, state.slow_zi)
     minus *= params.reference_gain
     diff = np.subtract(plus, minus, out=plus)
 
-    # the level changes only at samples outside the band, and is low before the first
+    # the level changes only at samples outside the band whose side differs
+    # from the level before them; a block starts at the level carried in
     decided = np.flatnonzero(np.abs(diff) > params.hysteresis)
     high = diff[decided] > 0
-    changes = np.flatnonzero(np.diff(high, prepend=False))
-    return DigitalTrace(edge_times=decided[changes] / sr, edge_levels=high[changes])
+    before = np.empty_like(high)
+    before[:1] = state.level
+    before[1:] = high[:-1]
+    changes = np.flatnonzero(high != before)
+    times = (decided[changes] + state.offset) / sr
+    if len(high):
+        state.level = bool(high[-1])
+    state.offset += len(diff)
+    return DigitalTrace(edge_times=times, edge_levels=high[changes])

@@ -128,6 +128,8 @@ class Harvester:
     def run(self, stop: int, load_power: float) -> None:
         """Advance from tick `k` under one load, up to `stop` or past the first
         tick whose mode crosses the rail boundary or whose load empties the cap."""
+        if stop > len(self.energy):
+            raise ValueError(f"stop {stop} is past the last of the {len(self.energy)} ticks")
         if not load_power >= 0:
             raise ValueError("input_power and load_power must be >= 0")
         drain = load_power * self._dt / self._boost_efficiency

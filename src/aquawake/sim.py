@@ -6,7 +6,10 @@ run_scenario wires the whole receive path together on one sample clock:
                                          { band-pass -> rectifier -> envelope
                                            -> comparator -> decoder
 
-The analog chain is computed vectorized over the full run; the harvester
+The analog chain handles the received signal as it arrives, as the
+receiver's does: in blocks of BLOCK_SAMPLES samples (whole harvester
+ticks), each stage carrying its state from one block to the next, so the
+result is the same bytes as one pass over the whole run. The harvester
 advances on a decimated tick and gates the decoder, which only sees
 comparator events while the regulated rail is up. The load steps from
 listening to decoding at the first accepted sync edge and back after the
@@ -28,12 +31,13 @@ from math import inf
 import numpy as np
 
 from . import decoder as dec
-from .channel import ChannelModel, propagate
+from .channel import ChannelModel, propagate, received_length
 from .config import Config, Count, NonNegative, NonNegativeInt, Positive, is_finite, shown
 from .errors import ConfigurationError, InvariantError, SignalRangeError
 from .frame import ModulationParams, WakeupFrame, modulate_frame
 from .frontend import (
     BIT_PERIOD_SHARES,
+    ComparatorState,
     DemodParams,
     RectifierModel,
     TransducerModel,
@@ -61,8 +65,13 @@ _SWEEP_TARGETS = {
 }
 SWEEPABLE_PARAMETERS = tuple(_SWEEP_TARGETS)
 
-# samples one run may allocate per signal, about 37 s at the default 224 kHz
+# samples one run may span, about 37 s at the default 224 kHz; the transmit
+# waveform and the per-tick harvester inputs are the only whole-run arrays
 MAX_SAMPLES = 2**23
+# samples the receive chain takes per block, rounded down to whole harvester
+# ticks: small enough that the allocator reuses each block's arrays for the
+# next, where whole-run arrays were mapped and returned to the system each run
+BLOCK_SAMPLES = 8192
 # runs one sweep may make, values times trials: about 50x the 1256-run
 # criterion-4 sweep; rows are kept in memory until the sweep ends
 MAX_SWEEP_RUNS = 2**16
@@ -217,23 +226,38 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     tail = np.zeros(round(sc.sim.tail_duration * sr))
     tx = Waveform(sr, np.concatenate([tx.samples, tail]), tx.unit)
     decim = sc.sim.harvester_decimation
+    r_in = sc.sim.input_resistance
+    n = received_length(tx, sc.channel)
+    n_ticks = (n + decim - 1) // decim
+    block = max(BLOCK_SAMPLES // decim, 1) * decim
+    # one noise stream, drawn block by block; a silent channel needs no generator
+    noise = np.random.default_rng(sc.sim.seed) if sc.channel.noise_rms > 0 else sc.sim.seed
+    xdcr_zi, bandpass_zi, envelope_zi = np.zeros(2), np.zeros(2), np.zeros(1)
+    comparator_state = ComparatorState()
+    edge_times, edge_levels = [], []
+    v_in, p_in = np.empty(n_ticks), np.empty(n_ticks)  # per-tick input stats for the harvester
     # overflow shows as a non-finite waveform or input power, named below
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            rx = propagate(tx, sc.channel, sc.sim.seed)
-            v_xdcr = transduce(rx, sc.transducer)
-            v_harv = rectify(v_xdcr, sc.rectifier)
-            env = envelope(rectify(bandpass(v_xdcr, demod), sc.rectifier), demod)
-            trace = comparator(env, demod)
+            for start in range(0, n, block):
+                stop = min(start + block, n)
+                rx = propagate(tx, sc.channel, noise, start, stop)
+                v_xdcr = transduce(rx, sc.transducer, xdcr_zi)
+                v_harv = rectify(v_xdcr, sc.rectifier).samples
+                filtered = rectify(bandpass(v_xdcr, demod, bandpass_zi), sc.rectifier)
+                edges = comparator(envelope(filtered, demod, envelope_zi), demod, comparator_state)
+                edge_times.append(edges.edge_times)
+                edge_levels.append(edges.edge_levels)
 
-            # per-tick input stats for the harvester
-            n = len(v_harv.samples)
-            n_ticks = (n + decim - 1) // decim
-            padded = np.zeros(n_ticks * decim)
-            padded[:n] = v_harv.samples
-            windows = padded.reshape(n_ticks, decim)
-            v_in = windows.mean(axis=1)
-            p_in = (windows**2).mean(axis=1) / sc.sim.input_resistance
+                k0, k1 = start // decim, (stop + decim - 1) // decim
+                pad = (k1 - k0) * decim - len(v_harv)
+                if pad:  # the run's last tick, padded with zeros
+                    v_harv = np.concatenate([v_harv, np.zeros(pad)])
+                windows = v_harv.reshape(k1 - k0, decim)
+                v_in[k0:k1] = np.add.reduce(windows, axis=1) / decim
+                windows *= windows
+                p_in[k0:k1] = np.add.reduce(windows, axis=1) / decim / r_in
+        # checked after the last block: a non-finite waveform in any block is named first
         if not np.isfinite(p_in).all():
             raise SignalRangeError("harvester input power is not finite")
     except SignalRangeError as exc:
@@ -244,6 +268,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
             "lower the direct-path gain through channel.distance, channel.spreading_exponent "
             "or channel.absorption_db_per_km"
         ) from exc
+    trace = DigitalTrace(np.concatenate(edge_times), np.concatenate(edge_levels))
     dt = decim / sr
     ends = np.arange(n_ticks) * dt + dt
     dec_state, harvester, rail_up_time, first_sync_time = _run_ticks(

@@ -33,7 +33,7 @@ class Waveform:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ConfigurationError("waveform samples must be one-dimensional")
-        if not np.all(np.isfinite(self.samples)):
+        if not np.isfinite(self.samples).all():
             raise SignalRangeError("waveform contains non-finite samples")
 
     def energy(self) -> float:
@@ -57,7 +57,7 @@ class DigitalTrace:
         self.edge_levels = np.asarray(self.edge_levels, dtype=bool)
         if len(self.edge_times) != len(self.edge_levels):
             raise ConfigurationError("edge_times and edge_levels length mismatch")
-        if len(self.edge_times) > 1 and np.any(np.diff(self.edge_times) < 0):
+        if (self.edge_times[1:] < self.edge_times[:-1]).any():
             raise ConfigurationError("edge times must be nondecreasing")
 
     def rising_times(self) -> np.ndarray:

@@ -279,6 +279,42 @@ def test_run_rejects_a_bad_key_by_name(old, new, message, tmp_path):
     assert "RuntimeWarning" not in stderr and "Traceback" not in stderr
 
 
+@pytest.mark.parametrize(
+    "noise_rms, cause",
+    [
+        ("0.0", "waveform contains non-finite samples"),
+        # the noise alone overflows the input power in the first block, and the
+        # arrival a waveform in a later one: the waveform is named, as for one pass
+        ("1.0e-45", "waveform contains non-finite samples"),
+    ],
+    ids=["silent_until_the_arrival", "input_power_first"],
+)
+def test_an_overflow_after_the_first_block_is_named(noise_rms, cause, tmp_path):
+    text = preset_path("paper_fig5").read_text()
+    edits = [
+        ("tx_amplitude: 34.6064", "tx_amplitude: 1.0e+200"),
+        ("distance: 1.0 ", "distance: 100.0"),
+        ("noise_rms: 0.0 ", f"noise_rms: {noise_rms}"),
+        ("harvester:\n", "transducer:\n  sensitivity: 1.0e+200\nharvester:\n"),
+    ]
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path = tmp_path / "far.scenario"
+    path.write_text(text)
+    sc = load_scenario(path)
+    # the direct arrival, where the signal first overflows, lies past the first block
+    arrival = round(sc.channel.distance / sc.channel.sound_speed * sc.modulation.sample_rate)
+    assert arrival > sim.BLOCK_SAMPLES
+    code, _, stderr = cli("run", str(path), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert stderr == (
+        f"error: signal level leaves float range ({cause}; direct-path gain 9.86049e-05); "
+        f"lower {SIGNAL_LEVEL}\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_rejects_non_finite_values(scenario_file, tmp_path):
     out = tmp_path / "out"
     code, _, stderr = cli(

@@ -223,6 +223,17 @@ def test_a_tick_rejects_a_negative_or_nan_power(input_power, load_power):
     assert (h.k, h.mode, h.e_cap, h.harvested, h.consumed, h.modes) == before
 
 
+def test_a_run_rejects_a_stop_past_the_last_tick():
+    h = Harvester(HarvesterParams(), 1e-3, [0.7] * 2, [1e-3] * 2)
+    with pytest.raises(ValueError, match="^stop 5 is past the last of the 2 ticks$"):
+        h.run(5, 0.0)
+    # rejected before the first tick: still the start state
+    start = (0, HarvesterMode.DEPLETED, 0.0, 0.0, 0.0, [])
+    assert (h.k, h.mode, h.e_cap, h.harvested, h.consumed, h.modes) == start
+    h.run(2, 0.0)  # the end of the last tick is a valid stop
+    assert h.k == 2 and h.mode is HarvesterMode.COLD_START
+
+
 def test_params_validation():
     with pytest.raises(ConfigurationError):
         HarvesterParams(coldstart_efficiency=0.0)
