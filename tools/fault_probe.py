@@ -5,7 +5,7 @@
 Runs the first `--requests` requests of one `perfbench/workloads.py`
 workload in this process, after its warm-up, and reads
 `resource.getrusage(RUSAGE_SELF)` before and after each one. Prints one
-JSON object: the median and quartiles per request of minor page faults
+JSON object: the mean, median and quartiles per request of minor page faults
 (`minflt`), system time (`sys_ms`), user time (`user_ms`) and wall time
 (`wall_ms`), with the Python, numpy and scipy versions and the CPU count.
 
@@ -32,9 +32,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def quartiles(values: list[float]) -> dict[str, float]:
+def summary(values: list[float]) -> dict[str, float]:
     q1, q2, q3 = statistics.quantiles(values, n=4)
-    return {"p25": round(q1, 4), "p50": round(q2, 4), "p75": round(q3, 4)}
+    mean = statistics.fmean(values)
+    return {name: round(v, 4) for name, v in zip(("mean", "p25", "p50", "p75"), (mean, q1, q2, q3))}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -88,8 +89,7 @@ def main(argv: list[str] | None = None) -> int:
             "scipy": scipy.__version__,
             "nproc": os.cpu_count(),
         },
-        **{name: quartiles(values) for name, values in per_request.items()},
-        "minflt_mean": round(statistics.fmean(per_request["minflt"]), 2),
+        **{name: summary(values) for name, values in per_request.items()},
     }
     print(json.dumps(report))
     return 1 if failed else 0
