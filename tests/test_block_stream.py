@@ -37,7 +37,7 @@ DECIMATION = SimOptions().harvester_decimation
 # block size -> longest signal drawn for it; None is one block of the whole signal
 MAX_SAMPLES = {1: 100, 7: 700, DECIMATION: 6_400, sim.BLOCK_SAMPLES: 30_000, None: 30_000}
 BLOCK_SIZES = pytest.mark.parametrize("size", list(MAX_SAMPLES), ids=str)
-EXAMPLES = settings(max_examples=10, deadline=None, derandomize=True)
+EXAMPLES = settings(max_examples=6, deadline=None, derandomize=True)
 
 
 def spans(n: int, size: int | None) -> list[tuple[int, int]]:
