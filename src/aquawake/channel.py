@@ -110,7 +110,9 @@ def propagate(
     long enough to hold the latest tap in full; `stop=None` runs to its end.
     `seed` drives the noise generator: an int seeds a new one, and a
     `np.random.Generator` is drawn from as it stands. Consecutive ranges
-    drawn from one Generator equal one call over their union, bit for bit.
+    drawn from one Generator equal one call over their union, bit for bit;
+    a noisy range past sample 0 needs such a Generator, since an int seed
+    would start its noise at sample 0.
     """
     sr = tx.sample_rate
     taps = _taps(channel, sr)
@@ -120,6 +122,8 @@ def propagate(
         stop = n
     if not 0 <= start <= stop <= n:
         raise ValueError(f"need 0 <= start <= stop <= {n}, got start {start} and stop {stop}")
+    if start > 0 and channel.noise_rms > 0 and not isinstance(seed, np.random.Generator):
+        raise ValueError("an int seed draws noise from sample 0; pass a Generator for start > 0")
     out = np.zeros(stop - start, dtype=np.float64)
     for d, gain in taps:
         lo, hi = max(start, d), min(stop, d + n_tx)

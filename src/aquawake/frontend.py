@@ -100,8 +100,8 @@ def _load_linear_filter():
 
     `find_spec("scipy")` locates the package without running its __init__,
     and only the `_sigtools` extension is loaded from it. For a denominator
-    longer than one coefficient, `lfilter(b, a, x, -1)` makes exactly the call
-    `_linear_filter(b, a, x, -1)`, so both routes give the same bytes.
+    longer than one coefficient, `lfilter(b, a, x, -1, zi)` makes exactly the
+    call `_linear_filter(b, a, x, -1, zi)`, so both routes give the same bytes.
     """
     scipy_spec = importlib.util.find_spec("scipy")
     if scipy_spec is not None:
@@ -129,7 +129,7 @@ def _lfilter(b, a, x: np.ndarray, zi: np.ndarray | None = None) -> np.ndarray:
     state after the last sample.
     """
     if zi is None:
-        return _linear_filter(b, a, x, -1)
+        zi = np.zeros(len(a) - 1)
     y, zi[...] = _linear_filter(b, a, x, -1, zi)
     return y
 

@@ -156,3 +156,9 @@ def test_propagate_rejects_a_range_outside_its_output():
     for start, stop in [(-1, 10), (10, 5), (0, n + 1)]:
         with pytest.raises(ValueError, match=f"^need 0 <= start <= stop <= {n}, got"):
             propagate(tx, ChannelModel(), 0, start, stop)
+    # an int seed would draw the noise of sample 0 for a later range
+    noisy = ChannelModel(noise_rms=0.1)
+    with pytest.raises(ValueError, match="^an int seed draws noise from sample 0; pass a Generator"):
+        propagate(tx, noisy, 3, 10, 20)
+    propagate(tx, noisy, np.random.default_rng(3), 10, 20)
+    propagate(tx, ChannelModel(noise_rms=0.0), 3, 10, 20)
