@@ -10,6 +10,7 @@ silence; the transmitter emits no energy outside bursts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,38 +60,69 @@ class ModulationParams(Config):
             )
 
 
-def modulate_frame(frame: WakeupFrame, params: ModulationParams) -> Waveform:
-    """Synthesize the transmit pressure waveform for one frame.
+@lru_cache(maxsize=64)
+def _slots(sr: float, bit_rate: float, preamble: float, guard: float, duty: float):
+    spb = sr / bit_rate  # samples per bit, fractional
+    n_pre = round(preamble * sr)
+    data_start = n_pre + round(guard * sr)
+    slot_starts = tuple(data_start + round(k * spb) for k in range(FRAME_BITS + 1))
+    return n_pre, slot_starts, round(duty * spb)
+
+
+def _layout(frame: WakeupFrame, params: ModulationParams):
+    """Preamble samples, the FRAME_BITS + 1 slot boundaries and the burst length,
+    worked out once per design."""
+    return _slots(params.sample_rate, frame.bit_rate, frame.preamble_duration,
+                  frame.guard_duration, params.pulse_duty)
+
+
+# a few designs' carriers: a table holds about 90 KB for a 50 ms preamble at 224 kHz
+@lru_cache(maxsize=4)
+def _unit_sine(omega: float, length: int) -> np.ndarray:
+    """sin(omega * k) for k < length, read-only, since every caller shares it."""
+    table = np.sin(omega * np.arange(length))
+    table.flags.writeable = False
+    return table
+
+
+def frame_length(frame: WakeupFrame, params: ModulationParams) -> int:
+    """Samples in the modulated frame, up to the end of its last bit slot."""
+    return _layout(frame, params)[1][-1]
+
+
+def modulate_frame(
+    frame: WakeupFrame, params: ModulationParams, start: int = 0, stop: int | None = None
+) -> Waveform:
+    """Synthesize samples `[start, stop)` of the transmit pressure waveform for one frame.
 
     Slot boundaries land on rounded sample indices; every 1-burst restarts
     the carrier at zero phase and uses the same sample count, so all bursts
-    are sample-identical. 0-slots are written as exact zeros.
+    are sample-identical. 0-slots are written as exact zeros, and so is
+    every sample past the frame's `frame_length(frame, params)`, where
+    `stop=None` ends. The preamble and the bursts are prefixes of one cached
+    carrier table, scaled by `tx_amplitude` on each call, so consecutive
+    ranges give the bytes of one call over their union.
     """
     sr = params.sample_rate
-    spb = sr / frame.bit_rate  # samples per bit, fractional
-    n_pre = round(frame.preamble_duration * sr)
-    n_guard = round(frame.guard_duration * sr)
-    data_start = n_pre + n_guard
-    slot_starts = [data_start + round(k * spb) for k in range(FRAME_BITS + 1)]
-    total = slot_starts[-1]
-
-    out = np.zeros(total, dtype=np.float64)
-    omega = 2.0 * np.pi * params.carrier_freq / sr
+    n_pre, slot_starts, burst_len = _layout(frame, params)
+    if stop is None:
+        stop = slot_starts[-1]
+    if not 0 <= start <= stop:
+        raise ValueError(f"need 0 <= start <= stop, got start {start} and stop {stop}")
+    # (first sample, length) of each carrier run; a burst is clamped to its slot
+    # so rounding at duty ~ 1 cannot leak into a 0-slot
+    runs = [(0, n_pre)] + [
+        (s, min(burst_len, e - s))
+        for s, e, bit in zip(slot_starts, slot_starts[1:], frame.bits())
+        if bit
+    ]
+    carrier = _unit_sine(2.0 * np.pi * params.carrier_freq / sr, max(n_pre, burst_len))
     amp = params.tx_amplitude
-
-    if n_pre:
-        out[:n_pre] = amp * np.sin(omega * np.arange(n_pre))
-
-    burst_len = round(params.pulse_duty * spb)
-    burst = amp * np.sin(omega * np.arange(burst_len))
-    for k, bit in enumerate(frame.bits()):
-        if not bit:
-            continue
-        start = slot_starts[k]
-        # clamp to the slot so rounding at duty ~ 1 cannot leak into a 0-slot
-        n = min(burst_len, slot_starts[k + 1] - start)
-        out[start : start + n] = burst[:n]
-
+    out = np.zeros(stop - start, dtype=np.float64)
+    for s, n in runs:
+        lo, hi = max(start, s), min(stop, s + n)
+        if lo < hi:
+            out[lo - start : hi - start] = amp * carrier[lo - s : hi - s]
     return Waveform(sample_rate=sr, samples=out, unit=SignalUnit.PRESSURE)
 
 

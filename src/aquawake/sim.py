@@ -9,17 +9,20 @@ run_scenario wires the whole receive path together on one sample clock:
 The analog chain handles the received signal as it arrives, as the
 receiver's does: in blocks of BLOCK_SAMPLES samples (whole harvester
 ticks), each stage carrying its state from one block to the next, so the
-result is the same bytes as one pass over the whole run. The harvester
-advances on a decimated tick and gates the decoder, which only sees
-comparator events while the regulated rail is up. The load steps from
-listening to decoding at the first accepted sync edge and back after the
-decision, mirroring how the real receiver spends its budget. Like the
-receiver, the engine is event-driven: the harvester advances in spans of
-ticks between decoder events and rail-boundary crossings, and only a span
-boundary costs an engine iteration. The run's `power.Harvester` keeps the
-cap's energy, not its voltage: a span is one running sum of the ticks'
-banked and drained energy, computed by numpy, and the cap-voltage trace is
-one square root over the per-tick energies after the loop.
+result is the same bytes as one pass over the whole run. Each block
+modulates only the transmit samples its channel taps read, so no stage
+holds a whole-run sample array. The harvester advances on a decimated tick
+and gates the decoder, which only sees comparator events while the
+regulated rail is up. The load steps from listening to decoding at the
+first accepted sync edge and back after the decision, mirroring how the
+real receiver spends its budget. Like the receiver, the engine is
+event-driven: the decoder is fed ahead to the next load change, and the
+harvester advances in spans of ticks between load changes and
+rail-boundary crossings, so only a span boundary costs a harvester call.
+The run's `power.Harvester` keeps the cap's energy, not its voltage: a span
+is one running sum of the ticks' banked and drained energy, computed by
+numpy, and the cap-voltage trace is one square root over the per-tick
+energies after the loop.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ from math import inf
 import numpy as np
 
 from . import decoder as dec
-from .channel import ChannelModel, propagate, received_length
+from .channel import ChannelModel, _taps, propagate
 from .config import Config, Count, NonNegative, NonNegativeInt, Positive, is_finite, shown
 from .errors import ConfigurationError, InvariantError, SignalRangeError
-from .frame import ModulationParams, WakeupFrame, modulate_frame
+from .frame import ModulationParams, WakeupFrame, frame_length, modulate_frame
 from .frontend import (
     BIT_PERIOD_SHARES,
     ComparatorState,
@@ -48,7 +51,7 @@ from .frontend import (
     transduce,
 )
 from .power import Harvester, HarvesterMode, HarvesterParams, LoadProfile
-from .waveform import DigitalTrace, Waveform
+from .waveform import DigitalTrace
 
 # a placeholder, never called: perfbench/tracing.py still names
 # `sim.harvester_step` as a patch point, which must resolve. The benchmark-only
@@ -65,8 +68,9 @@ _SWEEP_TARGETS = {
 }
 SWEEPABLE_PARAMETERS = tuple(_SWEEP_TARGETS)
 
-# samples one run may span, about 37 s at the default 224 kHz; the transmit
-# waveform and the per-tick harvester inputs are the only whole-run arrays
+# samples one run may span, about 37 s at the default 224 kHz; the per-tick
+# harvester arrays are the only whole-run arrays, as the transmit is made per
+# block from a carrier table as long as the preamble
 MAX_SAMPLES = 2**23
 # samples the receive chain takes per block, rounded down to whole harvester
 # ticks: small enough that the allocator reuses each block's arrays for the
@@ -157,62 +161,79 @@ def _validate(sc: Scenario, demod: DemodParams) -> None:
 def _run_ticks(sc: Scenario, trace: DigitalTrace, dt: float, ends, v_in, p_in):
     """The harvester and decoder over the ticks ending at `ends`, fed `v_in`/`p_in`.
 
-    The `Harvester` advances in spans: each rail-up span starts by feeding
-    the decoder its events due in that tick, and runs on while no event
-    falls due; a rail-down span runs until the rail comes up. Returns the
-    final decoder state, the harvester after the last tick, and the rail-up
-    and first-sync times.
+    Tick j feeds the decoder the events due before `ends[j]` while the rail
+    is up at its start, and its load follows the decoder after them. The
+    `Harvester` advances in spans between load changes: from a rail-up tick
+    the decoder is fed ahead, tick by tick with events, up to the first tick
+    whose events flip `mid_frame`, and the span runs up to that tick under
+    one load. Decoder states are immutable, so the one after each fed tick
+    is kept; a span the rail leaves early resumes from the state after the
+    last tick that ran with the rail up. A rail-down span runs until the
+    rail comes up. Returns the final decoder state, the harvester after the
+    last tick, and the rail-up and first-sync times.
     """
     n_ticks = len(ends)
     rising = [*trace.rising_times().tolist(), inf]  # inf: no edge left
-    edge_idx = 0
-    dec_state = dec.DecoderState()
     decided = dec.DecoderPhase.DECIDED
     harvester = Harvester(sc.harvester, dt, v_in, p_in)
 
-    rail_up_time: float | None = None
-    first_sync_time: float | None = None
+    def feed(fed, t1):
+        """`fed`, a (decoder state, next edge index, first-sync time), after the
+        events due before t1, in time order with ties to the edge; and the time
+        of the earliest event left (inf: none, or decided)."""
+        state, edge_idx, first_sync_time = fed
+        while state.phase is not decided:
+            due = state.next_sample_time
+            edge = rising[edge_idx]
+            if due is not None and due < t1 and due < edge:
+                event = dec.LevelSample(due, trace.level_at(due))
+            elif edge < t1:
+                event = dec.RisingEdge(edge)
+                edge_idx += 1
+            else:
+                return (state, edge_idx, first_sync_time), edge if due is None else min(due, edge)
+            state = dec.decoder_feed(state, sc.decoder, event)
+            if first_sync_time is None:
+                first_sync_time = state.first_edge_time
+        return (state, edge_idx, first_sync_time), inf
 
+    fed = (dec.DecoderState(), 0, None)
+    rail_up_time: float | None = None
     while harvester.k < n_ticks:
         k = harvester.k
-        railed = harvester.mode is HarvesterMode.REGULATING
-        if railed:
+        if harvester.mode is HarvesterMode.REGULATING:
             if rail_up_time is None:
                 rail_up_time = k * dt  # the tick's start, as np.arange(n_ticks) * dt rounds it
-            # feed rising edges and due level samples in time order; ties go to the edge
-            t1 = ends[k]
-            nxt = inf  # the earliest event left after this tick's; none once decided
-            while dec_state.phase is not decided:
-                due = dec_state.next_sample_time
-                edge = rising[edge_idx]
-                if due is not None and due < t1 and due < edge:
-                    event = dec.LevelSample(due, trace.level_at(due))
-                elif edge < t1:
-                    event = dec.RisingEdge(edge)
-                    edge_idx += 1
-                else:
-                    nxt = edge if due is None else min(due, edge)
+            fed, nxt = feed(fed, ends[k])  # nothing new if tick k's events are in already
+            mid_frame = fed[0].mid_frame
+            kept = [(k, fed)]  # (tick, fed after its events)
+            j, stop = k, n_ticks
+            while nxt < inf:
+                j = bisect_right(ends, nxt, j + 1)  # the next tick that feeds an event
+                if j == n_ticks:
                     break
-                dec_state = dec.decoder_feed(dec_state, sc.decoder, event)
-                if first_sync_time is None:
-                    first_sync_time = dec_state.first_edge_time
+                fed, nxt = feed(fed, ends[j])
+                kept.append((j, fed))
+                if fed[0].mid_frame is not mid_frame:
+                    stop = j
+                    break
             # decode draw applies while the decoder is mid-frame, listen otherwise
-            if dec_state.mid_frame:
-                load = sc.load.p_decode
-            else:
-                load = sc.load.p_listen
-            # tick j feeds an event only when it falls before ends[j]
-            stop = bisect_right(ends, nxt, k + 1)
+            load = sc.load.p_decode if mid_frame else sc.load.p_listen
+            # a run also ends where the load empties the cap; the rail may hold there
+            while harvester.k < stop and harvester.mode is HarvesterMode.REGULATING:
+                harvester.run(stop, load)
+            # a state with tick j's events holds at tick j only if the rail is up there
+            last = harvester.k - (harvester.mode is not HarvesterMode.REGULATING)
+            fed = next(f for t, f in reversed(kept) if t <= last)
         else:
             # rail down: the passive receiver draws nothing, comparator events
             # are lost and any progress is gone
-            load = 0.0
-            if dec_state.mid_frame:
-                dec_state = dec.DecoderState()
-            stop = n_ticks
-        harvester.run(stop, load)
-        if not railed:
-            edge_idx = bisect_left(rising, ends[harvester.k - 1], edge_idx)
+            state, edge_idx, first_sync_time = fed
+            if state.mid_frame:
+                state = dec.DecoderState()
+            harvester.run(n_ticks, 0.0)
+            fed = (state, bisect_left(rising, ends[harvester.k - 1], edge_idx), first_sync_time)
+    dec_state, _, first_sync_time = fed
     return dec_state, harvester, rail_up_time, first_sync_time
 
 
@@ -222,12 +243,14 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     _validate(sc, demod)
     sr = sc.modulation.sample_rate
 
-    tx = modulate_frame(sc.frame, sc.modulation)
-    tail = np.zeros(round(sc.sim.tail_duration * sr))
-    tx = Waveform(sr, np.concatenate([tx.samples, tail]), tx.unit)
+    # the transmit is the frame and then the tail's silence, which modulate_frame
+    # gives past the frame; the received signal holds its latest tap in full
+    n_tx = frame_length(sc.frame, sc.modulation) + round(sc.sim.tail_duration * sr)
+    delays = [d for d, _ in _taps(sc.channel, sr)]
+    early, late = min(delays), max(delays)
     decim = sc.sim.harvester_decimation
     r_in = sc.sim.input_resistance
-    n = received_length(tx, sc.channel)
+    n = n_tx + late
     n_ticks = (n + decim - 1) // decim
     block = max(BLOCK_SAMPLES // decim, 1) * decim
     # one noise stream, drawn block by block; a silent channel needs no generator
@@ -241,7 +264,11 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, block):
                 stop = min(start + block, n)
-                rx = propagate(tx, sc.channel, noise, start, stop)
+                # only the transmit samples this block's taps read
+                lo = max(start - late, 0)
+                hi = max(min(stop - early, n_tx), lo)
+                tx = modulate_frame(sc.frame, sc.modulation, lo, hi)
+                rx = propagate(tx, sc.channel, noise, start - lo, stop - lo)
                 v_xdcr = transduce(rx, sc.transducer, xdcr_zi)
                 v_harv = rectify(v_xdcr, sc.rectifier).samples
                 filtered = rectify(bandpass(v_xdcr, demod, bandpass_zi), sc.rectifier)

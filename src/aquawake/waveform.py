@@ -37,8 +37,9 @@ class Waveform:
             raise SignalRangeError("waveform contains non-finite samples")
 
     def energy(self) -> float:
-        """Sum of squared samples over the sample rate (unit^2 * s)."""
-        return float(np.sum(self.samples**2) / self.sample_rate)
+        """Sum of squared samples over the sample rate (unit^2 * s); inf past float range."""
+        with np.errstate(over="ignore"):
+            return float(np.sum(self.samples**2) / self.sample_rate)
 
 
 @dataclass

@@ -1,12 +1,14 @@
 """Property test: each stateful stage fed block by block equals one call over the whole signal.
 
 `sim.run_scenario` feeds the receive chain in blocks of `sim.BLOCK_SAMPLES`
-samples, each stage carrying its state from block to block. Here every
-stateful stage (`propagate` with noise and two echoes, `transduce`,
-`bandpass`, `envelope`, `comparator`) is composed over blocks of 1, 7, the
-default harvester decimation, `BLOCK_SAMPLES` and all samples, and must
-give the bytes of one call over the whole signal. Tiny blocks run on short
-signals only, so that each example stays about a hundred calls.
+samples, each stage carrying its state from block to block, and modulates
+for each block only the transmit its taps read. Here every stateful stage
+(`propagate` with noise and two echoes, `transduce`, `bandpass`,
+`envelope`, `comparator`) and `modulate_frame` are composed over blocks of
+1, 7, the default harvester decimation, `BLOCK_SAMPLES` and all samples,
+and must give the bytes of one call over the whole signal. Tiny blocks run
+on short signals, or short ranges of a frame, only, so that each example
+stays about a hundred calls.
 """
 
 import numpy as np
@@ -18,17 +20,21 @@ from aquawake import (
     ChannelModel,
     DemodParams,
     Echo,
+    ModulationParams,
     SignalUnit,
     SimOptions,
     TransducerModel,
     Waveform,
+    WakeupFrame,
     bandpass,
     comparator,
     envelope,
+    modulate_frame,
     propagate,
     sim,
     transduce,
 )
+from aquawake import frame as frame_module
 from aquawake.channel import received_length
 from aquawake.frontend import ComparatorState
 
@@ -162,3 +168,77 @@ def test_propagate_rejects_a_range_outside_its_output():
         propagate(tx, noisy, 3, 10, 20)
     propagate(tx, noisy, np.random.default_rng(3), 10, 20)
     propagate(tx, ChannelModel(noise_rms=0.0), 3, 10, 20)
+
+
+def sine_frame(frame: WakeupFrame, params: ModulationParams) -> np.ndarray:
+    """The transmit as one array with an `np.sin` of its own per run: the
+    preamble, then one burst copied into every 1-slot, clamped to the slot."""
+    sr = params.sample_rate
+    spb = sr / frame.bit_rate
+    n_pre = round(frame.preamble_duration * sr)
+    data_start = n_pre + round(frame.guard_duration * sr)
+    slots = [data_start + round(k * spb) for k in range(len(frame.bits()) + 1)]
+    omega = 2.0 * np.pi * params.carrier_freq / sr
+    amp = params.tx_amplitude
+    out = np.zeros(slots[-1])
+    out[:n_pre] = amp * np.sin(omega * np.arange(n_pre))
+    burst = amp * np.sin(omega * np.arange(round(params.pulse_duty * spb)))
+    for bit, a, b in zip(frame.bits(), slots, slots[1:]):
+        if bit:
+            n = min(len(burst), b - a)
+            out[a : a + n] = burst[:n]
+    return out
+
+
+@st.composite
+def designs(draw):
+    frame = WakeupFrame(
+        uuid=draw(st.integers(0, 0xFF)),
+        bit_rate=draw(st.floats(100.0, 4_000.0)),
+        preamble_duration=draw(st.just(0.0) | st.floats(0.0, 0.05)),
+        guard_duration=draw(st.just(0.0) | st.floats(0.0, 0.01)),
+    )
+    params = ModulationParams(
+        pulse_duty=draw(st.just(1.0) | st.floats(0.01, 1.0)),
+        # 0 keeps the -0.0 of every negative carrier sample
+        tx_amplitude=draw(st.just(0.0) | st.floats(0.0, 100.0)),
+    )
+    return frame, params
+
+
+@BLOCK_SIZES
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data(), design=designs())
+def test_modulate_frame_in_blocks_is_one_call_then_silence(size, data, design):
+    frame, params = design
+    whole = modulate_frame(frame, params).samples
+    assert_same_bytes(whole, sine_frame(frame, params))
+    # a range of up to MAX_SAMPLES[size] samples of the frame and the silence after it
+    n = len(whole) + data.draw(st.integers(0, 300))
+    length = min(MAX_SAMPLES[size], n) if size else n
+    start = data.draw(st.integers(0, n - length))
+    want = np.concatenate([whole, np.zeros(n - len(whole))])[start : start + length]
+    got = [modulate_frame(frame, params, start + a, start + b).samples
+           for a, b in spans(length, size)]
+    assert_same_bytes(np.concatenate(got), want)
+
+
+def test_writing_into_a_transmit_leaves_the_next_call_unchanged():
+    frame, params = WakeupFrame(uuid=0xA5), ModulationParams()
+    want = modulate_frame(frame, params).samples.copy()
+    # the preamble and a burst, whole and as a range
+    modulate_frame(frame, params).samples[:] = 7.0
+    modulate_frame(frame, params, 11_000, 12_000).samples[:] = 7.0
+    assert_same_bytes(modulate_frame(frame, params).samples, want)
+    # the carrier table every call reads is read-only
+    omega = 2.0 * np.pi * params.carrier_freq / params.sample_rate
+    with pytest.raises(ValueError, match="read-only"):
+        frame_module._unit_sine(omega, 11_200)[0] = 7.0
+
+
+def test_modulate_frame_rejects_a_backward_range():
+    frame, params = WakeupFrame(uuid=0xA5), ModulationParams()
+    for start, stop in [(-1, 10), (10, 5)]:
+        with pytest.raises(ValueError, match="^need 0 <= start <= stop, got"):
+            modulate_frame(frame, params, start, stop)
+    assert len(modulate_frame(frame, params, 10**6, 10**6 + 5).samples) == 5

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,12 @@ def test_frame_energy_scales_with_amplitude_squared():
     e1 = frame_energy(f, ModulationParams(tx_amplitude=1.0))
     e3 = frame_energy(f, ModulationParams(tx_amplitude=3.0))
     assert e3 == pytest.approx(9.0 * e1, rel=1e-12)
+
+
+def test_frame_energy_past_float_range_is_inf():
+    # the squares overflow: inf, as the harvester's sums give, not a numpy warning
+    energy = frame_energy(WakeupFrame(uuid=1), ModulationParams(tx_amplitude=1e200))
+    assert energy == math.inf
 
 
 def ideal_decode(wf, sample_rate: float, assigned: int) -> tuple[bool, int | None]:

@@ -15,6 +15,7 @@ from aquawake import (
     calibrate_tx_amplitude,
     cap_energy,
     load_scenario,
+    modulate_frame,
     run_scenario,
     sim,
     sweep,
@@ -111,6 +112,30 @@ def test_rail_collapse_mid_frame_discards_decoder_progress():
     modes = r.mode_values
     assert "regulating" in modes
     assert "depleted" in modes[modes.index("regulating") :]
+
+
+def test_a_run_modulates_per_block_only_the_transmit_its_taps_read(monkeypatch):
+    sc = load_scenario(preset_path("paper_echo"))
+    calls = []
+
+    def recording(frame, params, start=0, stop=None):
+        tx = modulate_frame(frame, params, start, stop)
+        calls.append((start, start + len(tx.samples)))
+        return tx
+
+    monkeypatch.setattr(sim, "modulate_frame", recording)
+    run_scenario(sc)
+    sr, ch = sc.modulation.sample_rate, sc.channel
+    direct = round(ch.distance / ch.sound_speed * sr)
+    echo = round((ch.distance + ch.echoes[0].extra_path) / ch.sound_speed * sr)
+    decim = sc.sim.harvester_decimation
+    block = sim.BLOCK_SAMPLES // decim * decim
+    n_tx = len(modulate_frame(sc.frame, sc.modulation).samples) + round(sc.sim.tail_duration * sr)
+    assert len(calls) > 1
+    assert all(stop - start <= block + echo - direct for start, stop in calls)
+    # consecutive windows overlap by the tap spread and cover the transmit
+    assert calls[0][0] == 0 and calls[-1][1] == n_tx
+    assert all(b[0] <= a[1] for a, b in zip(calls, calls[1:]))
 
 
 def test_mode_trace_passes_through_cold_start():

@@ -1,13 +1,14 @@
 """Reference tick loop: run_scenario's span engine against a per-tick loop.
 
-`sim._run_ticks` advances the harvester over whole spans of ticks between
-decoder events. `per_tick_run_ticks` below is the loop it replaced: one
-iteration per tick, the event merge checked on every rail-up tick, and the
-plain-float energy-domain harvester of `harvester_oracle` one tick at a
-time. Both must agree bit for bit, on synthetic tick inputs whose edges and
-sampling instants fall on exact tick ends, on hand-built ties and a
-mid-frame rail-down reset, and on whole runs near the echo-free and echo
-presets.
+`sim._run_ticks` feeds the decoder ahead to the next load change and
+advances the harvester over whole spans of ticks between load changes.
+`per_tick_run_ticks` below is the loop it replaced: one iteration per
+tick, the event merge checked on every rail-up tick, and the plain-float
+energy-domain harvester of `harvester_oracle` one tick at a time. Both must
+agree bit for bit, on synthetic tick inputs whose edges and sampling
+instants fall on exact tick ends, on hand-built ties, a mid-frame rail-down
+reset inside a look-ahead and a rail that holds on an empty cap, and on
+whole runs near the echo-free and echo presets.
 """
 
 import math
@@ -185,7 +186,7 @@ def test_a_sample_due_on_a_tick_end_is_fed_in_the_next_tick():
     assert dec_state.last_event_time == dec_state.sample_times[-1] == ends[22]
 
 
-def test_a_rail_drop_mid_frame_resets_the_decoder():
+def rail_drop_case():
     # 1 mW charges the cap, 10 mW of decode drains it in a tick, then 100 mW holds the rail
     v_in, p_in = [1.0] * 60, [1e-3] * 6 + [0.1] * 54
     sc = base_scenario(
@@ -197,14 +198,57 @@ def test_a_rail_drop_mid_frame_resets_the_decoder():
     for k, bit in enumerate([1, 0, 1, 0, 0, 1, 0, 1]):
         if bit:
             steps += [72 + 8 * (k + 1), 72 + 8 * (k + 1) + 7]
-    dec_state, _, modes, _, _, _, first_sync_time = both(
-        sc, alternating_trace(steps), v_in, p_in
-    )
+    return sc, alternating_trace(steps), v_in, p_in
+
+
+def test_a_rail_drop_mid_frame_resets_the_decoder():
+    dec_state, _, modes, _, _, _, first_sync_time = both(*rail_drop_case())
     assert modes[1:4] == [HarvesterMode.REGULATING, HarvesterMode.DEPLETED,
                           HarvesterMode.REGULATING]
     assert first_sync_time == 10 * GRID  # the cut frame's edge, kept across the reset
     assert dec_state.first_edge_time == 64 * GRID
     assert dec_state.phase is DecoderPhase.DECIDED and dec_state.match
+
+
+def test_a_rail_drop_inside_a_look_ahead_resumes_from_the_last_rail_up_tick(monkeypatch):
+    runs, feeds = [], []  # (first tick, stop, next tick, mode after) per Harvester.run
+
+    class Recording(sim.Harvester):
+        def run(self, stop, load_power):
+            k = self.k
+            super().run(stop, load_power)
+            runs.append((k, stop, self.k, self.mode))
+
+    def counting(state, cfg, event):
+        feeds.append(event.time)
+        return decoder_feed(state, cfg, event)
+
+    monkeypatch.setattr(sim, "Harvester", Recording)
+    monkeypatch.setattr(sim.dec, "decoder_feed", counting)
+    both(*rail_drop_case())  # the per-tick loop feeds through its own import
+    # tick 2 feeds the lone edge and the decode span is fed ahead through the
+    # clean frame to its decision in tick 35; the rail drops in tick 2, so those
+    # feeds lapse and the frame is fed again once the rail is back up
+    assert (2, 35, 3, HarvesterMode.DEPLETED) in runs
+    assert feeds[:3] == [10 * GRID, 64 * GRID, 72 * GRID]
+    assert feeds.count(64 * GRID) == 2
+
+
+def test_a_rail_that_holds_on_an_empty_cap_feeds_each_event_once(monkeypatch):
+    # at uvlo 0 the decode draw empties the cap from tick 2 on and the rail holds
+    sc, trace, v_in, p_in = rail_drop_case()
+    sc = replace(sc, harvester=replace(sc.harvester, uvlo=0.0))
+    feeds = []
+
+    def counting(state, cfg, event):
+        feeds.append(event.time)
+        return decoder_feed(state, cfg, event)
+
+    monkeypatch.setattr(sim.dec, "decoder_feed", counting)
+    dec_state, _, modes, *_ = both(sc, trace, v_in, p_in)
+    assert set(modes[1:]) == {HarvesterMode.REGULATING}
+    assert dec_state.phase is DecoderPhase.DECIDED and dec_state.match
+    assert len(feeds) == len(set(feeds)) == 15  # lone edge, 2 sync and 4 bit edges, 8 samples
 
 
 PRESETS = {name: load_scenario(preset_path(name)) for name in ("paper_fig5", "paper_echo")}
