@@ -210,8 +210,21 @@ def test_a_rail_drop_mid_frame_resets_the_decoder():
     assert dec_state.phase is DecoderPhase.DECIDED and dec_state.match
 
 
-def test_a_rail_drop_inside_a_look_ahead_resumes_from_the_last_rail_up_tick(monkeypatch):
-    runs, feeds = [], []  # (first tick, stop, next tick, mode after) per Harvester.run
+@pytest.fixture
+def feeds(monkeypatch):
+    """The event times `sim` feeds the decoder; the per-tick loop feeds through its own import."""
+    times = []
+
+    def counting(state, cfg, event):
+        times.append(event.time)
+        return decoder_feed(state, cfg, event)
+
+    monkeypatch.setattr(sim.dec, "decoder_feed", counting)
+    return times
+
+
+def test_a_rail_drop_inside_a_look_ahead_resumes_from_the_last_rail_up_tick(monkeypatch, feeds):
+    runs = []  # (first tick, stop, next tick, mode after) per Harvester.run
 
     class Recording(sim.Harvester):
         def run(self, stop, load_power):
@@ -219,13 +232,8 @@ def test_a_rail_drop_inside_a_look_ahead_resumes_from_the_last_rail_up_tick(monk
             super().run(stop, load_power)
             runs.append((k, stop, self.k, self.mode))
 
-    def counting(state, cfg, event):
-        feeds.append(event.time)
-        return decoder_feed(state, cfg, event)
-
     monkeypatch.setattr(sim, "Harvester", Recording)
-    monkeypatch.setattr(sim.dec, "decoder_feed", counting)
-    both(*rail_drop_case())  # the per-tick loop feeds through its own import
+    both(*rail_drop_case())
     # tick 2 feeds the lone edge and the decode span is fed ahead through the
     # clean frame to its decision in tick 35; the rail drops in tick 2, so those
     # feeds lapse and the frame is fed again once the rail is back up
@@ -234,17 +242,10 @@ def test_a_rail_drop_inside_a_look_ahead_resumes_from_the_last_rail_up_tick(monk
     assert feeds.count(64 * GRID) == 2
 
 
-def test_a_rail_that_holds_on_an_empty_cap_feeds_each_event_once(monkeypatch):
+def test_a_rail_that_holds_on_an_empty_cap_feeds_each_event_once(feeds):
     # at uvlo 0 the decode draw empties the cap from tick 2 on and the rail holds
     sc, trace, v_in, p_in = rail_drop_case()
     sc = replace(sc, harvester=replace(sc.harvester, uvlo=0.0))
-    feeds = []
-
-    def counting(state, cfg, event):
-        feeds.append(event.time)
-        return decoder_feed(state, cfg, event)
-
-    monkeypatch.setattr(sim.dec, "decoder_feed", counting)
     dec_state, _, modes, *_ = both(sc, trace, v_in, p_in)
     assert set(modes[1:]) == {HarvesterMode.REGULATING}
     assert dec_state.phase is DecoderPhase.DECIDED and dec_state.match
