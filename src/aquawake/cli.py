@@ -78,12 +78,17 @@ def _write_csv(path: Path, header: tuple[str, ...], lines: Iterable[str]) -> Non
     atomically. Lines end in \\r\\n, as the csv module's default dialect
     writes them. No field needs quoting: each is a float, an int, true/false,
     a harvester mode or row type, or a sweep parameter name, and none of
-    those holds a comma, a quote or a line break."""
+    those holds a comma, a quote or a line break. A failed write or rename
+    removes the temporary file and re-raises."""
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        fh.write(",".join(("schema_version", *header)) + "\r\n")
-        fh.writelines(f"{SCHEMA_VERSION},{line}\r\n" for line in lines)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(",".join(("schema_version", *header)) + "\r\n")
+            fh.writelines(f"{SCHEMA_VERSION},{line}\r\n" for line in lines)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_records(path: Path, columns: tuple[str, ...], records: list[dict]) -> None:

@@ -23,6 +23,11 @@ UUID_BITS = 8
 FRAME_BITS = len(SYNC_BITS) + UUID_BITS
 
 
+def _bits(uuid: int) -> tuple[int, ...]:
+    payload = tuple((uuid >> (UUID_BITS - 1 - k)) & 1 for k in range(UUID_BITS))
+    return SYNC_BITS + payload
+
+
 @dataclass
 class WakeupFrame(Config):
     uuid: Byte
@@ -36,8 +41,7 @@ class WakeupFrame(Config):
 
     def bits(self) -> tuple[int, ...]:
         """Sync bits then UUID bits, MSB first."""
-        payload = tuple((self.uuid >> (UUID_BITS - 1 - k)) & 1 for k in range(UUID_BITS))
-        return SYNC_BITS + payload
+        return _bits(self.uuid)
 
     @property
     def duration(self) -> float:
@@ -76,6 +80,16 @@ def _layout(frame: WakeupFrame, params: ModulationParams):
                   frame.guard_duration, params.pulse_duty)
 
 
+@lru_cache(maxsize=64)
+def _carrier_runs(layout, uuid: int) -> tuple[tuple[int, int], ...]:
+    """(first sample, length) of each carrier run of a `_layout` and uuid, worked
+    out once per frame; a burst is clamped to its slot so rounding at duty ~ 1
+    cannot leak into a 0-slot."""
+    n_pre, slot_starts, burst_len = layout
+    bursts = zip(slot_starts, slot_starts[1:], _bits(uuid))
+    return ((0, n_pre),) + tuple((s, min(burst_len, e - s)) for s, e, bit in bursts if bit)
+
+
 # a few designs' carriers: a table holds about 90 KB for a 50 ms preamble at 224 kHz
 @lru_cache(maxsize=4)
 def _unit_sine(omega: float, length: int) -> np.ndarray:
@@ -104,18 +118,13 @@ def modulate_frame(
     ranges give the bytes of one call over their union.
     """
     sr = params.sample_rate
-    n_pre, slot_starts, burst_len = _layout(frame, params)
+    layout = _layout(frame, params)
+    n_pre, slot_starts, burst_len = layout
     if stop is None:
         stop = slot_starts[-1]
     if not 0 <= start <= stop:
         raise ValueError(f"need 0 <= start <= stop, got start {start} and stop {stop}")
-    # (first sample, length) of each carrier run; a burst is clamped to its slot
-    # so rounding at duty ~ 1 cannot leak into a 0-slot
-    runs = [(0, n_pre)] + [
-        (s, min(burst_len, e - s))
-        for s, e, bit in zip(slot_starts, slot_starts[1:], frame.bits())
-        if bit
-    ]
+    runs = _carrier_runs(layout, frame.uuid)
     carrier = _unit_sine(2.0 * np.pi * params.carrier_freq / sr, max(n_pre, burst_len))
     amp = params.tx_amplitude
     out = np.zeros(stop - start, dtype=np.float64)

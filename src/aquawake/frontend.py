@@ -261,15 +261,23 @@ def comparator(
     minus = _one_pole_lowpass(env.samples, params.slow_tau, sr, state.slow_zi)
     minus *= params.reference_gain
     diff = np.subtract(plus, minus, out=plus)
+    return _latched_edges(diff, np.abs(diff, out=minus), params.hysteresis, state, sr)
 
+
+def _latched_edges(
+    diff: np.ndarray, magnitude: np.ndarray, hysteresis: float, state: ComparatorState, sr: float
+) -> DigitalTrace:
+    """The comparator's level changes over one block of its drive `diff`
+    (plus - minus), whose absolute value is `magnitude`; `state`'s level and
+    offset are carried on in place."""
     # the level changes only at samples outside the band whose side differs
     # from the level before them; a block starts at the level carried in
-    decided = np.flatnonzero(np.abs(diff) > params.hysteresis)
+    decided = (magnitude > hysteresis).nonzero()[0]
     high = diff[decided] > 0
     before = np.empty_like(high)
     before[:1] = state.level
     before[1:] = high[:-1]
-    changes = np.flatnonzero(high != before)
+    changes = (high != before).nonzero()[0]
     times = (decided[changes] + state.offset) / sr
     if len(high):
         state.level = bool(high[-1])

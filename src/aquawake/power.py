@@ -21,7 +21,7 @@ from .config import Config, Fraction, NonNegative, Positive, shown
 from .errors import ConfigurationError
 
 
-# ticks in a span's first window; each further window is twice the last
+# the fewest ticks in a span's first window; each further window is twice the last
 _FIRST_WINDOW = 64
 
 
@@ -96,7 +96,8 @@ class Harvester:
     The banked energy of every tick is computed once here. A span is one
     `np.add.accumulate` per window of ticks, which adds left to right like
     a scalar loop, so the cap energy and the two energy sums (J) add up
-    tick by tick. Cap-voltage thresholds are compared as energies. Like
+    tick by tick. A `run`'s first window is twice the ticks the last `run`
+    advanced, never below 64, and each further window doubles. Cap-voltage thresholds are compared as energies. Like
     plain floats, the sums overflow to inf, without a numpy warning.
     """
 
@@ -121,6 +122,7 @@ class Harvester:
         self._e_uvlo = _threshold_energy(params.c_store, params.uvlo)
         self._floor = max(self._e_uvlo, 0.0)  # below it a rail-up tick ends the span
         self.mode, self.k = HarvesterMode.DEPLETED, 0
+        self._window = _FIRST_WINDOW  # the next span's first window
         self.e_cap = self.harvested = self.consumed = 0.0
         self.energy = np.empty(len(p_in))
         self.modes: list[tuple[HarvesterMode, int]] = []
@@ -133,13 +135,16 @@ class Harvester:
         if not load_power >= 0:
             raise ValueError("input_power and load_power must be >= 0")
         drain = load_power * self._dt / self._boost_efficiency
-        # windows that double: a span that ends early, as one does each time the
-        # rail comes up, costs at most about twice its length, not the run's rest
-        window, hit = _FIRST_WINDOW, False
+        # windows that double, the first one twice the last run's length: a span
+        # covers at most that first window or about twice its own length, so a
+        # long run takes few calls and a rail that flaps every tick, ending each
+        # span early, keeps _FIRST_WINDOW-tick windows
+        start, window, hit = self.k, self._window, False
         with np.errstate(over="ignore", invalid="ignore"):
             while self.k < stop and not hit:
                 hit = self._advance(min(stop, self.k + window), drain)
                 window *= 2
+        self._window = max(2 * (self.k - start), _FIRST_WINDOW)
 
     def _advance(self, end: int, drain: float) -> bool:  # ticks k..end-1 on one accumulate
         k, mode, energy = self.k, self.mode, self.energy

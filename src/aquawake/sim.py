@@ -281,9 +281,13 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
                 if pad:  # the run's last tick, padded with zeros
                     v_harv = np.concatenate([v_harv, np.zeros(pad)])
                 windows = v_harv.reshape(k1 - k0, decim)
-                v_in[k0:k1] = np.add.reduce(windows, axis=1) / decim
+                v_block, p_block = v_in[k0:k1], p_in[k0:k1]
+                np.add.reduce(windows, axis=1, out=v_block)
+                v_block /= decim
                 windows *= windows
-                p_in[k0:k1] = np.add.reduce(windows, axis=1) / decim / r_in
+                np.add.reduce(windows, axis=1, out=p_block)
+                p_block /= decim
+                p_block /= r_in
         # checked after the last block: a non-finite waveform in any block is named first
         if not np.isfinite(p_in).all():
             raise SignalRangeError("harvester input power is not finite")

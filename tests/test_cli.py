@@ -1,5 +1,7 @@
 import csv
+import errno
 import io
+import os
 import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -80,6 +82,29 @@ def test_run_writes_outputs_and_summary(scenario_file, tmp_path):
         assert lines[0].startswith("schema_version,")
         assert all(line.startswith("1,") for line in lines[1:])
     assert_no_tmp_litter(out)
+
+
+@pytest.mark.parametrize("failing", [1, 3], ids=["first_file", "last_file"])
+def test_a_failed_rename_leaves_no_temporary_file(failing, scenario_file, tmp_path, monkeypatch):
+    renames = []
+    real_replace = cli_module.os.replace
+
+    def full_disk(src, dst):
+        renames.append(dst)
+        if len(renames) == failing:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cli_module.os, "replace", full_disk)
+    out = tmp_path / "out"
+    code, stdout, stderr = cli("run", str(scenario_file), "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    full = os.strerror(errno.ENOSPC)
+    assert stderr == f"error: cannot write to output directory {out} ({full})\n"
+    assert len(renames) == failing
+    assert sorted(p.name for p in out.iterdir()) == sorted(RUN_FILES[: failing - 1])
+    assert_no_tmp_litter(tmp_path)
 
 
 def test_run_seed_flag_overrides_the_scenario(scenario_file, tmp_path):

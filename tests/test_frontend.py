@@ -309,11 +309,8 @@ def reference_comparator(x: np.ndarray, params: DemodParams) -> tuple[list, list
 
 
 # stretches of constant drive; a leading 0.0 stretch keeps diff exactly 0
-stretches = st.lists(
-    st.tuples(st.sampled_from([0.0, 0.02, 1.0]) | st.floats(0.0, 2.0), st.integers(1, 300)),
-    min_size=1,
-    max_size=6,
-)
+stretch = st.tuples(st.sampled_from([0.0, 0.02, 1.0]) | st.floats(0.0, 2.0), st.integers(1, 300))
+stretches = st.lists(stretch, min_size=1, max_size=6)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -338,6 +335,69 @@ def test_comparator_matches_a_per_sample_latch(
     times, levels = reference_comparator(x, params)
     assert tr.edge_times.tolist() == times
     assert tr.edge_levels.tolist() == levels
+
+
+def reference_edges(diff: np.ndarray, hysteresis: float, level: bool, offset: int, sr: float):
+    """Edge extraction on whole arrays: `(times, levels, final level, final offset)`."""
+    decided = np.flatnonzero(np.abs(diff) > hysteresis)
+    high = diff[decided] > 0
+    before = np.empty_like(high)
+    before[:1] = level
+    before[1:] = high[:-1]
+    changes = np.flatnonzero(high != before)
+    times = (decided[changes] + offset) / sr
+    final = bool(high[-1]) if len(high) else level
+    return times, high[changes], final, offset + len(diff)
+
+
+def assert_same_edges(trace, state, want) -> None:
+    times, levels, level, offset = want
+    assert trace.edge_times.dtype == times.dtype and trace.edge_times.tobytes() == times.tobytes()
+    assert trace.edge_levels.dtype == levels.dtype
+    assert trace.edge_levels.tobytes() == levels.tobytes()
+    assert (state.level, state.offset) == (level, offset)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    hysteresis=st.sampled_from([0.0, 5e-3]) | st.floats(0.0, 0.05),
+    level=st.booleans(),
+    offset=st.integers(0, 2**40),
+    data=st.data(),
+)
+def test_edge_extraction_matches_the_whole_array_reference(hysteresis, level, offset, data):
+    # drive values on and around the band's edges, NaN among them; empty and
+    # 1-sample blocks included
+    edges = st.sampled_from([math.nan, 0.0, -0.0, hysteresis, -hysteresis])
+    values = data.draw(st.lists(edges | st.floats(-0.05, 0.05), max_size=40))
+    diff = np.array(values, dtype=float)
+    state = frontend.ComparatorState(level=level, offset=offset)
+    want = reference_edges(diff, hysteresis, level, offset, SR)
+    scratch = np.empty_like(diff)  # as the comparator's minus input is reused
+    trace = frontend._latched_edges(diff, np.abs(diff, out=scratch), hysteresis, state, SR)
+    assert_same_edges(trace, state, want)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    stretches=st.lists(stretch, max_size=6),
+    hysteresis=st.sampled_from([0.0, 5e-3]) | st.floats(0.0, 0.05),
+    level=st.booleans(),
+    offset=st.integers(0, 2**40),
+    carried=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+)
+def test_comparator_matches_the_reference_edges_of_its_drive(
+    stretches, hysteresis, level, offset, carried
+):
+    # empty and 1-sample blocks included; the drive is formed as the comparator forms it
+    x = np.concatenate([np.empty(0), *(np.full(n, v) for v, n in stretches)])
+    params = DemodParams.for_bit_rate(200.0, hysteresis=hysteresis)
+    fast, slow = np.array(carried[:1]), np.array(carried[1:])
+    plus = _one_pole_lowpass(x, params.fast_tau, SR, fast.copy())
+    minus = params.reference_gain * _one_pole_lowpass(x, params.slow_tau, SR, slow.copy())
+    want = reference_edges(plus - minus, hysteresis, level, offset, SR)
+    state = frontend.ComparatorState(fast, slow, level, offset)
+    assert_same_edges(comparator(Waveform(SR, x, SignalUnit.VOLTS), params, state), state, want)
 
 
 def test_comparator_requires_volts():

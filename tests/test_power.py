@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from aquawake import (
     HarvesterParams,
     LoadProfile,
     cap_energy,
+    load_scenario,
+    run_scenario,
 )
+from aquawake.cli import preset_path
 from aquawake.power import Harvester, _threshold_energy
 from harvester_oracle import run_spans
 
@@ -232,6 +236,46 @@ def test_a_run_rejects_a_stop_past_the_last_tick():
     assert (h.k, h.mode, h.e_cap, h.harvested, h.consumed, h.modes) == start
     h.run(2, 0.0)  # the end of the last tick is a valid stop
     assert h.k == 2 and h.mode is HarvesterMode.COLD_START
+
+
+def advance_lengths(monkeypatch, scenario) -> tuple[list[int], int]:
+    """The ticks each `Harvester._advance` call of one run covers, and the run's ticks."""
+    lengths = []
+    advance = Harvester._advance
+
+    def counted(self, end, drain):
+        lengths.append(end - self.k)
+        return advance(self, end, drain)
+
+    monkeypatch.setattr(Harvester, "_advance", counted)
+    return lengths, len(run_scenario(scenario).vcap_values)
+
+
+def test_a_flapping_rail_keeps_its_windows_short(monkeypatch):
+    # a 1 nF cap under a 1 W listening load drops the rail on the tick it comes
+    # up, so nearly every span is a tick or two long
+    sc = load_scenario(preset_path("paper_fig5"))
+    sc = replace(
+        sc,
+        harvester=replace(sc.harvester, c_store=1e-9),
+        load=replace(sc.load, p_listen=1.0),
+        sim=replace(sc.sim, harvester_decimation=1),
+    )
+    lengths, ticks = advance_lengths(monkeypatch, sc)
+    assert ticks == 24217
+    assert len(lengths) > 10_000
+    # 64-tick first windows cover 31.9x the run's ticks; a window the length of
+    # the span's rest would cover thousands of times them
+    assert sum(lengths) <= 2 * 31.9 * ticks
+
+
+def test_a_long_run_starts_its_next_span_from_the_last_spans_length(monkeypatch):
+    sc = load_scenario(preset_path("paper_echo"))
+    sc = replace(sc, sim=replace(sc.sim, harvester_decimation=8))
+    lengths, ticks = advance_lengths(monkeypatch, sc)
+    assert ticks == 3114
+    # every span from a 64-tick first window takes 16 calls
+    assert len(lengths) < 16
 
 
 def test_params_validation():
