@@ -373,8 +373,8 @@ def test_edge_extraction_matches_the_whole_array_reference(hysteresis, level, of
     diff = np.array(values, dtype=float)
     state = frontend.ComparatorState(level=level, offset=offset)
     want = reference_edges(diff, hysteresis, level, offset, SR)
-    scratch = np.empty_like(diff)  # as the comparator's minus input is reused
-    trace = frontend._latched_edges(diff, np.abs(diff, out=scratch), hysteresis, state, SR)
+    reused = np.empty_like(diff)  # as the comparator reuses its minus input
+    trace = frontend._latched_edges(diff, np.abs(diff, out=reused), hysteresis, state, SR)
     assert_same_edges(trace, state, want)
 
 

@@ -274,7 +274,7 @@ def test_a_long_run_starts_its_next_span_from_the_last_spans_length(monkeypatch)
     sc = replace(sc, sim=replace(sc.sim, harvester_decimation=8))
     lengths, ticks = advance_lengths(monkeypatch, sc)
     assert ticks == 3114
-    # every span from a 64-tick first window takes 16 calls
+    # with every span's first window at 64 ticks the run takes 16 calls
     assert len(lengths) < 16
 
 
