@@ -90,11 +90,6 @@ def _taps(channel: ChannelModel, sample_rate: float) -> list[tuple[int, float]]:
     return [(round(t * sample_rate), gain) for t, gain in taps]
 
 
-def received_length(tx: Waveform, channel: ChannelModel) -> int:
-    """Samples in the received signal: long enough to hold the latest tap in full."""
-    return len(tx.samples) + max(d for d, _ in _taps(channel, tx.sample_rate))
-
-
 def propagate(
     tx: Waveform,
     channel: ChannelModel,
@@ -106,8 +101,8 @@ def propagate(
 
     Each path contributes a delayed, scaled copy (delays rounded to the
     nearest sample); echo gains are relative to the attenuated direct
-    arrival. The whole output, `received_length(tx, channel)` samples, is
-    long enough to hold the latest tap in full; `stop=None` runs to its end.
+    arrival. The whole output is `len(tx.samples)` plus the latest tap's
+    delay, so it holds that tap in full; `stop=None` runs to its end.
     `seed` drives the noise generator: an int seeds a new one, and a
     `np.random.Generator` is drawn from as it stands. Consecutive ranges
     drawn from one Generator equal one call over their union, bit for bit;

@@ -132,7 +132,8 @@ def modulate_frame(
         lo, hi = max(start, s), min(stop, s + n)
         if lo < hi:
             out[lo - start : hi - start] = amp * carrier[lo - s : hi - s]
-    return Waveform(sample_rate=sr, samples=out, unit=SignalUnit.PRESSURE)
+    # a finite amplitude times a unit sine is finite: no rescan
+    return Waveform._of_finite(sr, out, SignalUnit.PRESSURE)
 
 
 def frame_energy(frame: WakeupFrame, params: ModulationParams) -> float:

@@ -201,7 +201,8 @@ def rectify(v: Waveform, model: RectifierModel) -> Waveform:
     out = np.abs(v.samples)
     out -= np.where(out < model.threshold_voltage, model.diode_drop, model.residual_drop)
     np.maximum(0.0, out, out=out)
-    return Waveform(v.sample_rate, out, SignalUnit.VOLTS)
+    # |x| less a finite drop, clamped at 0, is finite for a finite x: no rescan
+    return Waveform._of_finite(v.sample_rate, out, SignalUnit.VOLTS)
 
 
 def bandpass(v: Waveform, params: DemodParams, zi: np.ndarray | None = None) -> Waveform:

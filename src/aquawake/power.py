@@ -73,6 +73,15 @@ def _threshold_energy(c_store: float, voltage: float) -> float:
     return cap_energy(c_store, voltage) if voltage > 0 else -inf
 
 
+def _running_sum(start: float, terms, count: int) -> float:
+    """`start` plus `count` terms (an array, or one value repeated) in turn, left
+    to right as a scalar loop adds them."""
+    sums = np.empty(count + 1)
+    sums[0] = start
+    sums[1:] = terms
+    return float(np.add.accumulate(sums, out=sums)[-1])
+
+
 class Harvester:
     """The harvester over a run of ticks of duration dt, in the cap-energy domain.
 
@@ -93,12 +102,19 @@ class Harvester:
     - a regulating cap left below UVLO collapses the rail to depleted, and
       the load sheds from the next tick.
 
-    The banked energy of every tick is computed once here. A span is one
-    `np.add.accumulate` per window of ticks, which adds left to right like
-    a scalar loop, so the cap energy and the two energy sums (J) add up
-    tick by tick. A `run`'s first window is twice the ticks the last `run`
-    advanced, never below 64, and each further window doubles. Cap-voltage thresholds are compared as energies. Like
-    plain floats, the sums overflow to inf, without a numpy warning.
+    The banked energy of every tick is computed once here. A `run` advances
+    in windows of ticks: the first is twice the ticks the last `run`
+    advanced, never below 64, and each further window doubles. Each window
+    takes three running sums, each one `np.add.accumulate` that adds left to
+    right as a scalar loop does:
+    - the cap energy, over each tick's bank and then its drain (the bank
+      alone when nothing draws), which finds the tick that ends the span;
+    - `harvested`, over the banks of the ticks the span ran;
+    - `consumed`, over their drains.
+    So the three add up tick by tick, and a sum that starts at or above +0.0
+    is not moved by the zero terms it leaves out. Cap-voltage thresholds are
+    compared as energies. Like plain floats, the sums overflow to inf,
+    without a numpy warning.
     """
 
     def __init__(self, params: HarvesterParams, dt: float, v_in, p_in) -> None:
@@ -146,11 +162,11 @@ class Harvester:
                 window *= 2
         self._window = max(2 * (self.k - start), _FIRST_WINDOW)
 
-    def _advance(self, end: int, drain: float) -> bool:  # ticks k..end-1 on one accumulate
+    def _advance(self, end: int, drain: float) -> bool:  # ticks k..end-1 as one window
         k, mode, energy = self.k, self.mode, self.energy
         regulating = mode is HarvesterMode.REGULATING
         if regulating:
-            banked, steps = self._b_reg, 2 if drain > 0 else 1  # a bank row, then a drain row
+            banked, steps = self._b_reg, 2 if drain > 0 else 1  # a bank, then a drain
         else:
             if mode is HarvesterMode.DEPLETED:  # nothing banks until the input can cold-start
                 woke = k + int(self._cold_ok[k:end].argmax())
@@ -164,19 +180,23 @@ class Harvester:
                     return False
                 mode = self.mode = HarvesterMode.COLD_START
             banked, steps = self._b_cold, 1
-        rows = np.zeros((steps * (end - k) + 1, 3))  # cap energy, harvested, consumed
-        rows[0] = self.e_cap, self.harvested, self.consumed
-        rows[1::steps, :2] = banked[k:end, None]
+        n = end - k
+        cap = np.empty(steps * n + 1)  # the cap energy over each tick's bank, then its drain
+        cap[0] = self.e_cap
+        cap[1::steps] = banked[k:end]
         if steps == 2:
-            rows[2::2, ::2] = -drain, drain  # off the cap energy, onto consumed
-        np.add.accumulate(rows, out=rows)
-        closing = rows[steps::steps, 0]
+            cap[2::2] = -drain
+        np.add.accumulate(cap, out=cap)
+        closing = cap[steps::steps]
         hit = closing < self._floor if regulating else closing >= self._e_enable
         i = int(hit.argmax())
         if not hit[i]:
             energy[k:end] = closing
-            self.modes.append((mode, end - k))
-            self.e_cap, self.harvested, self.consumed = rows[-1].tolist()
+            self.modes.append((mode, n))
+            self.e_cap = float(cap[-1])
+            self.harvested = _running_sum(self.harvested, banked[k:end], n)
+            if steps == 2:
+                self.consumed = _running_sum(self.consumed, drain, n)
             self.k = end
             return False
         energy[k : k + i] = closing[:i]
@@ -184,10 +204,13 @@ class Harvester:
             self.modes.append((mode, i))
         # the tick that ends the span: cold start reaches the enable level and the
         # load draws from this tick on, or the draw empties the cap or crosses UVLO
-        opened, self.harvested, consumed = rows[steps * i + 1].tolist()
+        opened = float(cap[steps * i + 1])
+        self.harvested = _running_sum(self.harvested, banked[k : k + i + 1], i + 1)
+        if steps == 2:
+            self.consumed = _running_sum(self.consumed, drain, i)
         drained = min(drain, opened)
         self.e_cap = energy[k + i] = opened - drained
-        self.consumed, self.k = consumed + drained, k + i + 1
+        self.consumed, self.k = self.consumed + drained, k + i + 1
         collapsed = self.e_cap < self._e_uvlo  # the rail collapses: the load sheds next tick
         self.mode = HarvesterMode.DEPLETED if collapsed else HarvesterMode.REGULATING
         self.modes.append((self.mode, 1))

@@ -7,22 +7,23 @@ run_scenario wires the whole receive path together on one sample clock:
                                            -> comparator -> decoder
 
 The analog chain handles the received signal as it arrives, as the
-receiver's does: in blocks of BLOCK_SAMPLES samples (whole harvester
-ticks), each stage carrying its state from one block to the next, so the
-result is the same bytes as one pass over the whole run. Each block
-modulates only the transmit samples its channel taps read, so no stage
-holds a whole-run sample array. The harvester advances on a decimated tick
-and gates the decoder, which only sees comparator events while the
-regulated rail is up. The load steps from listening to decoding at the
-first accepted sync edge and back after the decision, mirroring how the
-real receiver spends its budget. Like the receiver, the engine is
+receiver's does: in blocks of one whole-tick length, as many as bring each
+block nearest BLOCK_SAMPLES samples, each stage carrying its state from one
+block to the next, so the result is the same bytes as one pass over the
+whole run. Each block modulates only the transmit samples its channel taps
+read, so no stage holds a whole-run sample array. The harvester advances on
+a decimated tick and gates the decoder, which only sees comparator events
+while the regulated rail is up. The load steps from listening to decoding
+at the first accepted sync edge and back after the decision, mirroring how
+the real receiver spends its budget. Like the receiver, the engine is
 event-driven: the decoder is fed ahead to the next load change, and the
 harvester advances in spans of ticks between load changes and
 rail-boundary crossings, so only a span boundary costs a harvester call.
-The run's `power.Harvester` keeps the cap's energy, not its voltage: a span
-is one running sum of the ticks' banked and drained energy, computed by
-numpy, and the cap-voltage trace is one square root over the per-tick
-energies after the loop.
+The tick loop finds those boundaries in the numpy array of tick ends, with
+no Python list of them. The run's `power.Harvester` keeps the cap's energy,
+not its voltage: a span is a running sum of the cap energy over the ticks'
+banks and drains, computed by numpy, and the cap-voltage trace is one
+square root over the per-tick energies after the loop.
 """
 
 from __future__ import annotations
@@ -69,12 +70,16 @@ _SWEEP_TARGETS = {
 SWEEPABLE_PARAMETERS = tuple(_SWEEP_TARGETS)
 
 # samples one run may span, about 37 s at the default 224 kHz; the per-tick
-# harvester arrays are the only whole-run arrays, as the transmit is made per
-# block from a carrier table as long as the preamble
+# harvester arrays and the tick ends (a numpy array; no per-tick Python list)
+# are the only whole-run arrays, as the transmit is made per block from a
+# carrier table as long as the preamble
 MAX_SAMPLES = 2**23
-# samples the receive chain takes per block, rounded down to whole harvester
-# ticks: small enough that the allocator reuses each block's arrays for the
-# next, where whole-run arrays were mapped and returned to the system each run
+# samples the receive chain aims to take per block: a run of n samples splits
+# into max(round(n / BLOCK_SAMPLES), 1) blocks of one whole-tick length, the
+# last ending with the run, so no block exceeds 1.5 x BLOCK_SAMPLES rounded up
+# to whole ticks and no short tail block pays a block's fixed cost. Equal
+# blocks let the allocator reuse each block's arrays for the next, where
+# whole-run arrays were mapped and returned to the system each run
 BLOCK_SAMPLES = 8192
 # runs one sweep may make, values times trials: about 50x the 1256-run
 # criterion-4 sweep; rows are kept in memory until the sweep ends
@@ -252,7 +257,9 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     r_in = sc.sim.input_resistance
     n = n_tx + late
     n_ticks = (n + decim - 1) // decim
-    block = max(BLOCK_SAMPLES // decim, 1) * decim
+    # blocks of one whole-tick length; see BLOCK_SAMPLES
+    n_blocks = max(round(n / BLOCK_SAMPLES), 1)
+    block = (n_ticks + n_blocks - 1) // n_blocks * decim
     # one noise stream, drawn block by block; a silent channel needs no generator
     noise = np.random.default_rng(sc.sim.seed) if sc.channel.noise_rms > 0 else sc.sim.seed
     xdcr_zi, bandpass_zi, envelope_zi = np.zeros(2), np.zeros(2), np.zeros(1)
@@ -303,7 +310,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     dt = decim / sr
     ends = np.arange(n_ticks) * dt + dt
     dec_state, harvester, rail_up_time, first_sync_time = _run_ticks(
-        sc, trace, dt, ends.tolist(), v_in, p_in
+        sc, trace, dt, ends, v_in, p_in
     )
     # a cap too small for its charge has a voltage of inf, named below
     with np.errstate(over="ignore", invalid="ignore"):

@@ -36,6 +36,14 @@ class Waveform:
         if not np.isfinite(self.samples).all():
             raise SignalRangeError("waveform contains non-finite samples")
 
+    @classmethod
+    def _of_finite(cls, sample_rate: float, samples: np.ndarray, unit: SignalUnit) -> Waveform:
+        """A Waveform of a positive sample rate and 1-D float64 samples that the
+        calling stage's arithmetic keeps finite, built without the public rescan."""
+        wave = cls.__new__(cls)
+        wave.sample_rate, wave.samples, wave.unit = sample_rate, samples, unit
+        return wave
+
     def energy(self) -> float:
         """Sum of squared samples over the sample rate (unit^2 * s); inf past float range."""
         with np.errstate(over="ignore"):

@@ -229,3 +229,61 @@ def test_a_rail_down_span_longer_than_a_window_finds_the_enable_tick():
     enabled = modes.index(HarvesterMode.REGULATING)
     assert 64 + 128 + 256 < enabled < n and calls == 2
 
+
+
+def first_run_ticks(params, dt, v_in, p_in, load_power, mode, e_cap):
+    """The ticks the first `Harvester.run` over all of `p_in` advances."""
+    h = Harvester(params, dt, v_in, p_in)
+    h.mode, h.e_cap = mode, e_cap
+    h.run(len(p_in), load_power)
+    return h.k
+
+
+# UVLO at 1.9 V holds 180.5 uJ and the enable level at 2.2 V 242 uJ on 100 uF
+@pytest.mark.parametrize(
+    "mode, e_cap, input_power, load_power",
+    [
+        # 1 uJ of draw against 60 nJ banked per tick takes a cap 0.5 uJ over UVLO below it
+        (HarvesterMode.REGULATING, 181e-6, 1e-4, 6e-4),
+        # 0.6 uJ of cold-start charge per tick lifts a cap 0.1 uJ short of the enable level
+        (HarvesterMode.COLD_START, 241.9e-6, 0.012, 6e-4),
+        # no draw, but 7.2 uJ banked leaves the cap below UVLO
+        (HarvesterMode.REGULATING, 150e-6, 0.012, 0.0),
+    ],
+    ids=["drain_crosses_uvlo", "cold_start_enables", "zero_load_below_uvlo"],
+)
+def test_a_span_that_ends_on_its_first_tick(mode, e_cap, input_power, load_power):
+    params = HarvesterParams()
+    v_in, p_in = [0.7] * 100, [input_power] * 100
+    spans_match_the_oracle(params, 1e-3, v_in, p_in, load_power, mode, e_cap)
+    assert first_run_ticks(params, 1e-3, v_in, p_in, load_power, mode, e_cap) == 1
+
+
+@pytest.mark.parametrize("last", [63, 64 + 128 - 1], ids=["first_window", "second_window"])
+def test_a_span_that_ends_on_its_windows_last_tick(last):
+    params = HarvesterParams()
+    dt, load_power = 1e-3, 6e-4  # 1 uJ of draw per tick against 60 nJ banked
+    net = load_power * dt / params.boost_efficiency - 1e-4 * dt * params.boost_efficiency
+    # half a tick's net draw over UVLO after the tick before `last`
+    e_cap = 0.5 * params.c_store * params.uvlo**2 + (last + 0.5) * net
+    v_in, p_in = [0.7] * 300, [1e-4] * 300
+    energy, modes, harvested, consumed, _ = spans_match_the_oracle(
+        params, dt, v_in, p_in, load_power, HarvesterMode.REGULATING, e_cap
+    )
+    assert modes[last - 1 : last + 1] == [HarvesterMode.REGULATING, HarvesterMode.DEPLETED]
+    assert harvested > 0.0 and consumed > 0.0
+    args = (params, dt, v_in, p_in, load_power, HarvesterMode.REGULATING, e_cap)
+    assert first_run_ticks(*args) == last + 1
+
+
+# a span inside its first window, one that fills it, and one over three (64 + 128 + 108 ticks)
+@pytest.mark.parametrize("ticks", [1, 64, 300])
+def test_a_regulating_span_at_zero_load_banks_one_step_per_tick(ticks):
+    params = HarvesterParams()
+    v_in = [0.7, 0.05, 2.0] * 100
+    p_in = [1e-4, 20e-6, 0.0] * 100
+    energy, modes, harvested, consumed, calls = spans_match_the_oracle(
+        params, 1e-3, v_in[:ticks], p_in[:ticks], 0.0, HarvesterMode.REGULATING, 200e-6
+    )
+    assert set(modes) == {HarvesterMode.REGULATING} and calls == 1
+    assert consumed == 0.0 and harvested > 0.0

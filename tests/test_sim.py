@@ -20,7 +20,10 @@ from aquawake import (
     sim,
     sweep,
 )
+from aquawake.channel import _taps
 from aquawake.cli import preset_path
+from aquawake.frame import frame_length
+from aquawake.frontend import transduce
 from helpers import (
     REFERENCE_AMPLITUDE,
     echo_scenario,
@@ -129,13 +132,96 @@ def test_a_run_modulates_per_block_only_the_transmit_its_taps_read(monkeypatch):
     direct = round(ch.distance / ch.sound_speed * sr)
     echo = round((ch.distance + ch.echoes[0].extra_path) / ch.sound_speed * sr)
     decim = sc.sim.harvester_decimation
-    block = sim.BLOCK_SAMPLES // decim * decim
     n_tx = len(modulate_frame(sc.frame, sc.modulation).samples) + round(sc.sim.tail_duration * sr)
+    # the run's block length: its ticks shared out over round(n / BLOCK_SAMPLES) blocks
+    n = n_tx + echo
+    block = math.ceil(math.ceil(n / decim) / max(round(n / sim.BLOCK_SAMPLES), 1)) * decim
+    assert block <= math.ceil(1.5 * sim.BLOCK_SAMPLES / decim) * decim
     assert len(calls) > 1
     assert all(stop - start <= block + echo - direct for start, stop in calls)
     # consecutive windows overlap by the tap spread and cover the transmit
     assert calls[0][0] == 0 and calls[-1][1] == n_tx
     assert all(b[0] <= a[1] for a, b in zip(calls, calls[1:]))
+
+
+def transduced_lengths(monkeypatch, sc):
+    """The run of `sc` and the length of each block its transducer stage took."""
+    lengths = []
+
+    def recording(pressure, model, zi=None):
+        lengths.append(len(pressure.samples))
+        return transduce(pressure, model, zi)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sim, "transduce", recording)
+        return run_scenario(sc), lengths
+
+
+def with_samples(sc, n: int):
+    """`sc` with the tail that makes its run `n` samples long."""
+    sr = sc.modulation.sample_rate
+    late = max(d for d, _ in _taps(sc.channel, sr))
+    tail = n - frame_length(sc.frame, sc.modulation) - late
+    assert tail >= 0
+    return replace(sc, sim=replace(sc.sim, tail_duration=tail / sr))
+
+
+def test_paper_echo_at_decimation_8_runs_in_three_equal_blocks(monkeypatch):
+    sc = load_scenario(preset_path("paper_echo"))
+    sc = replace(sc, sim=replace(sc.sim, harvester_decimation=8))
+    _, lengths = transduced_lengths(monkeypatch, sc)
+    # 3114 ticks of 8 samples over round(24912 / 8192) = 3 blocks, with no short
+    # fourth block of 336 samples
+    assert lengths == [8304] * 3
+
+
+@pytest.mark.parametrize(
+    "decimation, share", [(1, 0.4), (8, 1.49), (64, 1.51), (7, 2.3), (64, 3.49), (100, 4.7)]
+)
+def test_a_run_splits_into_equal_blocks_of_at_most_one_and_a_half_block_samples(
+    monkeypatch, decimation, share
+):
+    sc = reference_scenario(bit_rate=1000.0, preamble=0.001)
+    sc = replace(sc, sim=replace(sc.sim, harvester_decimation=decimation))
+    n = round(share * sim.BLOCK_SAMPLES)
+    _, lengths = transduced_lengths(monkeypatch, with_samples(sc, n))
+    assert sum(lengths) == n and len(lengths) == max(round(share), 1)
+    # blocks of one whole-tick length; the last ends with the run, short of that
+    # length by less than a tick per block
+    *full, last = lengths
+    block = full[0] if full else math.ceil(n / decimation) * decimation
+    assert block % decimation == 0 and full == [block] * len(full)
+    assert block - len(lengths) * decimation < last <= block
+    assert block <= math.ceil(1.5 * sim.BLOCK_SAMPLES / decimation) * decimation
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("side", [-1, 1], ids=["under", "over"])
+def test_a_run_either_side_of_a_half_block_gives_the_bytes_of_one_block(
+    monkeypatch, blocks, side
+):
+    # noise and an echo carry the generator and the taps across the block ends
+    sc = reference_scenario(
+        bit_rate=400.0, preamble=0.012, noise_rms=0.05, echoes=[Echo(5.053, 0.5)], seed=5
+    )
+    sc = replace(sc, sim=replace(sc.sim, harvester_decimation=8))
+    n = round((blocks + 0.5) * sim.BLOCK_SAMPLES) + 5 * side
+    sc = with_samples(sc, n)
+    got, lengths = transduced_lengths(monkeypatch, sc)
+    assert sum(lengths) == n and len(lengths) == blocks + (side > 0)
+    monkeypatch.setattr(sim, "BLOCK_SAMPLES", sim.MAX_SAMPLES)
+    want, [whole] = transduced_lengths(monkeypatch, sc)
+    assert whole == n
+    for name in ("vcap_times", "vcap_values"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert got.edge_trace.edge_times.tobytes() == want.edge_trace.edge_times.tobytes()
+    assert got.edge_trace.edge_levels.tobytes() == want.edge_trace.edge_levels.tobytes()
+    assert got.harvested_energy.hex() == want.harvested_energy.hex()
+    assert got.consumed_energy.hex() == want.consumed_energy.hex()
+    assert got.mode_values == want.mode_values
+    assert (got.decoded_uuid, got.rail_up_time, got.first_sync_time, got.decision_time) == (
+        want.decoded_uuid, want.rail_up_time, want.first_sync_time, want.decision_time
+    )
 
 
 def test_mode_trace_passes_through_cold_start():
