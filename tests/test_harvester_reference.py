@@ -230,7 +230,6 @@ def test_a_rail_down_span_longer_than_a_window_finds_the_enable_tick():
     assert 64 + 128 + 256 < enabled < n and calls == 2
 
 
-
 def first_run_ticks(params, dt, v_in, p_in, load_power, mode, e_cap):
     """The ticks the first `Harvester.run` over all of `p_in` advances."""
     h = Harvester(params, dt, v_in, p_in)
@@ -266,13 +265,10 @@ def test_a_span_that_ends_on_its_windows_last_tick(last):
     net = load_power * dt / params.boost_efficiency - 1e-4 * dt * params.boost_efficiency
     # half a tick's net draw over UVLO after the tick before `last`
     e_cap = 0.5 * params.c_store * params.uvlo**2 + (last + 0.5) * net
-    v_in, p_in = [0.7] * 300, [1e-4] * 300
-    energy, modes, harvested, consumed, _ = spans_match_the_oracle(
-        params, dt, v_in, p_in, load_power, HarvesterMode.REGULATING, e_cap
-    )
+    args = (params, dt, [0.7] * 300, [1e-4] * 300, load_power, HarvesterMode.REGULATING, e_cap)
+    _, modes, harvested, consumed, _ = spans_match_the_oracle(*args)
     assert modes[last - 1 : last + 1] == [HarvesterMode.REGULATING, HarvesterMode.DEPLETED]
     assert harvested > 0.0 and consumed > 0.0
-    args = (params, dt, v_in, p_in, load_power, HarvesterMode.REGULATING, e_cap)
     assert first_run_ticks(*args) == last + 1
 
 
@@ -282,7 +278,7 @@ def test_a_regulating_span_at_zero_load_banks_one_step_per_tick(ticks):
     params = HarvesterParams()
     v_in = [0.7, 0.05, 2.0] * 100
     p_in = [1e-4, 20e-6, 0.0] * 100
-    energy, modes, harvested, consumed, calls = spans_match_the_oracle(
+    _, modes, harvested, consumed, calls = spans_match_the_oracle(
         params, 1e-3, v_in[:ticks], p_in[:ticks], 0.0, HarvesterMode.REGULATING, 200e-6
     )
     assert set(modes) == {HarvesterMode.REGULATING} and calls == 1
