@@ -65,29 +65,22 @@ class ModulationParams(Config):
 
 
 @lru_cache(maxsize=64)
-def _slots(sr: float, bit_rate: float, preamble: float, guard: float, duty: float):
+def _plan(sr: float, bit_rate: float, preamble: float, guard: float, duty: float, uuid: int):
+    """The frame's length in samples, its carrier table's length and the (first
+    sample, length) of each carrier run, worked out once per frame; a burst is
+    clamped to its slot so rounding at duty ~ 1 cannot leak into a 0-slot."""
     spb = sr / bit_rate  # samples per bit, fractional
-    n_pre = round(preamble * sr)
+    n_pre, burst_len = round(preamble * sr), round(duty * spb)
     data_start = n_pre + round(guard * sr)
-    slot_starts = tuple(data_start + round(k * spb) for k in range(FRAME_BITS + 1))
-    return n_pre, slot_starts, round(duty * spb)
-
-
-def _layout(frame: WakeupFrame, params: ModulationParams):
-    """Preamble samples, the FRAME_BITS + 1 slot boundaries and the burst length,
-    worked out once per design."""
-    return _slots(params.sample_rate, frame.bit_rate, frame.preamble_duration,
-                  frame.guard_duration, params.pulse_duty)
-
-
-@lru_cache(maxsize=64)
-def _carrier_runs(layout, uuid: int) -> tuple[tuple[int, int], ...]:
-    """(first sample, length) of each carrier run of a `_layout` and uuid, worked
-    out once per frame; a burst is clamped to its slot so rounding at duty ~ 1
-    cannot leak into a 0-slot."""
-    n_pre, slot_starts, burst_len = layout
+    slot_starts = [data_start + round(k * spb) for k in range(FRAME_BITS + 1)]
     bursts = zip(slot_starts, slot_starts[1:], _bits(uuid))
-    return ((0, n_pre),) + tuple((s, min(burst_len, e - s)) for s, e, bit in bursts if bit)
+    runs = ((0, n_pre),) + tuple((s, min(burst_len, e - s)) for s, e, bit in bursts if bit)
+    return slot_starts[-1], max(n_pre, burst_len), runs
+
+
+def _frame_plan(frame: WakeupFrame, params: ModulationParams):
+    return _plan(params.sample_rate, frame.bit_rate, frame.preamble_duration,
+                 frame.guard_duration, params.pulse_duty, frame.uuid)
 
 
 # a few designs' carriers: a table holds about 90 KB for a 50 ms preamble at 224 kHz
@@ -101,7 +94,7 @@ def _unit_sine(omega: float, length: int) -> np.ndarray:
 
 def frame_length(frame: WakeupFrame, params: ModulationParams) -> int:
     """Samples in the modulated frame, up to the end of its last bit slot."""
-    return _layout(frame, params)[1][-1]
+    return _frame_plan(frame, params)[0]
 
 
 def modulate_frame(
@@ -118,14 +111,12 @@ def modulate_frame(
     ranges give the bytes of one call over their union.
     """
     sr = params.sample_rate
-    layout = _layout(frame, params)
-    n_pre, slot_starts, burst_len = layout
+    length, table, runs = _frame_plan(frame, params)
     if stop is None:
-        stop = slot_starts[-1]
+        stop = length
     if not 0 <= start <= stop:
         raise ValueError(f"need 0 <= start <= stop, got start {start} and stop {stop}")
-    runs = _carrier_runs(layout, frame.uuid)
-    carrier = _unit_sine(2.0 * np.pi * params.carrier_freq / sr, max(n_pre, burst_len))
+    carrier = _unit_sine(2.0 * np.pi * params.carrier_freq / sr, table)
     amp = params.tx_amplitude
     out = np.zeros(stop - start, dtype=np.float64)
     for s, n in runs:

@@ -107,8 +107,9 @@ class Harvester:
     advanced, never below 64, and each further window doubles. Each window
     takes three running sums, each one `np.add.accumulate` that adds left to
     right as a scalar loop does:
-    - the cap energy, over each tick's bank and then its drain (the bank
-      alone when nothing draws), which finds the tick that ends the span;
+    - the cap energy, over each tick's bank and then, while regulating, its
+      drain (-0.0 at zero load, which moves no sum), which finds the tick
+      that ends the span;
     - `harvested`, over the banks of the ticks the span ran;
     - `consumed`, over their drains.
     So the three add up tick by tick, and a sum that starts at or above +0.0
@@ -166,7 +167,7 @@ class Harvester:
         k, mode, energy = self.k, self.mode, self.energy
         regulating = mode is HarvesterMode.REGULATING
         if regulating:
-            banked, steps = self._b_reg, 2 if drain > 0 else 1  # a bank, then a drain
+            banked, steps = self._b_reg, 2  # a bank, then a drain
         else:
             if mode is HarvesterMode.DEPLETED:  # nothing banks until the input can cold-start
                 woke = k + int(self._cold_ok[k:end].argmax())
@@ -184,7 +185,7 @@ class Harvester:
         cap = np.empty(steps * n + 1)  # the cap energy over each tick's bank, then its drain
         cap[0] = self.e_cap
         cap[1::steps] = banked[k:end]
-        if steps == 2:
+        if regulating:
             cap[2::2] = -drain
         np.add.accumulate(cap, out=cap)
         closing = cap[steps::steps]
@@ -195,7 +196,7 @@ class Harvester:
             self.modes.append((mode, n))
             self.e_cap = float(cap[-1])
             self.harvested = _running_sum(self.harvested, banked[k:end], n)
-            if steps == 2:
+            if regulating:
                 self.consumed = _running_sum(self.consumed, drain, n)
             self.k = end
             return False
@@ -206,7 +207,7 @@ class Harvester:
         # load draws from this tick on, or the draw empties the cap or crosses UVLO
         opened = float(cap[steps * i + 1])
         self.harvested = _running_sum(self.harvested, banked[k : k + i + 1], i + 1)
-        if steps == 2:
+        if regulating:
             self.consumed = _running_sum(self.consumed, drain, i)
         drained = min(drain, opened)
         self.e_cap = energy[k + i] = opened - drained

@@ -169,23 +169,24 @@ def _run_ticks(sc: Scenario, trace: DigitalTrace, dt: float, ends, v_in, p_in):
     Tick j feeds the decoder the events due before `ends[j]` while the rail
     is up at its start, and its load follows the decoder after them. The
     `Harvester` advances in spans between load changes: from a rail-up tick
-    the decoder is fed ahead, tick by tick with events, up to the first tick
-    whose events flip `mid_frame`, and the span runs up to that tick under
-    one load. Decoder states are immutable, so the one after each fed tick
-    is kept; a span the rail leaves early resumes from the state after the
-    last tick that ran with the rail up. A rail-down span runs until the
-    rail comes up. Returns the final decoder state, the harvester after the
-    last tick, and the rail-up and first-sync times.
+    the decoder is fed ahead once, up to the event that flips `mid_frame`,
+    and the span runs under one load up to that event's tick, which starts
+    the next span. Decoder states are immutable, so the state after the
+    span's first tick is held; a span the rail leaves early resumes from it,
+    fed again up to the last tick that ran with the rail up. A rail-down
+    span runs until the rail comes up. Returns the final decoder state, the
+    harvester after the last tick, and the rail-up and first-sync times.
     """
     n_ticks = len(ends)
     rising = [*trace.rising_times().tolist(), inf]  # inf: no edge left
     decided = dec.DecoderPhase.DECIDED
     harvester = Harvester(sc.harvester, dt, v_in, p_in)
 
-    def feed(fed, t1):
+    def feed(fed, t1, until=None):
         """`fed`, a (decoder state, next edge index, first-sync time), after the
-        events due before t1, in time order with ties to the edge; and the time
-        of the earliest event left (inf: none, or decided)."""
+        events due before t1, in time order with ties to the edge, or right after
+        the first of them that sets `mid_frame` to `until`; and that event's time
+        (inf: none)."""
         state, edge_idx, first_sync_time = fed
         while state.phase is not decided:
             due = state.next_sample_time
@@ -196,10 +197,12 @@ def _run_ticks(sc: Scenario, trace: DigitalTrace, dt: float, ends, v_in, p_in):
                 event = dec.RisingEdge(edge)
                 edge_idx += 1
             else:
-                return (state, edge_idx, first_sync_time), edge if due is None else min(due, edge)
+                break
             state = dec.decoder_feed(state, sc.decoder, event)
             if first_sync_time is None:
                 first_sync_time = state.first_edge_time
+            if state.mid_frame is until:
+                return (state, edge_idx, first_sync_time), event.time
         return (state, edge_idx, first_sync_time), inf
 
     fed = (dec.DecoderState(), 0, None)
@@ -209,27 +212,18 @@ def _run_ticks(sc: Scenario, trace: DigitalTrace, dt: float, ends, v_in, p_in):
         if harvester.mode is HarvesterMode.REGULATING:
             if rail_up_time is None:
                 rail_up_time = k * dt  # the tick's start, as np.arange(n_ticks) * dt rounds it
-            fed, nxt = feed(fed, ends[k])  # nothing new if tick k's events are in already
-            mid_frame = fed[0].mid_frame
-            kept = [(k, fed)]  # (tick, fed after its events)
-            j, stop = k, n_ticks
-            while nxt < inf:
-                j = bisect_right(ends, nxt, j + 1)  # the next tick that feeds an event
-                if j == n_ticks:
-                    break
-                fed, nxt = feed(fed, ends[j])
-                kept.append((j, fed))
-                if fed[0].mid_frame is not mid_frame:
-                    stop = j
-                    break
+            held, _ = feed(fed, ends[k])  # the rest of tick k's events
+            mid_frame = held[0].mid_frame
+            fed, flip = feed(held, ends[-1], not mid_frame)
+            stop = bisect_right(ends, flip, k + 1)  # the flip's tick; n_ticks if none
             # decode draw applies while the decoder is mid-frame, listen otherwise
             load = sc.load.p_decode if mid_frame else sc.load.p_listen
             # a run also ends where the load empties the cap; the rail may hold there
             while harvester.k < stop and harvester.mode is HarvesterMode.REGULATING:
                 harvester.run(stop, load)
-            # a state with tick j's events holds at tick j only if the rail is up there
-            last = harvester.k - (harvester.mode is not HarvesterMode.REGULATING)
-            fed = next(f for t, f in reversed(kept) if t <= last)
+            if harvester.mode is not HarvesterMode.REGULATING:
+                # the state after the last tick that ran with the rail up
+                fed, _ = feed(held, ends[harvester.k - 1])
         else:
             # rail down: the passive receiver draws nothing, comparator events
             # are lost and any progress is gone

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from aquawake import cli as cli_module
 from aquawake import load_scenario, sim
 from aquawake.cli import SCHEMA_VERSION, _fmt, _write_run_outputs, main, preset_path
+from aquawake.frontend import transduce
 from aquawake.power import Harvester, HarvesterMode
 from aquawake.scenario_io import MAX_NESTING, _Loader
 
@@ -314,7 +315,7 @@ def test_run_rejects_a_bad_key_by_name(old, new, message, tmp_path):
     ],
     ids=["silent_until_the_arrival", "input_power_first"],
 )
-def test_an_overflow_after_the_first_block_is_named(noise_rms, cause, tmp_path):
+def test_an_overflow_after_the_first_block_is_named(noise_rms, cause, tmp_path, monkeypatch):
     text = preset_path("paper_fig5").read_text()
     edits = [
         ("tx_amplitude: 34.6064", "tx_amplitude: 1.0e+200"),
@@ -328,10 +329,17 @@ def test_an_overflow_after_the_first_block_is_named(noise_rms, cause, tmp_path):
     path = tmp_path / "far.scenario"
     path.write_text(text)
     sc = load_scenario(path)
+    lengths = []  # the length of each block the run's transducer stage takes
+
+    def recording(pressure, model, zi=None):
+        lengths.append(len(pressure.samples))
+        return transduce(pressure, model, zi)
+
+    monkeypatch.setattr(sim, "transduce", recording)
+    code, _, stderr = cli("run", str(path), "--out", str(tmp_path / "o"))
     # the direct arrival, where the signal first overflows, lies past the first block
     arrival = round(sc.channel.distance / sc.channel.sound_speed * sc.modulation.sample_rate)
-    assert arrival > sim.BLOCK_SAMPLES
-    code, _, stderr = cli("run", str(path), "--out", str(tmp_path / "o"))
+    assert arrival > lengths[0]
     assert code == 2
     assert stderr == (
         f"error: signal level leaves float range ({cause}; direct-path gain 9.86049e-05); "

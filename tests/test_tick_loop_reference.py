@@ -6,8 +6,9 @@ advances the harvester over whole spans of ticks between load changes.
 tick, the event merge checked on every rail-up tick, and the plain-float
 energy-domain harvester of `harvester_oracle` one tick at a time. Both must
 agree bit for bit, on synthetic tick inputs whose edges and sampling
-instants fall on exact tick ends, on hand-built ties, a mid-frame rail-down
-reset inside a look-ahead and a rail that holds on an empty cap, and on
+instants fall on exact tick ends or crowd whole frames into one tick, on
+hand-built ties, a mid-frame rail-down reset inside a look-ahead, a rail
+drop in the run's last tick and a rail that holds on an empty cap, and on
 whole runs near the echo-free and echo presets.
 """
 
@@ -100,10 +101,10 @@ def tick_ends(n):
     return (np.arange(n) * DT + DT).tolist()
 
 
-def alternating_trace(grid_steps):
-    """Rising at even entries, falling at odd ones, times in GRID steps."""
+def alternating_trace(grid_steps, grid=GRID):
+    """Rising at even entries, falling at odd ones, times in `grid` steps."""
     levels = [i % 2 == 0 for i in range(len(grid_steps))]
-    return DigitalTrace(np.array(grid_steps, dtype=float) * GRID, np.array(levels))
+    return DigitalTrace(np.array(grid_steps, dtype=float) * grid, np.array(levels))
 
 
 def base_scenario(load, decoder):
@@ -125,9 +126,15 @@ def tick_cases(draw):
     n = draw(st.integers(1, 120))
     v_in = draw(st.lists(st.sampled_from([1.0, 0.0]), min_size=n, max_size=n))
     p_in = draw(st.lists(st.sampled_from([1e-3, 0.0, 1e-5, 0.1]), min_size=n, max_size=n))
-    # on a half-tick grid, every other edge and many sampling instants sit on a tick end
-    spacing = draw(st.sampled_from([2, 1]))
-    steps = draw(st.lists(st.integers(0, 4 * n // spacing + 8), unique=True, max_size=40))
+    # on a half-tick grid, every other edge and many sampling instants sit on a tick
+    # end; on a 1/64-tick grid the edges crowd into a quarter tick from a drawn
+    # tick's start, so one tick can hold a whole frame and its decision
+    grid = draw(st.sampled_from([2 * GRID, GRID, DT / 64]))
+    if grid < GRID:
+        first, last = draw(st.integers(0, n - 1)) * 64, 16
+    else:
+        first, last = 0, round(n * DT / grid) + 8
+    steps = draw(st.lists(st.integers(0, last), unique=True, max_size=40))
     load = LoadProfile(
         p_listen=draw(st.sampled_from([1e-5, 0.0, 1e-2])),
         p_decode=draw(st.sampled_from([1e-4, 1e-2, 0.0])),
@@ -137,7 +144,7 @@ def tick_cases(draw):
         max_sync_interval=draw(st.sampled_from([100.0, 0.3])),
         sample_offset=draw(st.sampled_from([0.5, 0.25, 1.0])),
     )
-    trace = alternating_trace([spacing * m for m in sorted(steps)])
+    trace = alternating_trace([first + m for m in sorted(steps)], grid)
     return base_scenario(load, decoder), trace, v_in, p_in
 
 
@@ -240,6 +247,22 @@ def test_a_rail_drop_inside_a_look_ahead_resumes_from_the_last_rail_up_tick(monk
     assert (2, 35, 3, HarvesterMode.DEPLETED) in runs
     assert feeds[:3] == [10 * GRID, 64 * GRID, 72 * GRID]
     assert feeds.count(64 * GRID) == 2
+
+
+def test_a_rail_drop_in_the_last_tick_keeps_the_events_fed_before_it():
+    # a cap charged in tick 0 drains under the decode draw and empties in tick 4,
+    # the last; the span from tick 2 is fed ahead to the end of the run
+    sc = base_scenario(
+        LoadProfile(p_listen=0.0, p_decode=1e-5),
+        DecoderConfig(assigned_uuid=0xA5, max_sync_interval=1.0, sample_offset=0.5),
+    )
+    rising = [0.3, 0.4, 0.5]  # sync at 0.3 s and 0.4 s, then bit 0 sampled low at 0.55 s
+    times = sorted(rising + [t + 0.03 for t in rising])
+    trace = DigitalTrace(np.array(times), np.array([i % 2 == 0 for i in range(len(times))]))
+    dec_state, _, modes, *_ = both(sc, trace, [1.0] * 5, [1e-3] + [0.0] * 4)
+    assert modes == [HarvesterMode.REGULATING] * 4 + [HarvesterMode.DEPLETED]
+    # ticks 3 and 4 ran with the rail up, so their events stand with no reset after
+    assert dec_state.phase is DecoderPhase.SAMPLING and dec_state.bits == (0,)
 
 
 def test_a_rail_that_holds_on_an_empty_cap_feeds_each_event_once(feeds):
