@@ -3,6 +3,9 @@
 Stages, in signal order: resonant transducer (pressure to volts), 28 kHz
 band-pass, negative-voltage-converter rectifier, envelope detector, and a
 dual-time-constant comparator that turns envelope rises into digital edges.
+The comparator's drive, its fast RC less its gain-scaled slow RC, is one
+second-order filter: the two RCs' exact algebraic sum, equal to them up to
+rounding that grows as the taus lengthen.
 The harvester branch taps the rectified transducer output directly and is
 wired up in the simulation engine, not here.
 
@@ -169,6 +172,23 @@ def _one_pole_lowpass(
     return _lfilter(b, a, x, zi)
 
 
+@lru_cache(maxsize=64)
+def _drive_coeffs(fast_tau: float, slow_tau: float, gain: float, sample_rate: float):
+    """The comparator's drive, fast RC less `gain` x slow RC, as one second-order filter.
+
+    Over the common denominator (1 - pf/z)(1 - ps/z) the numerator is
+    bf (1 - ps/z) - gain bs (1 - pf/z), with each RC's b and pole p from
+    `_one_pole_coeffs`. Its rounding grows as the poles near 1.
+    """
+    fast_b, fast_a = _one_pole_coeffs(fast_tau, sample_rate)
+    slow_b, slow_a = _one_pole_coeffs(slow_tau, sample_rate)
+    bf, pf, bs, ps = fast_b[0], -fast_a[1], slow_b[0], -slow_a[1]
+    b = np.array([bf - gain * bs, -bf * ps + gain * bs * pf, 0.0])
+    a = np.array([1.0, -(pf + ps), pf * ps])
+    b.flags.writeable = a.flags.writeable = False
+    return b, a
+
+
 def transduce(
     pressure: Waveform, model: TransducerModel, zi: np.ndarray | None = None
 ) -> Waveform:
@@ -235,8 +255,7 @@ def envelope(v: Waveform, params: DemodParams, zi: np.ndarray | None = None) -> 
 class ComparatorState:
     """What the comparator carries from one block of its input to the next."""
 
-    fast_zi: np.ndarray = field(default_factory=lambda: np.zeros(1))  # plus input's RC
-    slow_zi: np.ndarray = field(default_factory=lambda: np.zeros(1))  # minus input's RC
+    drive_zi: np.ndarray = field(default_factory=lambda: np.zeros(2))  # drive filter's state
     level: bool = False  # the latched output; low before the first edge
     offset: int = 0  # samples before the block, so edge times stay index / sample rate
 
@@ -249,20 +268,20 @@ def comparator(
     The plus input follows the envelope through a fast RC, the minus input
     through a slow RC scaled by reference_gain. Output goes high while
     plus > minus + hysteresis, low while plus < minus - hysteresis, and
-    latches in between. Returns the transition list. `state` is None for a
-    whole signal; a `ComparatorState` passed in carries the comparator from
-    the previous block and is updated in place.
+    latches in between. Returns the transition list. The drive plus - minus
+    is formed in one pass of one second-order filter, equal to the two RCs
+    up to rounding that grows as the taus lengthen (`_drive_coeffs`).
+    `state` is None for a whole signal; a `ComparatorState` passed in
+    carries the comparator from the previous block and is updated in place.
     """
     if env.unit is not SignalUnit.VOLTS:
         raise UnitMismatchError(f"comparator input must be volts, got {env.unit.value}")
     if state is None:
         state = ComparatorState()
     sr = env.sample_rate
-    plus = _one_pole_lowpass(env.samples, params.fast_tau, sr, state.fast_zi)
-    minus = _one_pole_lowpass(env.samples, params.slow_tau, sr, state.slow_zi)
-    minus *= params.reference_gain
-    diff = np.subtract(plus, minus, out=plus)
-    return _latched_edges(diff, np.abs(diff, out=minus), params.hysteresis, state, sr)
+    b, a = _drive_coeffs(params.fast_tau, params.slow_tau, params.reference_gain, sr)
+    diff = _lfilter(b, a, env.samples, state.drive_zi)
+    return _latched_edges(diff, np.abs(diff), params.hysteresis, state, sr)
 
 
 def _latched_edges(
