@@ -281,18 +281,17 @@ def comparator(
     sr = env.sample_rate
     b, a = _drive_coeffs(params.fast_tau, params.slow_tau, params.reference_gain, sr)
     diff = _lfilter(b, a, env.samples, state.drive_zi)
-    return _latched_edges(diff, np.abs(diff), params.hysteresis, state, sr)
+    return _latched_edges(diff, params.hysteresis, state, sr)
 
 
 def _latched_edges(
-    diff: np.ndarray, magnitude: np.ndarray, hysteresis: float, state: ComparatorState, sr: float
+    diff: np.ndarray, hysteresis: float, state: ComparatorState, sr: float
 ) -> DigitalTrace:
     """The comparator's level changes over one block of its drive `diff`
-    (plus - minus), whose absolute value is `magnitude`; `state`'s level and
-    offset are carried on in place."""
+    (plus - minus); `state`'s level and offset are carried on in place."""
     # the level changes only at samples outside the band whose side differs
     # from the level before them; a block starts at the level carried in
-    decided = (magnitude > hysteresis).nonzero()[0]
+    decided = (np.abs(diff) > hysteresis).nonzero()[0]
     high = diff[decided] > 0
     before = np.empty_like(high)
     before[:1] = state.level

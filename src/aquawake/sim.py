@@ -326,9 +326,12 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         )
 
     # energy ledger must close: banked - drained == E_final, as the ticks start on
-    # an empty cap; NaN fails it too
+    # an empty cap, up to the rounding of sums that add once per tick. The bound,
+    # 4 * n_ticks * 2**-52 * harvested, is 24x or more the closures measured on the
+    # presets and far below one tick's bank left out (about harvested / n_ticks);
+    # NaN fails it too
     closure = harvester.harvested - harvester.consumed - float(harvester.energy[-1])
-    if not abs(closure) <= 1e-3 * harvester.harvested:
+    if not abs(closure) <= 4 * n_ticks * 2**-52 * harvester.harvested:
         raise InvariantError(f"energy ledger violation: {closure} J unaccounted")
     if woke and dec_state.decoded_uuid != sc.decoder.assigned_uuid:
         raise InvariantError("wake asserted without a matching UUID")

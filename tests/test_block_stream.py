@@ -36,6 +36,7 @@ from aquawake import (
 )
 from aquawake import frame as frame_module
 from aquawake.frontend import ComparatorState
+from reference_engine import sine_frame
 
 SR = 224_000.0
 DECIMATION = SimOptions().harvester_decimation
@@ -167,26 +168,6 @@ def test_propagate_rejects_a_range_outside_its_output():
         propagate(tx, noisy, 3, 10, 20)
     propagate(tx, noisy, np.random.default_rng(3), 10, 20)
     propagate(tx, ChannelModel(noise_rms=0.0), 3, 10, 20)
-
-
-def sine_frame(frame: WakeupFrame, params: ModulationParams) -> np.ndarray:
-    """The transmit as one array with an `np.sin` of its own per run: the
-    preamble, then one burst copied into every 1-slot, clamped to the slot."""
-    sr = params.sample_rate
-    spb = sr / frame.bit_rate
-    n_pre = round(frame.preamble_duration * sr)
-    data_start = n_pre + round(frame.guard_duration * sr)
-    slots = [data_start + round(k * spb) for k in range(len(frame.bits()) + 1)]
-    omega = 2.0 * np.pi * params.carrier_freq / sr
-    amp = params.tx_amplitude
-    out = np.zeros(slots[-1])
-    out[:n_pre] = amp * np.sin(omega * np.arange(n_pre))
-    burst = amp * np.sin(omega * np.arange(round(params.pulse_duty * spb)))
-    for bit, a, b in zip(frame.bits(), slots, slots[1:]):
-        if bit:
-            n = min(len(burst), b - a)
-            out[a : a + n] = burst[:n]
-    return out
 
 
 @st.composite

@@ -537,6 +537,28 @@ def test_an_engine_invariant_violation_exits_three(tmp_path, monkeypatch):
     assert not (out / "result.csv").exists()
 
 
+@pytest.mark.parametrize("name", ["paper_fig5", "paper_echo", "paper_critical_distance"])
+def test_a_ledger_short_of_one_bank_per_window_exits_three(tmp_path, monkeypatch, name):
+    # each harvester window that ends without a crossing leaves its last tick's
+    # bank out of the harvested sum, about 1 / n_ticks of it per window
+    real_advance = Harvester._advance
+
+    def short_advance(self, end, drain):
+        hit = real_advance(self, end, drain)
+        if not hit and self.mode is not HarvesterMode.DEPLETED:
+            regulating = self.mode is HarvesterMode.REGULATING
+            self.harvested -= (self._b_reg if regulating else self._b_cold)[end - 1]
+        return hit
+
+    monkeypatch.setattr(Harvester, "_advance", short_advance)
+    scenario = yaml.safe_load(preset_path(name).read_text())
+    scenario["sim"]["harvester_decimation"] = 1
+    path = tmp_path / "decimation_1.yaml"
+    path.write_text(yaml.safe_dump(scenario))
+    code, _, stderr = cli("run", str(path), "--out", str(tmp_path / "out"))
+    assert code == 3 and "error: energy ledger violation" in stderr
+
+
 def test_a_wake_without_the_assigned_uuid_exits_three(tmp_path, monkeypatch):
     monkeypatch.setattr("aquawake.decoder.wake_output", lambda state: True)
     path = tmp_path / "mismatched.yaml"

@@ -4,34 +4,22 @@
 the slow RC, in one pass of one second-order filter (`_drive_coeffs`). That
 filter is the two RCs' exact algebraic sum, so the two forms differ only by
 rounding, which grows as the poles near 1, that is as the taus lengthen.
-The two-RC form lives here only, as the oracle:
-
-- the drive, read where the comparator hands it to `_latched_edges`, stays
-  within a stated bound x max|env| of the oracle's, on step, noise and
-  on-off-keyed envelope inputs fed in blocks with the state carried;
-- whole runs of the three presets give the same edge trace and the same
-  `ScenarioResult` with the two-RC comparator patched into `sim`.
+The two-RC form, `reference_engine.two_rc_drive`, is the oracle: the
+drive, read where the comparator hands it to `_latched_edges`, stays
+within a stated bound x max|env| of the oracle's, on step, noise and
+on-off-keyed envelope inputs fed in blocks with the state carried. Whole
+runs, whose edges the reference run takes from the two-RC drive, are
+pinned by `test_reference_engine.py`.
 """
 
-from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
 import pytest
 
-from aquawake import (
-    DemodParams,
-    SignalUnit,
-    Waveform,
-    comparator,
-    frontend,
-    load_scenario,
-    run_scenario,
-    sim,
-)
-from aquawake.cli import preset_path
+from aquawake import DemodParams, SignalUnit, Waveform, comparator, frontend
 from aquawake.frontend import _one_pole_lowpass
-from aquawake.sim import _with_parameter
+from reference_engine import two_rc_drive
 
 SR = 224_000.0
 
@@ -54,25 +42,6 @@ CASES = {
 # block size -> samples fed in it (None: all of the case's); tiny blocks run
 # on a prefix only, so that a case stays about 500 calls
 FED = {1: 512, 7: 3_584, 8_192: None}
-
-
-def two_rc_drive(x, params, sr, fast_zi, slow_zi) -> np.ndarray:
-    """Fast RC less reference_gain x slow RC; the zi arrays are carried in place."""
-    plus = _one_pole_lowpass(x, params.fast_tau, sr, fast_zi)
-    return plus - params.reference_gain * _one_pole_lowpass(x, params.slow_tau, sr, slow_zi)
-
-
-class TwoRcComparator:
-    """`frontend.comparator` with the two-RC drive, for one run: it carries its
-    RC states itself and the level and offset in the state it is passed."""
-
-    def __init__(self):
-        self.fast_zi, self.slow_zi = np.zeros(1), np.zeros(1)
-
-    def __call__(self, env, params, state):
-        sr = env.sample_rate
-        diff = two_rc_drive(env.samples, params, sr, self.fast_zi, self.slow_zi)
-        return frontend._latched_edges(diff, np.abs(diff), params.hysteresis, state, sr)
 
 
 def envelopes(params: DemodParams, n: int) -> dict[str, np.ndarray]:
@@ -117,37 +86,3 @@ def test_the_drive_is_the_two_rc_drive_up_to_rounding(case, size):
         assert len(got) == len(want) == len(x)
         error = float(np.abs(got - want).max()) / float(np.abs(x).max())
         assert error <= bound, f"{name}: {error:.3g} x max|env| above {bound:g}"
-
-
-PRESETS = {
-    name: load_scenario(preset_path(name))
-    for name in ("paper_fig5", "paper_echo", "paper_critical_distance")
-}
-
-
-@pytest.mark.parametrize("bit_rate", [20.0, 50.0, 200.0, 1000.0])
-@pytest.mark.parametrize("name", list(PRESETS))
-def test_a_run_matches_a_run_on_the_two_rc_comparator(name, bit_rate):
-    sc = _with_parameter(PRESETS[name], "bit_rate", bit_rate)
-    demod = sc.resolved_demod()
-    for hysteresis in (0.0, demod.hysteresis):
-        for decimation in (1, 64):
-            variant = replace(
-                sc,
-                demod=replace(demod, hysteresis=hysteresis),
-                sim=replace(sc.sim, harvester_decimation=decimation),
-            )
-            result = run_scenario(variant)
-            with patch.object(sim, "comparator", TwoRcComparator()):
-                reference = run_scenario(variant)
-            where = f"hysteresis {hysteresis}, decimation {decimation}"
-            for field, value in vars(result).items():
-                other = getattr(reference, field)
-                if field == "edge_trace":
-                    for array in ("edge_times", "edge_levels"):
-                        got, want = getattr(value, array), getattr(other, array)
-                        assert got.tobytes() == want.tobytes(), f"{array}, {where}"
-                elif isinstance(value, np.ndarray):
-                    assert value.tobytes() == other.tobytes(), f"{field}, {where}"
-                else:
-                    assert repr(value) == repr(other), f"{field}, {where}"

@@ -29,7 +29,7 @@ from aquawake import (
     rectify,
     transduce,
 )
-from aquawake.frontend import _one_pole_lowpass
+from reference_engine import latch, two_rc_drive
 
 SR = 224_000.0
 
@@ -290,24 +290,6 @@ def test_comparator_can_be_high_from_the_first_sample():
     assert bool(tr.edge_levels[0]) is True
 
 
-def reference_comparator(x: np.ndarray, params: DemodParams) -> tuple[list, list]:
-    """Per-sample latch: high above +h, low below -h, held in between, low at first."""
-    plus = _one_pole_lowpass(x, params.fast_tau, SR)
-    minus = params.reference_gain * _one_pole_lowpass(x, params.slow_tau, SR)
-    level, times, levels = False, [], []
-    for i, d in enumerate((plus - minus).tolist()):
-        new = level
-        if d > params.hysteresis:
-            new = True
-        elif d < -params.hysteresis:
-            new = False
-        if new != level:
-            level = new
-            times.append(i / SR)
-            levels.append(new)
-    return times, levels
-
-
 # stretches of constant drive; a leading 0.0 stretch keeps diff exactly 0
 stretch = st.tuples(st.sampled_from([0.0, 0.02, 1.0]) | st.floats(0.0, 2.0), st.integers(1, 300))
 stretches = st.lists(stretch, min_size=1, max_size=6)
@@ -332,22 +314,9 @@ def test_comparator_matches_a_per_sample_latch(
         reference_gain=reference_gain,
     )
     tr = comparator(Waveform(SR, x, SignalUnit.VOLTS), params)
-    times, levels = reference_comparator(x, params)
-    assert tr.edge_times.tolist() == times
-    assert tr.edge_levels.tolist() == levels
-
-
-def reference_edges(diff: np.ndarray, hysteresis: float, level: bool, offset: int, sr: float):
-    """Edge extraction on whole arrays: `(times, levels, final level, final offset)`."""
-    decided = np.flatnonzero(np.abs(diff) > hysteresis)
-    high = diff[decided] > 0
-    before = np.empty_like(high)
-    before[:1] = level
-    before[1:] = high[:-1]
-    changes = np.flatnonzero(high != before)
-    times = (decided[changes] + offset) / sr
-    final = bool(high[-1]) if len(high) else level
-    return times, high[changes], final, offset + len(diff)
+    times, levels, _, _ = latch(two_rc_drive(x, params, SR), params.hysteresis, SR)
+    assert tr.edge_times.tolist() == times.tolist()
+    assert tr.edge_levels.tolist() == levels.tolist()
 
 
 def assert_same_edges(trace, state, want) -> None:
@@ -365,16 +334,15 @@ def assert_same_edges(trace, state, want) -> None:
     offset=st.integers(0, 2**40),
     data=st.data(),
 )
-def test_edge_extraction_matches_the_whole_array_reference(hysteresis, level, offset, data):
+def test_edge_extraction_matches_the_per_sample_latch(hysteresis, level, offset, data):
     # drive values on and around the band's edges, NaN among them; empty and
     # 1-sample blocks included
     edges = st.sampled_from([math.nan, 0.0, -0.0, hysteresis, -hysteresis])
     values = data.draw(st.lists(edges | st.floats(-0.05, 0.05), max_size=40))
     diff = np.array(values, dtype=float)
     state = frontend.ComparatorState(level=level, offset=offset)
-    want = reference_edges(diff, hysteresis, level, offset, SR)
-    reused = np.empty_like(diff)  # as the comparator reuses its minus input
-    trace = frontend._latched_edges(diff, np.abs(diff, out=reused), hysteresis, state, SR)
+    want = latch(diff, hysteresis, SR, level, offset)
+    trace = frontend._latched_edges(diff, hysteresis, state, SR)
     assert_same_edges(trace, state, want)
 
 
@@ -394,7 +362,7 @@ def test_comparator_matches_the_reference_edges_of_its_drive(
     params = DemodParams.for_bit_rate(200.0, hysteresis=hysteresis)
     zi = np.array(carried)
     b, a = frontend._drive_coeffs(params.fast_tau, params.slow_tau, params.reference_gain, SR)
-    want = reference_edges(frontend._lfilter(b, a, x, zi.copy()), hysteresis, level, offset, SR)
+    want = latch(frontend._lfilter(b, a, x, zi.copy()), hysteresis, SR, level, offset)
     state = frontend.ComparatorState(zi, level, offset)
     assert_same_edges(comparator(Waveform(SR, x, SignalUnit.VOLTS), params, state), state, want)
 

@@ -1,118 +1,43 @@
-"""Reference harvester: run_scenario's span runner against per-tick loops.
+"""Reference harvester: `power.Harvester`'s span runner against per-tick loops.
 
-The engine keeps the cap's energy and advances it in spans, one numpy
-accumulate each, through `Harvester.run`. Here the `Harvester` is
-wrapped to record each span call's load, the run's ticks are replayed one
-at a time, and the results are compared:
+The harvester keeps the cap's energy and advances it in spans, one numpy
+accumulate each, through `Harvester.run`. Its cap energies, modes and
+energy sums must agree bit for bit with the plain-float energy-domain
+oracle in `harvester_oracle`, on random tick inputs and on explicit cases
+that the presets do not reach: thresholds at or below 0 V, spans that end
+on their first tick or their window's last, a load that empties the cap
+partway through a span, and a drain that overflows to inf. Whole runs are
+pinned to the same oracle by `test_reference_engine.py`.
 
-- through the plain-float energy-domain oracle in `harvester_oracle`, the
-  cap energies, modes and energy sums must agree bit for bit;
-- through a voltage-domain loop over the same oracle, which turns the cap
-  voltage into energy and back on every tick, the cap voltages may drift
-  by rounding (at most 1e-12 relative) but the modes and energy sums must
-  not move.
-
-Scenarios sit near the echo-free and echo presets, with listening loads
-heavy enough to drop the rail after rail-up and harvester decimations from
-1 to 64. Explicit cases and random tick inputs cover what the presets do
-not reach: thresholds at or below 0 V, a load that empties the cap partway
-through a span, and a drain that overflows to inf.
+A voltage-domain loop over the oracle, which turns the cap voltage into
+energy and back on every tick, takes each tick's inputs and load from
+`reference_engine`: a run's cap voltages may drift from it by rounding (at
+most 1e-12 relative), but its modes and energy sums must not move.
 """
 
 import math
-from dataclasses import replace
 from itertools import repeat
-from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aquawake import (
-    HarvesterMode,
-    HarvesterParams,
-    cap_energy,
-    load_scenario,
-    run_scenario,
-)
-from aquawake.cli import preset_path
+from aquawake import HarvesterMode, HarvesterParams, cap_energy, run_scenario
 from aquawake.power import Harvester
 from harvester_oracle import oracle_tick, oracle_ticks, run_spans
-
-PRESETS = {name: load_scenario(preset_path(name)) for name in ("paper_fig5", "paper_echo")}
-
-
-@st.composite
-def scenarios(draw):
-    sc = PRESETS[draw(st.sampled_from(sorted(PRESETS)))]
-    # drive from too weak to rail up to twice the preset's level
-    drive = sc.modulation.tx_amplitude * draw(st.floats(min_value=0.2, max_value=2.0))
-    return replace(
-        sc,
-        modulation=replace(sc.modulation, tx_amplitude=drive),
-        harvester=replace(sc.harvester, c_store=draw(st.floats(min_value=20e-6, max_value=400e-6))),
-        load=replace(
-            sc.load,
-            # up to 50 mW of listening, over a tail of up to 50 ms, drains the
-            # cap below UVLO after rail-up
-            p_listen=draw(st.sampled_from([50e-3, 10e-3, 1e-3, sc.load.p_listen])),
-            p_decode=draw(st.floats(min_value=0.0, max_value=500e-6)),
-        ),
-        sim=replace(
-            sc.sim,
-            harvester_decimation=draw(st.integers(1, 64)),
-            tail_duration=draw(st.sampled_from([0.05, sc.sim.tail_duration])),
-        ),
-    )
-
-
-def run_recording_ticks(sc):
-    """The run, its harvester's (params, dt, energy) and each tick's inputs."""
-    built = []
-    loads = []  # load_power per tick
-    real_init, real_run = Harvester.__init__, Harvester.run
-
-    def recording_init(self, params, dt, v_in, p_in):
-        real_init(self, params, dt, v_in, p_in)
-        built.append((params, dt, self.energy, np.array(v_in).tolist(), np.array(p_in).tolist()))
-
-    def recording_run(self, stop, load_power):
-        k = self.k
-        assert k == len(loads) < stop  # spans tile the ticks, none empty
-        real_run(self, stop, load_power)
-        loads.extend(repeat(load_power, self.k - k))
-
-    with patch.object(Harvester, "__init__", recording_init):
-        with patch.object(Harvester, "run", recording_run):
-            result = run_scenario(sc)
-    [(params, dt, energy, v_in, p_in)] = built
-    assert len(loads) == len(v_in)
-    return result, params, dt, energy, list(zip(v_in, p_in, loads))
-
-
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(scenarios())
-def test_the_tick_loop_matches_the_per_tick_energy_oracle(sc):
-    result, params, dt, energy, inputs = run_recording_ticks(sc)
-    assert params == sc.harvester
-    assert dt == sc.sim.harvester_decimation / sc.modulation.sample_rate
-
-    energies, modes, harvested, consumed = oracle_ticks(params, dt, inputs)
-
-    assert energy.tolist() == energies  # float equality: bit for bit, 0.0 == -0.0 aside
-    vcap = np.sqrt(2.0 * np.array(energies) / params.c_store)
-    assert vcap.tobytes() == result.vcap_values.tobytes()
-    assert [mode.value for mode in modes] == result.mode_values
-    assert harvested.hex() == result.harvested_energy.hex()
-    assert consumed.hex() == result.consumed_energy.hex()
+from reference_engine import front_end, per_tick_run_ticks, scenarios
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(scenarios())
 def test_a_voltage_domain_per_tick_loop_drifts_only_by_rounding(sc):
-    # the loop rounds the cap energy through a voltage on every tick
-    result, params, dt, _, inputs = run_recording_ticks(sc)
+    # the loop rounds the cap energy through a voltage on every tick, fed each
+    # tick's inputs and load as the reference run has them
+    result, params = run_scenario(sc), sc.harvester
+    trace, dt, ends, v_in, p_in = front_end(sc)
+    _, reference, _, _ = per_tick_run_ticks(sc, trace, dt, ends, v_in, p_in)
+    inputs = zip(v_in.tolist(), p_in.tolist(), reference.loads)
 
     mode, v_cap, harvested, consumed = HarvesterMode.DEPLETED, 0.0, 0.0, 0.0
     vcap, modes = [], []

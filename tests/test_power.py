@@ -239,16 +239,25 @@ def test_a_run_rejects_a_stop_past_the_last_tick():
 
 
 def advance_lengths(monkeypatch, scenario) -> tuple[list[int], int]:
-    """The ticks each `Harvester._advance` call of one run covers, and the run's ticks."""
-    lengths = []
-    advance = Harvester._advance
+    """The ticks each `Harvester._advance` call of one run covers, and the run's
+    ticks; the run's `Harvester.run` spans must tile its ticks, none empty."""
+    lengths, tiled = [], [0]  # tiled: the tick after each span
+    advance, run = Harvester._advance, Harvester.run
 
     def counted(self, end, drain):
         lengths.append(end - self.k)
         return advance(self, end, drain)
 
+    def spanned(self, stop, load_power):
+        assert self.k == tiled[-1] < stop  # spans tile the ticks, none empty
+        run(self, stop, load_power)
+        tiled.append(self.k)
+
     monkeypatch.setattr(Harvester, "_advance", counted)
-    return lengths, len(run_scenario(scenario).vcap_values)
+    monkeypatch.setattr(Harvester, "run", spanned)
+    ticks = len(run_scenario(scenario).vcap_values)
+    assert tiled[-1] == ticks
+    return lengths, ticks
 
 
 def test_a_flapping_rail_keeps_its_windows_short(monkeypatch):

@@ -1,89 +1,30 @@
-"""Reference tick loop: run_scenario's span engine against a per-tick loop.
+"""Reference tick loop: `sim._run_ticks`'s span engine against a per-tick loop.
 
 `sim._run_ticks` feeds the decoder ahead to the next load change and
 advances the harvester over whole spans of ticks between load changes.
-`per_tick_run_ticks` below is the loop it replaced: one iteration per
-tick, the event merge checked on every rail-up tick, and the plain-float
-energy-domain harvester of `harvester_oracle` one tick at a time. Both must
-agree bit for bit, on synthetic tick inputs whose edges and sampling
-instants fall on exact tick ends or crowd whole frames into one tick, on
-hand-built ties, a mid-frame rail-down reset inside a look-ahead, a rail
-drop in the run's last tick and a rail that holds on an empty cap, and on
-whole runs near the echo-free and echo presets.
+`reference_engine.per_tick_run_ticks` is the loop it replaced: one
+iteration per tick, the event merge checked on every rail-up tick, and the
+plain-float energy-domain harvester of `harvester_oracle` one tick at a
+time. Both must agree bit for bit, on synthetic tick inputs whose edges
+and sampling instants fall on exact tick ends or crowd whole frames into
+one tick, on hand-built ties, a mid-frame rail-down reset inside a
+look-ahead, a rail drop in the run's last tick and a rail that holds on an
+empty cap. Whole runs are pinned to the same loop by
+`test_reference_engine.py`.
 """
 
-import math
-from bisect import bisect_left
 from dataclasses import replace
-from types import SimpleNamespace
-from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aquawake import (
-    DecoderConfig,
-    DecoderState,
-    HarvesterMode,
-    HarvesterParams,
-    LoadProfile,
-    decoder_feed,
-    load_scenario,
-    run_scenario,
-    sim,
-)
-from aquawake.cli import preset_path
-from aquawake.decoder import DecoderPhase, LevelSample, RisingEdge
+from aquawake import DecoderConfig, HarvesterMode, HarvesterParams, LoadProfile, decoder_feed, sim
+from aquawake.decoder import DecoderPhase
 from aquawake.waveform import DigitalTrace
-from harvester_oracle import oracle_tick
 from helpers import reference_scenario
-
-
-def per_tick_run_ticks(sc, trace, dt, ends, v_in, p_in):
-    """`sim._run_ticks`, one loop iteration and one `oracle_tick` per tick."""
-    starts = (np.arange(len(ends)) * dt).tolist()
-    rising = [*trace.rising_times().tolist(), math.inf]
-    edge_idx = 0
-    dec_state = DecoderState()
-    mode, energy, harvested, consumed = HarvesterMode.DEPLETED, 0.0, 0.0, 0.0
-    energies, modes = [], []
-    rail_up_time = first_sync_time = None
-    for t0, t1, tick_v_in, tick_p_in in zip(starts, ends, v_in, p_in):
-        if mode is HarvesterMode.REGULATING:
-            if rail_up_time is None:
-                rail_up_time = t0
-            while dec_state.phase is not DecoderPhase.DECIDED:
-                due = dec_state.next_sample_time
-                edge = rising[edge_idx]
-                if due is not None and due < t1 and due < edge:
-                    event = LevelSample(due, trace.level_at(due))
-                elif edge < t1:
-                    event = RisingEdge(edge)
-                    edge_idx += 1
-                else:
-                    break
-                dec_state = decoder_feed(dec_state, sc.decoder, event)
-                if first_sync_time is None:
-                    first_sync_time = dec_state.first_edge_time
-            load = sc.load.p_decode if dec_state.mid_frame else sc.load.p_listen
-        else:
-            load = 0.0
-            edge_idx = bisect_left(rising, t1, edge_idx)
-            if dec_state.mid_frame:
-                dec_state = DecoderState()
-        mode, energy, banked, drained = oracle_tick(
-            sc.harvester, dt, mode, energy, float(tick_v_in), float(tick_p_in), load
-        )
-        harvested += banked
-        consumed += drained
-        energies.append(energy)
-        modes.append((mode, 1))
-    harvester = SimpleNamespace(
-        energy=np.array(energies), modes=modes, harvested=harvested, consumed=consumed
-    )
-    return dec_state, harvester, rail_up_time, first_sync_time
+from reference_engine import per_tick_run_ticks
 
 
 def per_tick(out):
@@ -273,41 +214,3 @@ def test_a_rail_that_holds_on_an_empty_cap_feeds_each_event_once(feeds):
     assert set(modes[1:]) == {HarvesterMode.REGULATING}
     assert dec_state.phase is DecoderPhase.DECIDED and dec_state.match
     assert len(feeds) == len(set(feeds)) == 15  # lone edge, 2 sync and 4 bit edges, 8 samples
-
-
-PRESETS = {name: load_scenario(preset_path(name)) for name in ("paper_fig5", "paper_echo")}
-
-
-@st.composite
-def scenarios(draw):
-    sc = PRESETS[draw(st.sampled_from(sorted(PRESETS)))]
-    drive = sc.modulation.tx_amplitude * draw(st.floats(min_value=0.2, max_value=2.0))
-    return replace(
-        sc,
-        modulation=replace(sc.modulation, tx_amplitude=drive),
-        harvester=replace(sc.harvester, c_store=draw(st.floats(min_value=20e-6, max_value=400e-6))),
-        # heavy loads drop the rail after rail-up, mid-frame when it is the decode draw
-        load=LoadProfile(
-            p_listen=draw(st.sampled_from([50e-3, 1e-3, sc.load.p_listen])),
-            p_decode=draw(st.sampled_from([50e-3, 5e-3, sc.load.p_decode])),
-        ),
-        sim=replace(
-            sc.sim,
-            harvester_decimation=draw(st.integers(4, 64)),
-            tail_duration=draw(st.sampled_from([0.05, sc.sim.tail_duration])),
-            seed=draw(st.integers(0, 2**32 - 1)),
-        ),
-    )
-
-
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(scenarios())
-def test_a_run_matches_a_run_on_the_per_tick_loop(sc):
-    result = run_scenario(sc)
-    with patch.object(sim, "_run_ticks", per_tick_run_ticks):
-        reference = run_scenario(sc)
-    for name, value in vars(result).items():
-        if isinstance(value, np.ndarray):
-            assert value.tobytes() == getattr(reference, name).tobytes(), name
-        elif name != "edge_trace":  # the comparator's, made before the loop
-            assert repr(value) == repr(getattr(reference, name)), name
