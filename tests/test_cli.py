@@ -551,10 +551,9 @@ def test_a_ledger_short_of_one_bank_per_window_exits_three(tmp_path, monkeypatch
         return hit
 
     monkeypatch.setattr(Harvester, "_advance", short_advance)
-    scenario = yaml.safe_load(preset_path(name).read_text())
-    scenario["sim"]["harvester_decimation"] = 1
     path = tmp_path / "decimation_1.yaml"
-    path.write_text(yaml.safe_dump(scenario))
+    text = preset_path(name).read_text()
+    path.write_text(text.replace("sim:\n", "sim:\n  harvester_decimation: 1\n"))
     code, _, stderr = cli("run", str(path), "--out", str(tmp_path / "out"))
     assert code == 3 and "error: energy ledger violation" in stderr
 
