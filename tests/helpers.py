@@ -9,8 +9,6 @@ dip a strong reflection produces cannot register as a spurious sync edge.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from aquawake import (
     ChannelModel,
     DecoderConfig,
@@ -91,7 +89,3 @@ def feed_all(cfg: DecoderConfig, events) -> DecoderState:
     for event in events:
         state = decoder_feed(state, cfg, event)
     return state
-
-
-def with_seed(sc: Scenario, seed: int) -> Scenario:
-    return replace(sc, sim=replace(sc.sim, seed=seed))

@@ -10,7 +10,10 @@ per-sample `latch` make the edges; per-tick `v_in`/`p_in` are reduced
 over the zero-padded rectified signal; `per_tick_run_ticks` runs the
 decoder and `harvester_oracle.oracle_tick` one tick at a time. It names
 nothing private of `sim`, so it holds whichever of `sim`'s seams a
-refactor moves. `scenarios` draws the runs the whole-run checks share.
+refactor moves. `assert_same_run` is the one whole-result comparison, and
+`scenarios` is the tests' one draw of whole runs: around the three presets,
+over range, preamble, the transmitted and assigned address, sample offset,
+bit rate, noise, echo, drive, cap, loads, decimation and seed.
 """
 
 import math
@@ -142,14 +145,16 @@ def front_end(sc):
     return DigitalTrace(times, levels), dt, np.arange(len(windows)) * dt + dt, v_in, p_in
 
 
-def reference_run(sc) -> ScenarioResult:
-    """What `run_scenario(sc)` returns, for a scenario it runs without an error."""
-    trace, _, ends, _, _ = inputs = front_end(sc)
+def reference_run(sc):
+    """What `run_scenario(sc)` returns, for a scenario it runs without an error,
+    and the ticks it ran: the tick length and each tick's input voltage, input
+    power and load."""
+    trace, dt, ends, v_in, p_in = inputs = front_end(sc)
     dec_state, h, rail_up_time, first_sync_time = per_tick_run_ticks(sc, *inputs)
     vcap_values = np.sqrt(2.0 * h.energy / sc.harvester.c_store)
     decision_time = dec_state.last_event_time if dec_state.phase is DecoderPhase.DECIDED else None
     woke = wake_output(dec_state)
-    return ScenarioResult(
+    result = ScenarioResult(
         woke=woke, decoded_uuid=dec_state.decoded_uuid,
         time_to_wake=decision_time if woke else None, peak_v_cap=float(vcap_values.max()),
         harvested_energy=h.harvested, consumed_energy=h.consumed,
@@ -158,6 +163,21 @@ def reference_run(sc) -> ScenarioResult:
         rail_up_time=rail_up_time, first_sync_time=first_sync_time,
         decision_time=decision_time, seed=sc.sim.seed,
     )
+    return result, (dt, v_in, p_in, h.loads)
+
+
+def assert_same_run(got, want):
+    """Each field of two `ScenarioResult`s equal: the bytes of every array and
+    of the edge trace, the `repr` of every other value."""
+    for name, value in vars(got).items():
+        other = getattr(want, name)
+        if name == "edge_trace":
+            for array in ("edge_times", "edge_levels"):
+                assert getattr(value, array).tobytes() == getattr(other, array).tobytes(), array
+        elif isinstance(value, np.ndarray):
+            assert value.tobytes() == other.tobytes(), name
+        else:
+            assert repr(value) == repr(other), name
 
 
 PRESETS = {name: load_scenario(preset_path(name))
@@ -172,19 +192,33 @@ def at_bit_rate(sc, bit_rate, hysteresis):
 
 @st.composite
 def scenarios(draw):
-    """Runs around the presets; decimation 1 only at 100 bps and above, as
-    `per_tick_run_ticks` loops once per tick in Python."""
+    """Runs around the presets, each axis at the preset's value or drawn.
+    Decimation 1 comes only at 100 bps and above and with at most the
+    presets' 50 ms preamble, as `per_tick_run_ticks` loops once per tick in
+    Python."""
     sc = PRESETS[draw(st.sampled_from(sorted(PRESETS)))]
     decimation = draw(st.sampled_from([1, 8, 64]) | st.integers(2, 64))
     bit_rate = draw(st.floats(100.0 if decimation == 1 else 20.0, 1000.0))
     sc = at_bit_rate(sc, bit_rate, draw(st.floats(0.0, 0.05)))
-    echo = st.builds(Echo, extra_path=st.floats(0.5, 10.0), gain=st.floats(0.0, 0.9))
+    uuid = draw(st.just(sc.frame.uuid) | st.integers(0, 0xFF))
+    decoder = replace(
+        sc.decoder,
+        # one run in four listens for another address
+        assigned_uuid=uuid ^ draw(st.sampled_from([0, 0, 0, 0x5A])),
+        sample_offset=draw(st.sampled_from([sc.decoder.sample_offset, 0.4])),
+    )
+    distance = draw(st.just(sc.channel.distance) | st.floats(0.5, 2.0))
+    longest = 0.05 if decimation == 1 else 0.12
+    preamble = draw(st.just(sc.frame.preamble_duration) | st.floats(0.0, longest))
+    echo = st.builds(Echo, extra_path=st.floats(0.1, 20.0), gain=st.floats(0.0, 0.9))
     noise_rms = draw(st.just(0.0) | st.floats(0.0, 0.5))
-    channel = replace(sc.channel, noise_rms=noise_rms, echoes=draw(st.lists(echo, max_size=1)))
+    echoes = draw(st.lists(echo, max_size=1))
     drive = sc.modulation.tx_amplitude * draw(st.floats(0.2, 2.0))
     return replace(
         sc,
-        channel=channel,
+        frame=replace(sc.frame, uuid=uuid, preamble_duration=preamble),
+        decoder=decoder,
+        channel=replace(sc.channel, distance=distance, noise_rms=noise_rms, echoes=echoes),
         modulation=replace(sc.modulation, tx_amplitude=drive),
         harvester=replace(sc.harvester, c_store=draw(st.floats(20e-6, 400e-6))),
         # heavy loads drop the rail after rail-up, mid-frame when it is the decode draw

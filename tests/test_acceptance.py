@@ -12,7 +12,6 @@ from dataclasses import replace
 import numpy as np
 
 from aquawake import (
-    ChannelModel,
     HarvesterMode,
     HarvesterParams,
     calibrate_tx_amplitude,
@@ -29,7 +28,6 @@ from helpers import (
     TARGET_STORED_J,
     echo_scenario,
     reference_scenario,
-    with_seed,
 )
 
 

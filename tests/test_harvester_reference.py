@@ -7,55 +7,21 @@ oracle in `harvester_oracle`, on random tick inputs and on explicit cases
 that the presets do not reach: thresholds at or below 0 V, spans that end
 on their first tick or their window's last, a load that empties the cap
 partway through a span, and a drain that overflows to inf. Whole runs are
-pinned to the same oracle by `test_reference_engine.py`.
-
-A voltage-domain loop over the oracle, which turns the cap voltage into
-energy and back on every tick, takes each tick's inputs and load from
-`reference_engine`: a run's cap voltages may drift from it by rounding (at
-most 1e-12 relative), but its modes and energy sums must not move.
+pinned to the same oracle by `test_reference_engine.py`, which also bounds
+a voltage-domain loop over it, one that turns the cap voltage into energy
+and back on every tick, to rounding drift on every run it draws.
 """
 
 import math
 from itertools import repeat
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aquawake import HarvesterMode, HarvesterParams, cap_energy, run_scenario
+from aquawake import HarvesterMode, HarvesterParams
 from aquawake.power import Harvester
-from harvester_oracle import oracle_tick, oracle_ticks, run_spans
-from reference_engine import front_end, per_tick_run_ticks, scenarios
-
-
-@settings(max_examples=15, deadline=None, derandomize=True)
-@given(scenarios())
-def test_a_voltage_domain_per_tick_loop_drifts_only_by_rounding(sc):
-    # the loop rounds the cap energy through a voltage on every tick, fed each
-    # tick's inputs and load as the reference run has them
-    result, params = run_scenario(sc), sc.harvester
-    trace, dt, ends, v_in, p_in = front_end(sc)
-    _, reference, _, _ = per_tick_run_ticks(sc, trace, dt, ends, v_in, p_in)
-    inputs = zip(v_in.tolist(), p_in.tolist(), reference.loads)
-
-    mode, v_cap, harvested, consumed = HarvesterMode.DEPLETED, 0.0, 0.0, 0.0
-    vcap, modes = [], []
-    for input_voltage, input_power, load_power in inputs:
-        mode, energy, banked, drained = oracle_tick(
-            params, dt, mode, cap_energy(params.c_store, v_cap),
-            input_voltage, input_power, load_power,
-        )
-        v_cap = math.sqrt(2.0 * energy / params.c_store)
-        harvested += banked
-        consumed += drained
-        vcap.append(v_cap)
-        modes.append(mode.value)
-
-    np.testing.assert_allclose(vcap, result.vcap_values, rtol=1e-12, atol=0.0)
-    assert modes == result.mode_values
-    assert harvested.hex() == result.harvested_energy.hex()
-    assert consumed.hex() == result.consumed_energy.hex()
+from harvester_oracle import oracle_ticks, run_spans
 
 
 def spans_match_the_oracle(

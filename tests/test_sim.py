@@ -8,9 +8,7 @@ from aquawake import (
     ConfigurationError,
     DemodParams,
     Echo,
-    HarvesterParams,
     LoadProfile,
-    Scenario,
     SimOptions,
     calibrate_tx_amplitude,
     cap_energy,
@@ -24,12 +22,8 @@ from aquawake.channel import _taps
 from aquawake.cli import preset_path
 from aquawake.frame import frame_length
 from aquawake.frontend import transduce
-from helpers import (
-    REFERENCE_AMPLITUDE,
-    echo_scenario,
-    reference_scenario,
-    with_seed,
-)
+from helpers import REFERENCE_AMPLITUDE, echo_scenario, reference_scenario
+from reference_engine import assert_same_run
 
 # frozen outputs of the reference run; any drift here is a behavior change
 REF_PEAK_V = 4.116177026321453
@@ -52,11 +46,7 @@ def test_reference_run_reproduces_frozen_metrics():
 
 def test_identical_scenarios_give_bit_identical_results():
     sc = echo_scenario(seed=7)
-    a, b = run_scenario(sc), run_scenario(sc)
-    assert np.array_equal(a.vcap_values, b.vcap_values)
-    assert np.array_equal(a.edge_trace.edge_times, b.edge_trace.edge_times)
-    assert a.mode_values == b.mode_values
-    assert (a.woke, a.decoded_uuid, a.time_to_wake) == (b.woke, b.decoded_uuid, b.time_to_wake)
+    assert_same_run(run_scenario(sc), run_scenario(sc))
 
 
 def test_different_seeds_differ_under_noise():
@@ -212,16 +202,7 @@ def test_a_run_either_side_of_a_half_block_gives_the_bytes_of_one_block(
     monkeypatch.setattr(sim, "BLOCK_SAMPLES", sim.MAX_SAMPLES)
     want, [whole] = transduced_lengths(monkeypatch, sc)
     assert whole == n
-    for name in ("vcap_times", "vcap_values"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-    assert got.edge_trace.edge_times.tobytes() == want.edge_trace.edge_times.tobytes()
-    assert got.edge_trace.edge_levels.tobytes() == want.edge_trace.edge_levels.tobytes()
-    assert got.harvested_energy.hex() == want.harvested_energy.hex()
-    assert got.consumed_energy.hex() == want.consumed_energy.hex()
-    assert got.mode_values == want.mode_values
-    assert (got.decoded_uuid, got.rail_up_time, got.first_sync_time, got.decision_time) == (
-        want.decoded_uuid, want.rail_up_time, want.first_sync_time, want.decision_time
-    )
+    assert_same_run(got, want)
 
 
 def test_mode_trace_passes_through_cold_start():
