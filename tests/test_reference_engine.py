@@ -17,15 +17,21 @@ over `harvester_oracle.oracle_tick`, which turns the cap voltage into energy
 and back on every tick, fed the reference run's per-tick inputs and loads,
 may move the run's cap voltages by rounding only (at most 1e-12 relative),
 and neither its modes nor its energy sums.
+
+`assert_same_run` itself fails on a one-ulp or one-bit change to any one
+field, and the draw reaches the axes the paper varies: wakes at another
+range, preamble, address and sample offset, and a frame decoded for
+another address.
 """
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 
-from aquawake import HarvesterMode, cap_energy, run_scenario
+from aquawake import DigitalTrace, HarvesterMode, ScenarioResult, cap_energy, run_scenario
 from harvester_oracle import oracle_tick
 from reference_engine import PRESETS, assert_same_run, at_bit_rate, reference_run, scenarios
 
@@ -93,3 +99,86 @@ def test_a_preset_at_a_bit_rate_matches_the_reference_run(name, bit_rate, hyster
     sc = PRESETS[name]
     level = 0.0 if hysteresis == "zero" else sc.resolved_demod().hysteresis
     assert_matches_the_reference_run(at_bit_rate(sc, bit_rate, level))
+
+
+def one_field_changed(result, name):
+    """A copy of `result` with field `name` (or one array of the edge trace)
+    moved by one ulp, one bit or one mode."""
+    changed = replace(result)
+    if name.startswith("edge_trace."):
+        times, levels = result.edge_trace.edge_times.copy(), result.edge_trace.edge_levels.copy()
+        if name == "edge_trace.edge_times":
+            times[-1] = np.nextafter(times[-1], np.inf)
+        else:
+            levels[0] = not levels[0]
+        changed.edge_trace = DigitalTrace(times, levels)
+        return changed
+    value = getattr(result, name)
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value[-1] = np.nextafter(value[-1], np.inf)
+    elif isinstance(value, bool):
+        value = not value
+    elif isinstance(value, int):
+        value ^= 1
+    elif isinstance(value, float):
+        value = np.nextafter(value, np.inf).item()
+    else:
+        other = next(m.value for m in HarvesterMode if m.value != value[-1])
+        value = [*value[:-1], other]
+    setattr(changed, name, value)
+    return changed
+
+
+RESULT_FIELDS = [f.name for f in fields(ScenarioResult) if f.name != "edge_trace"]
+
+
+@pytest.mark.parametrize(
+    "name", [*RESULT_FIELDS, "edge_trace.edge_times", "edge_trace.edge_levels"]
+)
+def test_a_change_to_one_field_fails_the_same_run_check(name):
+    result = run_scenario(PRESETS["paper_fig5"])  # woke: no field is None
+    assert_same_run(replace(result), result)
+    changed = one_field_changed(result, name)
+    with pytest.raises(AssertionError):
+        assert_same_run(changed, result)
+    with pytest.raises(AssertionError):
+        assert_same_run(result, changed)
+
+
+def preset_values(read):
+    return {read(sc) for sc in PRESETS.values()}
+
+
+def wakes(sc):
+    return run_scenario(sc).woke
+
+
+def decodes_for_another_address(sc):
+    listens_elsewhere = sc.decoder.assigned_uuid != sc.frame.uuid
+    return listens_elsewhere and run_scenario(sc).decoded_uuid == sc.frame.uuid
+
+
+REACHED = {
+    "a wake at another range": lambda sc: (
+        sc.channel.distance not in preset_values(lambda p: p.channel.distance) and wakes(sc)),
+    "a wake after another preamble": lambda sc: (
+        sc.frame.preamble_duration not in preset_values(lambda p: p.frame.preamble_duration)
+        and wakes(sc)),
+    "a wake on another address": lambda sc: (
+        sc.frame.uuid not in preset_values(lambda p: p.frame.uuid) and wakes(sc)),
+    "a wake at another sample offset": lambda sc: (
+        sc.decoder.sample_offset not in preset_values(lambda p: p.decoder.sample_offset)
+        and wakes(sc)),
+    "a frame decoded for another address": decodes_for_another_address,
+    "an echo beyond 10 m": lambda sc: any(e.extra_path > 10.0 for e in sc.channel.echoes),
+    "decimation 1": lambda sc: sc.sim.harvester_decimation == 1,
+}
+
+
+@pytest.mark.parametrize("what", list(REACHED))
+def test_the_draw_reaches(what):
+    # generation only: a found example is not worth shrinking
+    find(scenarios(), REACHED[what],
+         settings=settings(max_examples=200, derandomize=True, database=None,
+                           phases=[Phase.generate]))
