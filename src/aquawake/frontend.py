@@ -3,9 +3,9 @@
 Stages, in signal order: resonant transducer (pressure to volts), 28 kHz
 band-pass, negative-voltage-converter rectifier, envelope detector, and a
 dual-time-constant comparator that turns envelope rises into digital edges.
-The comparator's drive, its fast RC less its gain-scaled slow RC, is one
-second-order filter: the two RCs' exact algebraic sum, equal to them up to
-rounding that grows as the taus lengthen.
+The comparator takes the rectified band-pass output: its drive, the envelope
+RC then a fast RC less a gain-scaled slow RC, is one third-order filter, equal
+to the three RCs up to rounding that grows as the taus lengthen.
 The harvester branch taps the rectified transducer output directly and is
 wired up in the simulation engine, not here.
 
@@ -173,18 +173,19 @@ def _one_pole_lowpass(
 
 
 @lru_cache(maxsize=64)
-def _drive_coeffs(fast_tau: float, slow_tau: float, gain: float, sample_rate: float):
-    """The comparator's drive, fast RC less `gain` x slow RC, as one second-order filter.
+def _drive_coeffs(envelope_tau: float, fast_tau: float, slow_tau: float, gain: float, sr: float):
+    """The comparator's drive, envelope RC then fast RC less `gain` x slow RC, as one filter.
 
-    Over the common denominator (1 - pf/z)(1 - ps/z) the numerator is
-    bf (1 - ps/z) - gain bs (1 - pf/z), with each RC's b and pole p from
-    `_one_pole_coeffs`. Its rounding grows as the poles near 1.
+    Over the common denominator (1 - pf/z)(1 - ps/z) the two RCs' numerator is
+    bf (1 - ps/z) - gain bs (1 - pf/z), each RC's b and pole p from `_one_pole_coeffs`;
+    `np.convolve` multiplies in the envelope RC's (b, a). Rounding grows as poles near 1.
     """
-    fast_b, fast_a = _one_pole_coeffs(fast_tau, sample_rate)
-    slow_b, slow_a = _one_pole_coeffs(slow_tau, sample_rate)
+    fast_b, fast_a = _one_pole_coeffs(fast_tau, sr)
+    slow_b, slow_a = _one_pole_coeffs(slow_tau, sr)
     bf, pf, bs, ps = fast_b[0], -fast_a[1], slow_b[0], -slow_a[1]
-    b = np.array([bf - gain * bs, -bf * ps + gain * bs * pf, 0.0])
-    a = np.array([1.0, -(pf + ps), pf * ps])
+    env_b, env_a = _one_pole_coeffs(envelope_tau, sr)
+    b = np.convolve(env_b, [bf - gain * bs, -bf * ps + gain * bs * pf, 0.0])
+    a = np.convolve(env_a, [1.0, -(pf + ps), pf * ps])
     b.flags.writeable = a.flags.writeable = False
     return b, a
 
@@ -253,34 +254,33 @@ def envelope(v: Waveform, params: DemodParams, zi: np.ndarray | None = None) -> 
 
 @dataclass
 class ComparatorState:
-    """What the comparator carries from one block of its input to the next."""
+    """What the comparator carries from one block of its rectified input to the next."""
 
-    drive_zi: np.ndarray = field(default_factory=lambda: np.zeros(2))  # drive filter's state
+    drive_zi: np.ndarray = field(default_factory=lambda: np.zeros(3))  # 3rd-order drive's state
     level: bool = False  # the latched output; low before the first edge
     offset: int = 0  # samples before the block, so edge times stay index / sample rate
 
 
 def comparator(
-    env: Waveform, params: DemodParams, state: ComparatorState | None = None
+    x: Waveform, params: DemodParams, state: ComparatorState | None = None
 ) -> DigitalTrace:
-    """Dual-time-constant edge detector.
+    """Dual-time-constant edge detector over the rectified band-pass output `x`.
 
-    The plus input follows the envelope through a fast RC, the minus input
+    The plus input follows x's RC envelope through a fast RC, the minus input
     through a slow RC scaled by reference_gain. Output goes high while
     plus > minus + hysteresis, low while plus < minus - hysteresis, and
     latches in between. Returns the transition list. The drive plus - minus
-    is formed in one pass of one second-order filter, equal to the two RCs
-    up to rounding that grows as the taus lengthen (`_drive_coeffs`).
+    is one pass of one third-order filter, equal to `envelope` then the two
+    RCs up to rounding that grows as the taus lengthen (`_drive_coeffs`).
     `state` is None for a whole signal; a `ComparatorState` passed in
     carries the comparator from the previous block and is updated in place.
     """
-    if env.unit is not SignalUnit.VOLTS:
-        raise UnitMismatchError(f"comparator input must be volts, got {env.unit.value}")
-    if state is None:
-        state = ComparatorState()
-    sr = env.sample_rate
-    b, a = _drive_coeffs(params.fast_tau, params.slow_tau, params.reference_gain, sr)
-    diff = _lfilter(b, a, env.samples, state.drive_zi)
+    if x.unit is not SignalUnit.VOLTS:
+        raise UnitMismatchError(f"comparator input must be volts, got {x.unit.value}")
+    state = ComparatorState() if state is None else state
+    sr, p = x.sample_rate, params
+    b, a = _drive_coeffs(p.envelope_tau, p.fast_tau, p.slow_tau, p.reference_gain, sr)
+    diff = _lfilter(b, a, x.samples, state.drive_zi)
     return _latched_edges(diff, params.hysteresis, state, sr)
 
 

@@ -3,8 +3,8 @@
 run_scenario wires the whole receive path together on one sample clock:
 
     modulate -> channel -> transducer -> { rectifier -> harvester
-                                         { band-pass -> rectifier -> envelope
-                                           -> comparator -> decoder
+                                         { band-pass -> rectifier -> comparator
+                                           (envelope and drive in one filter) -> decoder
 
 The analog chain handles the received signal as it arrives, as the
 receiver's does: in blocks of one whole-tick length, as many as bring each
@@ -47,16 +47,16 @@ from .frontend import (
     TransducerModel,
     bandpass,
     comparator,
-    envelope,
+    envelope,  # never called here; see harvester_step below
     rectify,
     transduce,
 )
 from .power import Harvester, HarvesterMode, HarvesterParams, LoadProfile
 from .waveform import DigitalTrace
 
-# a placeholder, never called: perfbench/tracing.py still names
-# `sim.harvester_step` as a patch point, which must resolve. The benchmark-only
-# change of ROADMAP item 1 deletes both.
+# placeholders, never called: perfbench/tracing.py still names `sim.harvester_step`
+# and `sim.envelope` (imported above) as patch points, which must resolve. The
+# benchmark-only change of ROADMAP item 1 deletes them.
 harvester_step = None
 
 # sweep parameter -> (Scenario section, field) it sets
@@ -256,7 +256,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     block = (n_ticks + n_blocks - 1) // n_blocks * decim
     # one noise stream, drawn block by block; a silent channel needs no generator
     noise = np.random.default_rng(sc.sim.seed) if sc.channel.noise_rms > 0 else sc.sim.seed
-    xdcr_zi, bandpass_zi, envelope_zi = np.zeros(2), np.zeros(2), np.zeros(1)
+    xdcr_zi, bandpass_zi = np.zeros(2), np.zeros(2)
     comparator_state = ComparatorState()
     edge_times, edge_levels = [], []
     v_in, p_in = np.empty(n_ticks), np.empty(n_ticks)  # per-tick input stats for the harvester
@@ -273,7 +273,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
                 v_xdcr = transduce(rx, sc.transducer, xdcr_zi)
                 v_harv = rectify(v_xdcr, sc.rectifier).samples
                 filtered = rectify(bandpass(v_xdcr, demod, bandpass_zi), sc.rectifier)
-                edges = comparator(envelope(filtered, demod, envelope_zi), demod, comparator_state)
+                edges = comparator(filtered, demod, comparator_state)
                 edge_times.append(edges.edge_times)
                 edge_levels.append(edges.edge_levels)
 

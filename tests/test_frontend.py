@@ -249,14 +249,26 @@ def test_comparator_silent_input_produces_no_edges():
     assert len(tr.edge_times) == 0
 
 
+def cascade_step(taus, n: int) -> np.ndarray:
+    """Closed-form step response, from sample 0, of unity-DC-gain discrete RCs
+    in cascade, one per tau (distinct): 1 less, per pole p, p^(k+1) x the
+    product over the other poles q of (1 - q) / (1 - q / p)."""
+    poles = [math.exp(-1.0 / (tau * SR)) for tau in taus]
+    k = np.arange(n)
+    out = np.ones(n)
+    for p in poles:
+        out -= p ** (k + 1.0) * math.prod((1.0 - q) / (1.0 - q / p) for q in poles if q != p)
+    return out
+
+
 def test_comparator_step_edges_match_two_rc_closed_form():
     params = DemodParams(reference_gain=1.05)
     n = 8192
     tr = comparator(Waveform(SR, np.ones(n), SignalUnit.VOLTS), params)
 
-    k = np.arange(n) + 1.0
-    plus = 1.0 - np.exp(-1.0 / (params.fast_tau * SR)) ** k
-    minus = params.reference_gain * (1.0 - np.exp(-1.0 / (params.slow_tau * SR)) ** k)
+    # the step's RC envelope, then the fast RC less reference_gain x the slow RC
+    plus = cascade_step([params.envelope_tau, params.fast_tau], n)
+    minus = params.reference_gain * cascade_step([params.envelope_tau, params.slow_tau], n)
     diff = plus - minus
     i_rise = int(np.flatnonzero(diff > params.hysteresis)[0])
     i_fall = int(np.flatnonzero((diff < -params.hysteresis) & (np.arange(n) > i_rise))[0])
@@ -284,8 +296,9 @@ def test_comparator_latches_inside_the_hysteresis_band():
 
 
 def test_comparator_can_be_high_from_the_first_sample():
-    # constant drive exceeds hysteresis immediately: edge reported at t = 0
-    tr = comparator(Waveform(SR, np.full(512, 5.0), SignalUnit.VOLTS), DemodParams())
+    # the drive's first sample, about 6.6e-4 x a constant input, exceeds
+    # hysteresis at once: edge reported at t = 0
+    tr = comparator(Waveform(SR, np.full(512, 50.0), SignalUnit.VOLTS), DemodParams())
     assert tr.edge_times[0] == 0.0
     assert bool(tr.edge_levels[0]) is True
 
@@ -314,7 +327,8 @@ def test_comparator_matches_a_per_sample_latch(
         reference_gain=reference_gain,
     )
     tr = comparator(Waveform(SR, x, SignalUnit.VOLTS), params)
-    times, levels, _, _ = latch(two_rc_drive(x, params, SR), params.hysteresis, SR)
+    env = envelope(Waveform(SR, x, SignalUnit.VOLTS), params).samples
+    times, levels, _, _ = latch(two_rc_drive(env, params, SR), params.hysteresis, SR)
     assert tr.edge_times.tolist() == times.tolist()
     assert tr.edge_levels.tolist() == levels.tolist()
 
@@ -352,7 +366,7 @@ def test_edge_extraction_matches_the_per_sample_latch(hysteresis, level, offset,
     hysteresis=st.sampled_from([0.0, 5e-3]) | st.floats(0.0, 0.05),
     level=st.booleans(),
     offset=st.integers(0, 2**40),
-    carried=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    carried=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
 )
 def test_comparator_matches_the_reference_edges_of_its_drive(
     stretches, hysteresis, level, offset, carried
@@ -361,7 +375,8 @@ def test_comparator_matches_the_reference_edges_of_its_drive(
     x = np.concatenate([np.empty(0), *(np.full(n, v) for v, n in stretches)])
     params = DemodParams.for_bit_rate(200.0, hysteresis=hysteresis)
     zi = np.array(carried)
-    b, a = frontend._drive_coeffs(params.fast_tau, params.slow_tau, params.reference_gain, SR)
+    p = params
+    b, a = frontend._drive_coeffs(p.envelope_tau, p.fast_tau, p.slow_tau, p.reference_gain, SR)
     want = latch(frontend._lfilter(b, a, x, zi.copy()), hysteresis, SR, level, offset)
     state = frontend.ComparatorState(zi, level, offset)
     assert_same_edges(comparator(Waveform(SR, x, SignalUnit.VOLTS), params, state), state, want)
@@ -398,9 +413,8 @@ def chain_trace(uuid: int, bit_rate: float, preamble: float = 0.0, guard: float 
     tx = modulate_frame(frame, ModulationParams(tx_amplitude=10.0))
     padded = Waveform(SR, np.concatenate([tx.samples, np.zeros(2048)]), tx.unit)
     demod = DemodParams.for_bit_rate(bit_rate)
-    env = envelope(rectify(bandpass(transduce(padded, TransducerModel()), demod),
-                           RectifierModel()), demod)
-    return comparator(env, demod)
+    filtered = rectify(bandpass(transduce(padded, TransducerModel()), demod), RectifierModel())
+    return comparator(filtered, demod)
 
 
 @pytest.mark.parametrize("bit_rate", [100.0, 200.0, 400.0])

@@ -12,6 +12,7 @@ from aquawake import (
     SimOptions,
     calibrate_tx_amplitude,
     cap_energy,
+    frontend,
     load_scenario,
     modulate_frame,
     run_scenario,
@@ -163,6 +164,23 @@ def test_paper_echo_at_decimation_8_runs_in_three_equal_blocks(monkeypatch):
     # 3114 ticks of 8 samples over round(24912 / 8192) = 3 blocks, with no short
     # fourth block of 336 samples
     assert lengths == [8304] * 3
+
+
+def test_a_block_makes_three_filter_passes(monkeypatch):
+    # transduce, band-pass and the comparator's drive, which holds the envelope RC
+    sc = load_scenario(preset_path("paper_echo"))
+    sc = replace(sc, sim=replace(sc.sim, harvester_decimation=8))
+    passes = []
+    lfilter = frontend._lfilter
+
+    def counting(b, a, x, zi=None):
+        passes.append(len(x))
+        return lfilter(b, a, x, zi)
+
+    monkeypatch.setattr(frontend, "_lfilter", counting)
+    _, lengths = transduced_lengths(monkeypatch, sc)
+    assert len(lengths) == 3
+    assert passes == [n for n in lengths for _ in range(3)]
 
 
 @pytest.mark.parametrize(
