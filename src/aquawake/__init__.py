@@ -31,7 +31,6 @@ from .frontend import (
     TransducerModel,
     bandpass,
     comparator,
-    envelope,
     rectify,
     transduce,
 )

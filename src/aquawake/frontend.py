@@ -1,11 +1,11 @@
 """Behavioral models of the analog receive chain.
 
 Stages, in signal order: resonant transducer (pressure to volts), 28 kHz
-band-pass, negative-voltage-converter rectifier, envelope detector, and a
-dual-time-constant comparator that turns envelope rises into digital edges.
-The comparator takes the rectified band-pass output: its drive, the envelope
-RC then a fast RC less a gain-scaled slow RC, is one third-order filter, equal
-to the three RCs up to rounding that grows as the taus lengthen.
+band-pass, negative-voltage-converter rectifier, and a dual-time-constant
+comparator that turns envelope rises into digital edges. The comparator takes
+the rectified band-pass output: its drive, the envelope detector's RC then a
+fast RC less a gain-scaled slow RC, is one third-order filter, equal to the
+three RCs up to rounding that grows as the taus lengthen.
 The harvester branch taps the rectified transducer output directly and is
 wired up in the simulation engine, not here.
 
@@ -140,15 +140,22 @@ def _lfilter(b, a, x: np.ndarray, zi: np.ndarray | None = None) -> np.ndarray:
 # coefficients are computed once per distinct design, not once per block; the
 # arrays are read-only, as every caller shares them
 @lru_cache(maxsize=64)
-def _biquad_bandpass_coeffs(center: float, q: float, sample_rate: float, key: str):
-    """Constant-peak-gain band-pass biquad (unity at center); `key` names the center."""
+def _biquad_bandpass_coeffs(center: float, q: float, sample_rate: float, fields: tuple[str, str]):
+    """Constant-peak-gain band-pass biquad (unity at center); `fields` name the
+    center's field and the other field that sets q."""
     if center >= sample_rate / 2:
         raise ConfigurationError(
-            f"{key} {center:g} Hz must sit below Nyquist, {sample_rate / 2:g} Hz "
+            f"{fields[0]} {center:g} Hz must sit below Nyquist, {sample_rate / 2:g} Hz "
             "(half of modulation.sample_rate)"
         )
     w0 = 2.0 * np.pi * center / sample_rate
-    alpha = np.sin(w0) / (2.0 * q)
+    with np.errstate(all="ignore"):  # a q near 0 gives an inf or NaN alpha
+        alpha = np.sin(w0) / (2.0 * q)
+    if not np.isfinite(alpha):  # for a finite alpha >= 0 every coefficient is finite
+        raise ConfigurationError(
+            f"the band-pass that {' and '.join(fields)} set (center {center:g} Hz, "
+            f"Q {q:g}) has coefficients beyond float range"
+        )
     a0 = 1.0 + alpha
     b = np.array([alpha, 0.0, -alpha]) / a0
     a = np.array([1.0, -2.0 * np.cos(w0) / a0, (1.0 - alpha) / a0])
@@ -157,35 +164,17 @@ def _biquad_bandpass_coeffs(center: float, q: float, sample_rate: float, key: st
 
 
 @lru_cache(maxsize=64)
-def _one_pole_coeffs(tau: float, sample_rate: float):
-    beta = np.exp(-1.0 / (tau * sample_rate))
-    b, a = np.array([1.0 - beta]), np.array([1.0, -beta])
-    b.flags.writeable = a.flags.writeable = False
-    return b, a
-
-
-def _one_pole_lowpass(
-    x: np.ndarray, tau: float, sample_rate: float, zi: np.ndarray | None = None
-) -> np.ndarray:
-    """Unity-DC-gain RC low-pass; `zi` as for `_lfilter`, one value."""
-    b, a = _one_pole_coeffs(tau, sample_rate)
-    return _lfilter(b, a, x, zi)
-
-
-@lru_cache(maxsize=64)
 def _drive_coeffs(envelope_tau: float, fast_tau: float, slow_tau: float, gain: float, sr: float):
-    """The comparator's drive, envelope RC then fast RC less `gain` x slow RC, as one filter.
+    """The comparator's drive, the envelope RC then fast RC less `gain` x slow RC, as one filter.
 
-    Over the common denominator (1 - pf/z)(1 - ps/z) the two RCs' numerator is
-    bf (1 - ps/z) - gain bs (1 - pf/z), each RC's b and pole p from `_one_pole_coeffs`;
-    `np.convolve` multiplies in the envelope RC's (b, a). Rounding grows as poles near 1.
+    Each RC is (1 - p) / (1 - p/z), p = exp(-1/(tau sr)). Over (1 - pf/z)(1 - ps/z)
+    the two RCs' numerator is bf (1 - ps/z) - gain bs (1 - pf/z), b = 1 - p;
+    `np.convolve` multiplies in the envelope RC. Rounding grows as poles near 1.
     """
-    fast_b, fast_a = _one_pole_coeffs(fast_tau, sr)
-    slow_b, slow_a = _one_pole_coeffs(slow_tau, sr)
-    bf, pf, bs, ps = fast_b[0], -fast_a[1], slow_b[0], -slow_a[1]
-    env_b, env_a = _one_pole_coeffs(envelope_tau, sr)
-    b = np.convolve(env_b, [bf - gain * bs, -bf * ps + gain * bs * pf, 0.0])
-    a = np.convolve(env_a, [1.0, -(pf + ps), pf * ps])
+    pe, pf, ps = (np.exp(-1.0 / (tau * sr)) for tau in (envelope_tau, fast_tau, slow_tau))
+    bf, bs = 1.0 - pf, 1.0 - ps
+    b = np.convolve([1.0 - pe], [bf - gain * bs, -bf * ps + gain * bs * pf, 0.0])
+    a = np.convolve([1.0, -pe], [1.0, -(pf + ps), pf * ps])
     b.flags.writeable = a.flags.writeable = False
     return b, a
 
@@ -203,7 +192,8 @@ def transduce(
             f"transducer input must be pressure, got {pressure.unit.value}"
         )
     b, a = _biquad_bandpass_coeffs(
-        model.resonance_freq, model.q, pressure.sample_rate, "transducer.resonance_freq"
+        model.resonance_freq, model.q, pressure.sample_rate,
+        ("transducer.resonance_freq", "transducer.bandwidth"),
     )
     volts = _lfilter(b, a, pressure.samples, zi)
     volts *= model.sensitivity
@@ -234,22 +224,10 @@ def bandpass(v: Waveform, params: DemodParams, zi: np.ndarray | None = None) -> 
     if v.unit is not SignalUnit.VOLTS:
         raise UnitMismatchError(f"band-pass input must be volts, got {v.unit.value}")
     b, a = _biquad_bandpass_coeffs(
-        params.bandpass_center, params.bandpass_q, v.sample_rate, "demod.bandpass_center"
+        params.bandpass_center, params.bandpass_q, v.sample_rate,
+        ("demod.bandpass_center", "demod.bandpass_q"),
     )
     return Waveform(v.sample_rate, _lfilter(b, a, v.samples, zi), SignalUnit.VOLTS)
-
-
-def envelope(v: Waveform, params: DemodParams, zi: np.ndarray | None = None) -> Waveform:
-    """One-pole envelope detector over a rectified input.
-
-    `zi` is its RC state (one value), as for `transduce`.
-    """
-    if v.unit is not SignalUnit.VOLTS:
-        raise UnitMismatchError(f"envelope input must be volts, got {v.unit.value}")
-    if (v.samples < 0).any():
-        raise ValueError("envelope expects a non-negative (rectified) input")
-    out = _one_pole_lowpass(v.samples, params.envelope_tau, v.sample_rate, zi)
-    return Waveform(v.sample_rate, out, SignalUnit.VOLTS)
 
 
 @dataclass
@@ -270,8 +248,8 @@ def comparator(
     through a slow RC scaled by reference_gain. Output goes high while
     plus > minus + hysteresis, low while plus < minus - hysteresis, and
     latches in between. Returns the transition list. The drive plus - minus
-    is one pass of one third-order filter, equal to `envelope` then the two
-    RCs up to rounding that grows as the taus lengthen (`_drive_coeffs`).
+    is one pass of one third-order filter, equal to the envelope RC then the
+    two RCs up to rounding that grows as the taus lengthen (`_drive_coeffs`).
     `state` is None for a whole signal; a `ComparatorState` passed in
     carries the comparator from the previous block and is updated in place.
     """

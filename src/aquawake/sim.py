@@ -47,17 +47,15 @@ from .frontend import (
     TransducerModel,
     bandpass,
     comparator,
-    envelope,  # never called here; see harvester_step below
     rectify,
     transduce,
 )
 from .power import Harvester, HarvesterMode, HarvesterParams, LoadProfile
 from .waveform import DigitalTrace
 
-# placeholders, never called: perfbench/tracing.py still names `sim.harvester_step`
-# and `sim.envelope` (imported above) as patch points, which must resolve. The
-# benchmark-only change of ROADMAP item 1 deletes them.
-harvester_step = None
+# never called (the envelope RC is in the comparator's drive): perfbench/tracing.py
+# names both as patch points, which must resolve; ROADMAP item 1 deletes them.
+harvester_step = envelope = None
 
 # sweep parameter -> (Scenario section, field) it sets
 _SWEEP_TARGETS = {

@@ -5,15 +5,16 @@ Where `run_scenario` streams blocks, forms the comparator's drive in one
 filter and advances the harvester in spans, this runs `sine_frame` and the
 tail's zeros through one `propagate` (noise from
 `np.random.default_rng(seed)`) and whole `transduce`, `rectify`,
-`bandpass`, `rectify` and `envelope` calls. `two_rc_drive` and the
-per-sample `latch` make the edges; per-tick `v_in`/`p_in` are reduced
-over the zero-padded rectified signal; `per_tick_run_ticks` runs the
-decoder and `harvester_oracle.oracle_tick` one tick at a time. It names
-nothing private of `sim`, so it holds whichever of `sim`'s seams a
-refactor moves. `assert_same_run` is the one whole-result comparison, and
-`scenarios` is the tests' one draw of whole runs: around the three presets,
-over range, preamble, the transmitted and assigned address, sample offset,
-bit rate, noise, echo, drive, cap, loads, decimation and seed.
+`bandpass` and `rectify` calls. The envelope RC (`one_pole_lowpass`),
+`two_rc_drive` and the per-sample `latch` make the edges; per-tick
+`v_in`/`p_in` are reduced over the zero-padded rectified signal;
+`per_tick_run_ticks` runs the decoder and `harvester_oracle.oracle_tick`
+one tick at a time. It names nothing private of `aquawake`, so it holds
+whichever of `sim`'s seams a refactor moves. `assert_same_run` is the one
+whole-result comparison, and `scenarios` is the tests' one draw of whole
+runs: around the three presets, over range, preamble, the transmitted and
+assigned address, sample offset, bit rate, noise, echo, drive, cap, loads,
+decimation and seed.
 """
 
 import math
@@ -23,14 +24,14 @@ from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy import signal
 
 from aquawake import (
     DecoderPhase, DecoderState, DemodParams, DigitalTrace, Echo, HarvesterMode, LevelSample,
     LoadProfile, ModulationParams, RisingEdge, ScenarioResult, SignalUnit, WakeupFrame, Waveform,
-    bandpass, decoder_feed, envelope, load_scenario, propagate, rectify, transduce, wake_output,
+    bandpass, decoder_feed, load_scenario, propagate, rectify, transduce, wake_output,
 )
 from aquawake.cli import preset_path
-from aquawake.frontend import _one_pole_lowpass
 from harvester_oracle import oracle_tick
 
 
@@ -54,10 +55,18 @@ def sine_frame(frame: WakeupFrame, params: ModulationParams) -> np.ndarray:
     return out
 
 
+def one_pole_lowpass(x, tau, sr, zi=None) -> np.ndarray:
+    """Unity-DC-gain RC low-pass at `tau`; a one-value zi array passed in is carried in place."""
+    beta = np.exp(-1.0 / (tau * sr))
+    zi = np.zeros(1) if zi is None else zi
+    y, zi[...] = signal.lfilter([1.0 - beta], [1.0, -beta], x, zi=zi)
+    return y
+
+
 def two_rc_drive(x, params, sr, fast_zi=None, slow_zi=None) -> np.ndarray:
     """Fast RC less reference_gain x slow RC; zi arrays passed in are carried in place."""
-    plus = _one_pole_lowpass(x, params.fast_tau, sr, fast_zi)
-    return plus - params.reference_gain * _one_pole_lowpass(x, params.slow_tau, sr, slow_zi)
+    plus = one_pole_lowpass(x, params.fast_tau, sr, fast_zi)
+    return plus - params.reference_gain * one_pole_lowpass(x, params.slow_tau, sr, slow_zi)
 
 
 def latch(diff: np.ndarray, hysteresis: float, sr: float, level=False, offset=0):
@@ -132,8 +141,9 @@ def front_end(sc):
                   SignalUnit.PRESSURE)
     v_xdcr = transduce(propagate(tx, sc.channel, np.random.default_rng(sc.sim.seed)),
                        sc.transducer)
-    env = envelope(rectify(bandpass(v_xdcr, demod), sc.rectifier), demod)
-    times, levels, _, _ = latch(two_rc_drive(env.samples, demod, sr), demod.hysteresis, sr)
+    env = one_pole_lowpass(rectify(bandpass(v_xdcr, demod), sc.rectifier).samples,
+                           demod.envelope_tau, sr)
+    times, levels, _, _ = latch(two_rc_drive(env, demod, sr), demod.hysteresis, sr)
 
     decim = sc.sim.harvester_decimation
     v_harv = rectify(v_xdcr, sc.rectifier).samples

@@ -5,13 +5,13 @@ drive, the RC envelope through the fast RC less `reference_gain` x the
 slow RC, in one pass of one third-order filter (`_drive_coeffs`). That
 filter is the three RCs' exact product and sum, so the two forms differ
 only by rounding, which grows as the poles near 1, that is as the taus
-lengthen. The oracle is the envelope RC (`_one_pole_lowpass` at
-`envelope_tau`) and then `reference_engine.two_rc_drive`: the drive, read
+lengthen. The oracle is the envelope RC (`reference_engine.one_pole_lowpass`
+at `envelope_tau`) and then `reference_engine.two_rc_drive`: the drive, read
 where the comparator hands it to `_latched_edges`, stays within a stated
 bound x max|x| of the oracle's, on step, rectified-noise and on-off-keyed
 inputs fed in blocks with the state carried. Whole runs, whose edges the
-reference run takes from `envelope` and the two-RC drive, are pinned by
-`test_reference_engine.py`.
+reference run takes from the same envelope RC and two-RC drive, are pinned
+by `test_reference_engine.py`.
 """
 
 from unittest.mock import patch
@@ -20,8 +20,7 @@ import numpy as np
 import pytest
 
 from aquawake import DemodParams, ModulationParams, SignalUnit, Waveform, comparator, frontend
-from aquawake.frontend import _one_pole_lowpass
-from reference_engine import two_rc_drive
+from reference_engine import one_pole_lowpass, two_rc_drive
 
 SR = 224_000.0
 
@@ -86,7 +85,7 @@ def fed_in_blocks(x: np.ndarray, size: int, params: DemodParams) -> tuple[np.nda
         for start in range(0, len(x), size):
             block = x[start : start + size]
             comparator(Waveform(SR, block, SignalUnit.VOLTS), params, state)
-            env = _one_pole_lowpass(block, params.envelope_tau, SR, envelope_zi)
+            env = one_pole_lowpass(block, params.envelope_tau, SR, envelope_zi)
             want.append(two_rc_drive(env, params, SR, fast_zi, slow_zi))
     return np.concatenate(drives), np.concatenate(want)
 

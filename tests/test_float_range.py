@@ -5,7 +5,8 @@ from `DemodParams.for_bit_rate`) to a log-uniform magnitude between 1e-300
 and 1e300, negative half the time for a field that declares no range. The
 run either returns with every result float finite, or raises a
 ConfigurationError that names the field. Warnings are errors, and an
-InvariantError or any other exception fails the example.
+InvariantError or any other exception fails the example. Explicit examples
+add subnormal values below the draw's range.
 """
 
 import dataclasses
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aquawake import ConfigurationError, DemodParams, load_scenario, run_scenario
@@ -50,6 +51,11 @@ def test_every_section_contributes_float_fields():
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(perturbations())
+# a band-pass Q this near 0 makes its alpha = sin(w0) / (2 Q) inf, or 0 / 0
+@example(("demod", "bandpass_q", 1e-310))
+@example(("demod", "bandpass_q", 1e-320))
+@example(("demod", "bandpass_q", 5e-324))
+@example(("transducer", "resonance_freq", 5e-324))
 def test_a_run_ends_finite_or_names_the_field(perturbation):
     section, name, value = perturbation
     try:

@@ -23,13 +23,12 @@ from aquawake import (
     Waveform,
     bandpass,
     comparator,
-    envelope,
     frontend,
     modulate_frame,
     rectify,
     transduce,
 )
-from reference_engine import latch, two_rc_drive
+from reference_engine import latch, one_pole_lowpass, two_rc_drive
 
 SR = 224_000.0
 
@@ -211,34 +210,16 @@ def test_bandpass_center_must_be_below_nyquist():
         )
 
 
-# envelope
+# the reference chain's envelope RC
 
 
 def test_envelope_step_matches_discrete_rc_closed_form():
     tau = 5e-4
     n = 2000
-    out = envelope(
-        Waveform(SR, np.ones(n), SignalUnit.VOLTS), DemodParams(envelope_tau=tau)
-    )
+    out = one_pole_lowpass(np.ones(n), tau, SR)
     beta = np.exp(-1.0 / (tau * SR))
     expected = 1.0 - beta ** (np.arange(n) + 1.0)
-    assert out.samples == pytest.approx(expected, abs=1e-12)
-
-
-def test_envelope_burst_becomes_single_hump():
-    burst = np.abs(np.sin(2.0 * np.pi * 28_000.0 * np.arange(1120) / SR))
-    x = Waveform(SR, np.concatenate([burst, np.zeros(2240)]), SignalUnit.VOLTS)
-    out = envelope(x, DemodParams()).samples
-    peak = out.max()
-    assert 0.5 <= peak <= 1.0
-    assert out.argmax() <= 1120 + 1
-    tail = out[1200:]
-    assert np.all(np.diff(tail) <= 1e-15)  # decays once the burst ends
-
-
-def test_envelope_rejects_negative_input():
-    with pytest.raises(ValueError):
-        envelope(Waveform(SR, np.array([0.1, -0.1]), SignalUnit.VOLTS), DemodParams())
+    assert out == pytest.approx(expected, abs=1e-12)
 
 
 # comparator
@@ -327,7 +308,7 @@ def test_comparator_matches_a_per_sample_latch(
         reference_gain=reference_gain,
     )
     tr = comparator(Waveform(SR, x, SignalUnit.VOLTS), params)
-    env = envelope(Waveform(SR, x, SignalUnit.VOLTS), params).samples
+    env = one_pole_lowpass(x, params.envelope_tau, SR)
     times, levels, _, _ = latch(two_rc_drive(env, params, SR), params.hysteresis, SR)
     assert tr.edge_times.tolist() == times.tolist()
     assert tr.edge_levels.tolist() == levels.tolist()
@@ -393,10 +374,9 @@ def test_comparator_requires_volts():
         (transduce, TransducerModel(), SignalUnit.VOLTS),
         (rectify, RectifierModel(), SignalUnit.PRESSURE),
         (bandpass, DemodParams(), SignalUnit.PRESSURE),
-        (envelope, DemodParams(), SignalUnit.PRESSURE),
         (comparator, DemodParams(), SignalUnit.PRESSURE),
     ],
-    ids=["transduce", "rectify", "bandpass", "envelope", "comparator"],
+    ids=["transduce", "rectify", "bandpass", "comparator"],
 )
 def test_every_stage_rejects_the_wrong_unit(stage, model, unit):
     with pytest.raises(UnitMismatchError, match=f"must be .*, got {unit.value}$"):
