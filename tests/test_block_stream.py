@@ -6,9 +6,12 @@ for each block only the transmit its taps read. Here every stateful stage
 (`propagate` with noise and two echoes, `transduce`, `bandpass`, `comparator`)
 and `modulate_frame` are composed over blocks of 1, 7, the default harvester
 decimation, `BLOCK_SAMPLES` and all samples, and must give the bytes of one
-call over the whole signal. Tiny blocks run on short signals, or short
-ranges of a frame, only, so that each example stays about a hundred calls.
+call over the whole signal; so must the comparator's drive, which holds the
+envelope RC. Tiny blocks run on short signals, or short ranges of a frame,
+only, so that each example stays about a hundred calls.
 """
+
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from aquawake import (
     WakeupFrame,
     bandpass,
     comparator,
+    frontend,
     modulate_frame,
     propagate,
     sim,
@@ -101,6 +105,31 @@ def test_bandpass_in_blocks_is_one_call(size, data, bit_rate, q):
     zi = np.zeros(2)
     got = [bandpass(Waveform(SR, x[a:b]), params, zi).samples for a, b in spans(n, size)]
     assert_same_bytes(np.concatenate(got), want)
+
+
+@BLOCK_SIZES
+@EXAMPLES
+@given(data=st.data(), bit_rate=st.floats(50.0, 1_000.0))
+def test_envelope_in_blocks_is_one_call(size, data, bit_rate):
+    # the envelope RC is the first pole of the comparator's drive: the drive,
+    # read where it reaches the latch, fed in blocks gives one call's bytes
+    n, seed = data.draw(signals(size))
+    x = np.abs(bursts(n, seed))
+    params = DemodParams.for_bit_rate(bit_rate)
+    drives = []
+    latched = frontend._latched_edges
+
+    def record(diff, *rest):
+        drives.append(diff.copy())
+        return latched(diff, *rest)
+
+    with patch.object(frontend, "_latched_edges", record):
+        comparator(Waveform(SR, x), params)
+        want = drives.pop()
+        state = ComparatorState()
+        for a, b in spans(n, size):
+            comparator(Waveform(SR, x[a:b]), params, state)
+    assert_same_bytes(np.concatenate(drives), want)
 
 
 @BLOCK_SIZES

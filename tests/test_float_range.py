@@ -5,8 +5,9 @@ from `DemodParams.for_bit_rate`) to a log-uniform magnitude between 1e-300
 and 1e300, negative half the time for a field that declares no range. The
 run either returns with every result float finite, or raises a
 ConfigurationError that names the field. Warnings are errors, and an
-InvariantError or any other exception fails the example. Explicit examples
-add subnormal values below the draw's range.
+InvariantError or any other exception fails the example. Below the draw's
+range, a band-pass Q near 0 must raise a ConfigurationError that names the
+fields setting that band-pass.
 """
 
 import dataclasses
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aquawake import ConfigurationError, DemodParams, load_scenario, run_scenario
@@ -51,11 +52,6 @@ def test_every_section_contributes_float_fields():
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(perturbations())
-# a band-pass Q this near 0 makes its alpha = sin(w0) / (2 Q) inf, or 0 / 0
-@example(("demod", "bandpass_q", 1e-310))
-@example(("demod", "bandpass_q", 1e-320))
-@example(("demod", "bandpass_q", 5e-324))
-@example(("transducer", "resonance_freq", 5e-324))
 def test_a_run_ends_finite_or_names_the_field(perturbation):
     section, name, value = perturbation
     try:
@@ -69,3 +65,26 @@ def test_a_run_ends_finite_or_names_the_field(perturbation):
     arrays = [v for v in fields if isinstance(v, np.ndarray)] + [result.edge_trace.edge_times]
     assert all(math.isfinite(v) for v in floats), f"{section}.{name}={value:g}"
     assert all(np.isfinite(a).all() for a in arrays), f"{section}.{name}={value:g}"
+
+
+# a band-pass Q this near 0 makes its alpha = sin(w0) / (2 Q) inf, or 0 / 0;
+# the transducer's Q is resonance_freq / bandwidth
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "section, name, value, fields",
+    [
+        ("demod", "bandpass_q", 1e-310, ("demod.bandpass_center", "demod.bandpass_q")),
+        ("demod", "bandpass_q", 1e-320, ("demod.bandpass_center", "demod.bandpass_q")),
+        ("demod", "bandpass_q", 5e-324, ("demod.bandpass_center", "demod.bandpass_q")),
+        ("transducer", "resonance_freq", 5e-324,
+         ("transducer.resonance_freq", "transducer.bandwidth")),
+    ],
+    ids=["bandpass_q=1e-310", "bandpass_q=1e-320", "bandpass_q=5e-324", "resonance_freq=5e-324"],
+)
+def test_a_band_pass_q_near_zero_names_its_fields(section, name, value, fields):
+    part = dataclasses.replace(getattr(BASE, section), **{name: value})
+    with pytest.raises(ConfigurationError) as caught:
+        run_scenario(dataclasses.replace(BASE, **{section: part}))
+    message = str(caught.value)
+    assert all(f in message for f in fields), message
+    assert "beyond float range" in message, message

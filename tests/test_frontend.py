@@ -222,6 +222,20 @@ def test_envelope_step_matches_discrete_rc_closed_form():
     assert out == pytest.approx(expected, abs=1e-12)
 
 
+def test_envelope_burst_becomes_single_hump():
+    burst = np.abs(np.sin(2.0 * np.pi * 28_000.0 * np.arange(1120) / SR))
+    x = np.concatenate([burst, np.zeros(2240)])
+    out = one_pole_lowpass(x, DemodParams().envelope_tau, SR)
+    peak = out.max()
+    assert 0.5 <= peak <= 1.0
+    assert out.argmax() <= 1120 + 1
+    tail = out[1200:]
+    assert np.all(np.diff(tail) <= 1e-15)  # decays once the burst ends
+    # the comparator, whose drive holds this RC, rises and falls once on it
+    tr = comparator(Waveform(SR, x, SignalUnit.VOLTS), DemodParams())
+    assert tr.edge_levels.tolist() == [True, False]
+
+
 # comparator
 
 
