@@ -17,17 +17,19 @@ from .config import Config, Fraction, Gain, NonNegative, Positive, is_finite, sh
 from .errors import ConfigurationError
 from .waveform import Waveform
 
+SOUND_SPEED = 1630.0  # m/s, ChannelModel's default and the echo helpers'
 
-@dataclass
+
+@dataclass(slots=True)
 class Echo(Config):
     extra_path: Positive  # m traveled beyond the direct path
     gain: Gain  # amplitude relative to the direct arrival
 
 
-@dataclass
+@dataclass(slots=True)
 class ChannelModel(Config):
     distance: Positive = 1.0  # m, transmitter to receiver
-    sound_speed: Positive = 1630.0  # m/s
+    sound_speed: Positive = SOUND_SPEED  # m/s
     spreading_exponent: float = 2.0  # amplitude ~ distance**-k
     absorption_db_per_km: float = 0.0  # dB/km at the carrier
     coupling: Fraction = 0.993  # boundary transmission coefficient, crossed twice
@@ -35,7 +37,8 @@ class ChannelModel(Config):
     noise_rms: NonNegative = 0.0  # additive white noise, pressure units
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        # not super(): a slotted dataclass is a new class, which breaks its methods' super()
+        Config.__post_init__(self)
         self.echoes = [e if isinstance(e, Echo) else Echo(*e) for e in self.echoes]
         try:
             finite = is_finite(self.direct_gain())
@@ -57,7 +60,7 @@ class ChannelModel(Config):
         )
 
 
-def echo_delay(extra_path: float, sound_speed: float = ChannelModel.sound_speed) -> float:
+def echo_delay(extra_path: float, sound_speed: float = SOUND_SPEED) -> float:
     """Arrival lag of a reflection traveling extra_path beyond the direct ray."""
     if not extra_path > 0:
         raise ValueError(f"extra_path must be positive, got {shown(extra_path)}")
@@ -66,7 +69,7 @@ def echo_delay(extra_path: float, sound_speed: float = ChannelModel.sound_speed)
     return extra_path / sound_speed
 
 
-def critical_reflection_distance(bit_rate: float, sound_speed: float = ChannelModel.sound_speed) -> float:
+def critical_reflection_distance(bit_rate: float, sound_speed: float = SOUND_SPEED) -> float:
     """Extra path length at which an echo lags by exactly one bit period.
 
     Reflections with this detour land on the next bit's sampling instant and

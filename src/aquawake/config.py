@@ -82,7 +82,10 @@ def _checks(cls: type) -> tuple[tuple, ...]:
 
 
 class Config:
-    """Base of the config dataclasses; a cross-field check calls this first."""
+    """Base of the slotted config dataclasses; a cross-field check calls
+    `Config.__post_init__(self)` first."""
+
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         for name, hint, text, holds in _checks(type(self)):

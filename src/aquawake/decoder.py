@@ -36,7 +36,7 @@ class LevelSample:
     level: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class DecoderConfig(Config):
     assigned_uuid: Byte
     max_sync_interval: Positive = 0.040  # s, 4x the longest supported bit period

@@ -28,7 +28,7 @@ def _bits(uuid: int) -> tuple[int, ...]:
     return SYNC_BITS + payload
 
 
-@dataclass
+@dataclass(slots=True)
 class WakeupFrame(Config):
     uuid: Byte
     bit_rate: Positive = 200.0  # bits/s
@@ -48,7 +48,7 @@ class WakeupFrame(Config):
         return self.preamble_duration + self.guard_duration + FRAME_BITS / self.bit_rate
 
 
-@dataclass
+@dataclass(slots=True)
 class ModulationParams(Config):
     carrier_freq: Positive = 28_000.0  # Hz
     sample_rate: float = 224_000.0  # Hz, >= 4x carrier
@@ -56,7 +56,7 @@ class ModulationParams(Config):
     tx_amplitude: NonNegative = 1.0  # source amplitude, pressure units
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        Config.__post_init__(self)
         if self.sample_rate < 4 * self.carrier_freq:
             raise ConfigurationError(
                 f"sample_rate {self.sample_rate:g} is below 4x carrier_freq "

@@ -34,7 +34,7 @@ from .errors import ConfigurationError, UnitMismatchError
 from .waveform import DigitalTrace, SignalUnit, Waveform
 
 
-@dataclass
+@dataclass(slots=True)
 class TransducerModel(Config):
     resonance_freq: Positive = 28_000.0  # Hz
     bandwidth: Positive = 2_800.0  # Hz between -3 dB points
@@ -45,14 +45,14 @@ class TransducerModel(Config):
         return self.resonance_freq / self.bandwidth
 
 
-@dataclass
+@dataclass(slots=True)
 class RectifierModel(Config):
     diode_drop: NonNegative = 0.3  # V lost per small-signal pass
     threshold_voltage: NonNegative = 0.6  # V where the converter takes over
     residual_drop: NonNegative = 0.05  # V lost above threshold
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        Config.__post_init__(self)
         if self.residual_drop > self.diode_drop:
             raise ConfigurationError("residual_drop above diode_drop would be non-monotone")
 
@@ -62,7 +62,7 @@ class RectifierModel(Config):
 BIT_PERIOD_SHARES = {"envelope_tau": 0.05, "fast_tau": 0.02, "slow_tau": 0.15}
 
 
-@dataclass
+@dataclass(slots=True)
 class DemodParams(Config):
     """Band-pass, envelope and comparator constants for one bit rate.
 
@@ -80,7 +80,7 @@ class DemodParams(Config):
     reference_gain: Positive = 1.02
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        Config.__post_init__(self)
         if self.fast_tau >= self.slow_tau:
             raise ConfigurationError(
                 f"fast_tau {self.fast_tau} must be below slow_tau {self.slow_tau}"

@@ -31,7 +31,7 @@ class HarvesterMode(Enum):
     REGULATING = "regulating"
 
 
-@dataclass
+@dataclass(slots=True)
 class HarvesterParams(Config):
     coldstart_min_power: NonNegative = 15e-6  # W needed to leave Depleted
     coldstart_min_voltage: NonNegative = 0.6  # V needed to leave Depleted
@@ -43,14 +43,14 @@ class HarvesterParams(Config):
     uvlo: float = 1.9  # V cap level that collapses the rail
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        Config.__post_init__(self)
         if self.uvlo >= self.regulation_enable_voltage:
             raise ConfigurationError(
                 "uvlo must sit below regulation_enable_voltage for hysteresis"
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class LoadProfile(Config):
     p_listen: NonNegative = 10.7e-6  # W, armed and waiting for a sync edge
     p_decode: NonNegative = 63e-6  # W, sampling the UUID
@@ -71,15 +71,6 @@ def cap_energy(capacitance: float, voltage: float) -> float:
 def _threshold_energy(c_store: float, voltage: float) -> float:
     """The cap energy at a voltage threshold; -inf for one at or below 0 V, which any cap meets."""
     return cap_energy(c_store, voltage) if voltage > 0 else -inf
-
-
-def _running_sum(start: float, terms, count: int) -> float:
-    """`start` plus `count` terms (an array, or one value repeated) in turn, left
-    to right as a scalar loop adds them."""
-    sums = np.empty(count + 1)
-    sums[0] = start
-    sums[1:] = terms
-    return float(np.add.accumulate(sums, out=sums)[-1])
 
 
 class Harvester:
@@ -105,13 +96,15 @@ class Harvester:
     The banked energy of every tick is computed once here. A `run` advances
     in windows of ticks: the first is twice the ticks the last `run`
     advanced, never below 64, and each further window doubles. Each window
-    takes three running sums, each one `np.add.accumulate` that adds left to
-    right as a scalar loop does:
+    takes two `np.add.accumulate` calls, each adding left to right as a
+    scalar loop does:
     - the cap energy, over each tick's bank and then, while regulating, its
       drain (-0.0 at zero load, which moves no sum), which finds the tick
       that ends the span;
-    - `harvested`, over the banks of the ticks the span ran;
-    - `consumed`, over their drains.
+    - the two ledgers, as the rows of one array: `harvested` over the
+      window's banks, and `consumed` over its drains (zeros outside
+      regulation); each is read at the tick that ends the span, or at the
+      window's end.
     So the three add up tick by tick, and a sum that starts at or above +0.0
     is not moved by the zero terms it leaves out. Cap-voltage thresholds are
     compared as energies. Like plain floats, the sums overflow to inf,
@@ -189,15 +182,18 @@ class Harvester:
             cap[2::2] = -drain
         np.add.accumulate(cap, out=cap)
         closing = cap[steps::steps]
+        ledgers = np.empty((2, n + 1))  # harvested over the banks, consumed over the drains
+        ledgers[:, 0] = self.harvested, self.consumed
+        ledgers[0, 1:] = banked[k:end]
+        ledgers[1, 1:] = drain if regulating else 0.0
+        np.add.accumulate(ledgers, axis=1, out=ledgers)
         hit = closing < self._floor if regulating else closing >= self._e_enable
         i = int(hit.argmax())
         if not hit[i]:
             energy[k:end] = closing
             self.modes.append((mode, n))
             self.e_cap = float(cap[-1])
-            self.harvested = _running_sum(self.harvested, banked[k:end], n)
-            if regulating:
-                self.consumed = _running_sum(self.consumed, drain, n)
+            self.harvested, self.consumed = float(ledgers[0, n]), float(ledgers[1, n])
             self.k = end
             return False
         energy[k : k + i] = closing[:i]
@@ -206,9 +202,7 @@ class Harvester:
         # the tick that ends the span: cold start reaches the enable level and the
         # load draws from this tick on, or the draw empties the cap or crosses UVLO
         opened = float(cap[steps * i + 1])
-        self.harvested = _running_sum(self.harvested, banked[k : k + i + 1], i + 1)
-        if regulating:
-            self.consumed = _running_sum(self.consumed, drain, i)
+        self.harvested, self.consumed = float(ledgers[0, i + 1]), float(ledgers[1, i])
         drained = min(drain, opened)
         self.e_cap = energy[k + i] = opened - drained
         self.consumed, self.k = self.consumed + drained, k + i + 1

@@ -84,7 +84,7 @@ BLOCK_SAMPLES = 8192
 MAX_SWEEP_RUNS = 2**16
 
 
-@dataclass
+@dataclass(slots=True)
 class SimOptions(Config):
     seed: NonNegativeInt = 0
     harvester_decimation: Count = 64  # harvester tick every N samples
@@ -92,7 +92,7 @@ class SimOptions(Config):
     tail_duration: NonNegative = 0.005  # s of silence appended after the frame
 
 
-@dataclass
+@dataclass(slots=True)
 class Scenario:
     frame: WakeupFrame
     decoder: dec.DecoderConfig
@@ -387,7 +387,7 @@ def _trial_seed(base_seed: int, value_index: int, trial: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
-@dataclass
+@dataclass(slots=True)
 class _SweepTrials(Config):  # sweep's trials, checked as a config field is
     trials: Count
 
@@ -443,7 +443,7 @@ def sweep(base: Scenario, parameter: str, values: list[float], trials: int = 1) 
     return SweepResult(rows=rows, aggregates=aggregates)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Bisection(Config):  # calibrate_tx_amplitude's arguments, checked as config fields are
     rel_tol: Positive
     max_iter: Count

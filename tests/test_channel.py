@@ -26,6 +26,11 @@ def test_echo_delay_values():
     assert echo_delay(8.15, 1630.0) == pytest.approx(5.0e-3, rel=1e-12)
 
 
+def test_the_echo_helpers_default_to_the_channels_sound_speed():
+    assert echo_delay(5.053) == 5.053 / ChannelModel().sound_speed
+    assert critical_reflection_distance(200.0) == ChannelModel().sound_speed / 200.0
+
+
 @pytest.mark.parametrize(
     "args", [(0.0, 1630.0), (-1.0, 1630.0), (5.0, 0.0), (np.nan, 1630.0), (5.0, np.nan)]
 )

@@ -1,18 +1,38 @@
-"""Every numeric config field rejects non-numbers, wrong kinds and non-finite values by name."""
+"""Every numeric config field rejects non-numbers, wrong kinds and non-finite values by name.
 
+Config objects and `Scenario` are slotted: no instance dict, an unknown
+attribute raises, and copies compare equal."""
+
+import copy
 import dataclasses
+import gc
+import pickle
 import typing
 
 import numpy as np
 import pytest
 
-from aquawake import ConfigurationError, Echo
+from aquawake import ChannelModel, ConfigurationError, Echo, load_scenario, sim
+from aquawake.cli import PRESETS_DIR, preset_path
 from aquawake.config import Config, shown
 from aquawake.scenario_io import _SECTIONS
 
 CLASSES = [*_SECTIONS.values(), Echo]
 # values for the fields without a default
-REQUIRED = {"uuid": 0xA5, "assigned_uuid": 0xA5, "extra_path": 1.0, "gain": 0.5}
+REQUIRED = {"uuid": 0xA5, "assigned_uuid": 0xA5, "extra_path": 1.0, "gain": 0.5, "trials": 1,
+            "rel_tol": 1e-3, "max_iter": 60}
+PRESETS = {p.stem: load_scenario(p) for p in sorted(PRESETS_DIR.glob("*.scenario"))}
+
+
+def subclasses(cls: type) -> set[type]:
+    """Every subclass of `cls`, at any depth."""
+    return {deeper for sub in cls.__subclasses__() for deeper in (sub, *subclasses(sub))}
+
+
+# dataclass(slots=True) replaces each class with a new one; the old one stays
+# among its base's __subclasses__ until the cycle collector frees it
+gc.collect()
+CONFIG_CLASSES = sorted(subclasses(Config), key=lambda cls: cls.__name__)
 
 
 def numeric_fields(cls) -> dict[str, type]:
@@ -131,3 +151,47 @@ def test_a_rejected_value_prints_in_at_most_200_characters():
 def test_range_violations_name_the_field_and_the_rule(cls, name, value, rule):
     with pytest.raises(ConfigurationError, match=rf"^{name} must be {rule}, got"):
         build(cls, **{name: value})
+
+
+def test_the_walk_finds_every_config_class():
+    assert {*CLASSES, sim._SweepTrials, sim._Bisection} <= set(CONFIG_CLASSES)
+
+
+@pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda c: c.__name__)
+def test_config_instances_carry_no_dict(cls):
+    assert not hasattr(build(cls), "__dict__")
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_a_scenario_carries_no_dict(name):
+    assert not hasattr(PRESETS[name], "__dict__")
+
+
+@pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda c: c.__name__)
+def test_setting_an_unknown_field_raises(cls):
+    config = build(cls)
+    with pytest.raises(AttributeError):
+        config.misspelled = 1.0
+    assert config == build(cls)
+
+
+def test_a_misspelled_field_raises_rather_than_being_ignored():
+    with pytest.raises(AttributeError, match="nosie_rms"):
+        ChannelModel().nosie_rms = 0.2
+    sc = load_scenario(preset_path("paper_fig5"))
+    with pytest.raises(AttributeError, match="sead"):
+        sc.sim.sead = 1
+    with pytest.raises(AttributeError, match="chanel"):
+        sc.chanel = ChannelModel()
+    assert sc == PRESETS["paper_fig5"]
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_a_preset_survives_pickle_deepcopy_and_replace(name):
+    sc = PRESETS[name]
+    copies = [pickle.loads(pickle.dumps(sc, protocol))
+              for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.deepcopy(sc), dataclasses.replace(sc)]
+    for copied in copies:
+        assert copied == sc
+        assert copied is not sc
