@@ -67,6 +67,11 @@ _SWEEP_TARGETS = {
 }
 SWEEPABLE_PARAMETERS = tuple(_SWEEP_TARGETS)
 
+# the members the tick loop tests, as module constants: a read through the
+# Enum class costs about ten times a global's on Python 3.11
+_DECIDED = dec.DecoderPhase.DECIDED
+_REGULATING = HarvesterMode.REGULATING
+
 # samples one run may span, about 37 s at the default 224 kHz; the per-tick
 # harvester arrays and the tick ends (a numpy array; no per-tick Python list)
 # are the only whole-run arrays, as the transmit is made per block from a
@@ -177,7 +182,7 @@ def _run_ticks(sc: Scenario, trace: DigitalTrace, dt: float, ends, v_in, p_in):
     """
     n_ticks = len(ends)
     rising = [*trace.rising_times().tolist(), inf]  # inf: no edge left
-    decided = dec.DecoderPhase.DECIDED
+    level_at, cfg = trace.level_at, sc.decoder
     harvester = Harvester(sc.harvester, dt, v_in, p_in)
 
     def feed(fed, t1, until=None):
@@ -186,17 +191,17 @@ def _run_ticks(sc: Scenario, trace: DigitalTrace, dt: float, ends, v_in, p_in):
         the first of them that sets `mid_frame` to `until`; and that event's time
         (inf: none)."""
         state, edge_idx, first_sync_time = fed
-        while state.phase is not decided:
+        while state.phase is not _DECIDED:
             due = state.next_sample_time
             edge = rising[edge_idx]
             if due is not None and due < t1 and due < edge:
-                event = dec.LevelSample(due, trace.level_at(due))
+                event = dec.LevelSample(due, level_at(due))
             elif edge < t1:
                 event = dec.RisingEdge(edge)
                 edge_idx += 1
             else:
                 break
-            state = dec.decoder_feed(state, sc.decoder, event)
+            state = dec.decoder_feed(state, cfg, event)
             if first_sync_time is None:
                 first_sync_time = state.first_edge_time
             if state.mid_frame is until:
@@ -207,7 +212,7 @@ def _run_ticks(sc: Scenario, trace: DigitalTrace, dt: float, ends, v_in, p_in):
     rail_up_time: float | None = None
     while harvester.k < n_ticks:
         k = harvester.k
-        if harvester.mode is HarvesterMode.REGULATING:
+        if harvester.mode is _REGULATING:
             if rail_up_time is None:
                 rail_up_time = k * dt  # the tick's start, as np.arange(n_ticks) * dt rounds it
             held, _ = feed(fed, ends[k])  # the rest of tick k's events
@@ -217,9 +222,9 @@ def _run_ticks(sc: Scenario, trace: DigitalTrace, dt: float, ends, v_in, p_in):
             # decode draw applies while the decoder is mid-frame, listen otherwise
             load = sc.load.p_decode if mid_frame else sc.load.p_listen
             # a run also ends where the load empties the cap; the rail may hold there
-            while harvester.k < stop and harvester.mode is HarvesterMode.REGULATING:
+            while harvester.k < stop and harvester.mode is _REGULATING:
                 harvester.run(stop, load)
-            if harvester.mode is not HarvesterMode.REGULATING:
+            if harvester.mode is not _REGULATING:
                 # the state after the last tick that ran with the rail up
                 fed, _ = feed(held, ends[harvester.k - 1])
         else:
@@ -312,7 +317,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         mode_values += [mode.value] * count
 
     # the outcome is the decoder's: DECIDED is terminal and never reset
-    decided = dec_state.phase is dec.DecoderPhase.DECIDED
+    decided = dec_state.phase is _DECIDED
     decision_time = dec_state.last_event_time if decided else None
     woke = dec.wake_output(dec_state)
 

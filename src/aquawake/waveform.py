@@ -7,6 +7,7 @@ accepts pressure, everything downstream of it runs in volts.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -73,6 +74,9 @@ class DigitalTrace:
         return self.edge_times[self.edge_levels]
 
     def level_at(self, t: float) -> bool:
-        """Level at time t (edges take effect at their own timestamp)."""
-        idx = int(np.searchsorted(self.edge_times, t, side="right"))
+        """Level at time t (edges take effect at their own timestamp).
+
+        `np.searchsorted(side="right")`'s index, found by `bisect_right` over the
+        array itself: about a fifth of the cost for the one time the tick loop asks."""
+        idx = bisect_right(self.edge_times, t)
         return idx > 0 and bool(self.edge_levels[idx - 1])

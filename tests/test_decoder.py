@@ -1,3 +1,4 @@
+import copy
 import math
 
 import pytest
@@ -147,6 +148,48 @@ def test_decided_state_is_returned_unchanged():
     assert decoder_feed(state, cfg, LevelSample(1.1, True)).last_event_time == decided_at
     with pytest.raises(ProtocolError):
         decoder_feed(state, cfg, RisingEdge(decided_at - 1e-3))
+
+
+def fed(count: int) -> DecoderState:
+    """The state after the first `count` events of a clean 5 ms frame."""
+    cfg = DecoderConfig(assigned_uuid=0xA5)
+    return feed_all(cfg, ideal_events(0xA5, 5e-3, cfg.sample_offset)[:count])
+
+
+# (state, event, the phase and bit count it leads to), one per branch of
+# decoder_feed; the frame's sync edges are at 0 and 5 ms, its bit k due at
+# 5 + (k + 1.4) * 5 ms
+TRANSITIONS = {
+    "first edge": (DecoderState(), RisingEdge(0.0), DecoderPhase.AWAIT_SECOND_EDGE, 0),
+    "level while awaiting": (DecoderState(), LevelSample(0.0, True),
+                             DecoderPhase.AWAIT_FIRST_EDGE, 0),
+    "level while awaiting the second edge": (fed(1), LevelSample(1e-3, True),
+                                             DecoderPhase.AWAIT_SECOND_EDGE, 0),
+    "duplicate second edge": (fed(1), RisingEdge(0.0), DecoderPhase.AWAIT_SECOND_EDGE, 0),
+    "stale sync restart": (fed(1), RisingEdge(0.5), DecoderPhase.AWAIT_SECOND_EDGE, 0),
+    "stale sync level": (fed(1), LevelSample(0.5, True), DecoderPhase.AWAIT_FIRST_EDGE, 0),
+    "sync completes": (fed(1), RisingEdge(5e-3), DecoderPhase.SAMPLING, 0),
+    "level not yet due": (fed(2), LevelSample(6e-3, True), DecoderPhase.SAMPLING, 0),
+    "edge while sampling": (fed(2), RisingEdge(13e-3), DecoderPhase.SAMPLING, 0),
+    "bit sampled": (fed(2), LevelSample(13e-3, True), DecoderPhase.SAMPLING, 1),
+    "decision": (fed(9), LevelSample(0.05, True), DecoderPhase.DECIDED, 8),
+    "decided": (fed(10), RisingEdge(1.0), DecoderPhase.DECIDED, 8),
+}
+
+
+@pytest.mark.parametrize("name", list(TRANSITIONS))
+def test_a_feed_leaves_its_input_state_as_it_was(name):
+    # the tick loop holds a state and feeds it again after a rail drop
+    state, event, phase, bits = TRANSITIONS[name]
+    before = copy.deepcopy(state)
+    after = decoder_feed(state, DecoderConfig(assigned_uuid=0xA5), event)
+    assert (after.phase, after.bit_index) == (phase, bits)
+    assert state == before
+    if state.phase is DecoderPhase.DECIDED:
+        assert after is state
+    else:
+        assert after is not state
+        assert after.last_event_time == event.time
 
 
 def test_out_of_order_events_raise():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aquawake import ConfigurationError, DigitalTrace, SignalUnit, Waveform
 
@@ -61,3 +63,28 @@ def test_trace_level_at_applies_edges_at_their_own_timestamp():
 
 def test_trace_level_before_any_edge_is_initial_level():
     assert DigitalTrace().level_at(123.0) is False
+
+
+@st.composite
+def traces_and_times(draw):
+    """A trace with repeated edge times, and times at its edges, before the
+    first, after the last and in between."""
+    times = draw(st.lists(st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0, 0.5]), max_size=12))
+    times += draw(st.lists(st.sampled_from(times), max_size=4)) if times else []
+    times.sort()
+    levels = draw(st.lists(st.booleans(), min_size=len(times), max_size=len(times)))
+    ends = [np.nextafter(times[0], -np.inf), np.nextafter(times[-1], np.inf)] if times else []
+    queries = st.sampled_from(times + ends) if times else st.nothing()
+    probes = draw(st.lists(queries | st.floats(-2.0, 2.0) | st.sampled_from([-np.inf, np.inf]),
+                           min_size=1, max_size=8))
+    return DigitalTrace(times, levels), probes
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(traces_and_times())
+def test_trace_level_at_is_the_level_of_the_last_edge_at_or_before(case):
+    # np.searchsorted's rule: ties go right, so an edge takes effect at its own time
+    trace, probes = case
+    for t in probes:
+        idx = int(np.searchsorted(trace.edge_times, t, side="right"))
+        assert trace.level_at(t) is (idx > 0 and bool(trace.edge_levels[idx - 1])), t
