@@ -129,7 +129,13 @@ def propagate(
             out[lo - start : hi - start] += gain * tx.samples[lo - d : hi - d]
 
     if channel.noise_rms > 0:
-        rng = np.random.default_rng(seed)
-        out += rng.normal(0.0, channel.noise_rms, size=stop - start)
+        # rng.normal(0.0, noise_rms, n) is 0.0 + noise_rms * z over these draws;
+        # its 0.0 + only turns a -0.0 into +0.0, which out (never -0.0) adds
+        # alike. As in normal, a scale near float max overflows to inf
+        # silently, and the waveform check names the signal that holds it.
+        noise = np.random.default_rng(seed).standard_normal(stop - start)
+        with np.errstate(over="ignore"):
+            noise *= channel.noise_rms
+        out += noise
 
     return Waveform(sample_rate=sr, samples=out, unit=tx.unit)

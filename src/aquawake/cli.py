@@ -19,10 +19,12 @@ import functools
 import os
 import re
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigurationError, InvariantError
 from .scenario_io import load_scenario
@@ -73,18 +75,34 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: tuple[str, ...], lines: Iterable[str]) -> None:
+# rows per write call; the writer holds one chunk's text, however many rows a file has
+CSV_CHUNK_ROWS = 1024
+
+
+def _chunks(n_rows: int, *columns: Sequence) -> Iterator[Iterator[tuple]]:
+    """The rows of `n_rows`-long columns, zipped a chunk of CSV_CHUNK_ROWS at a
+    time. A numpy column comes out as Python scalars: the repr of a Python
+    float from .tolist() is what _fmt prints for a numpy float."""
+    for i in range(0, n_rows, CSV_CHUNK_ROWS):
+        part = [c[i : i + CSV_CHUNK_ROWS] for c in columns]
+        yield zip(*(p.tolist() if isinstance(p, np.ndarray) else p for p in part))
+
+
+def _write_csv(path: Path, header: tuple[str, ...], chunks: Iterable[Iterable[str]]) -> None:
     """Write comma-joined field lines under a leading schema_version column,
-    atomically. Lines end in \\r\\n, as the csv module's default dialect
-    writes them. No field needs quoting: each is a float, an int, true/false,
-    a harvester mode or row type, or a sweep parameter name, and none of
-    those holds a comma, a quote or a line break. A failed write or rename
-    removes the temporary file and re-raises."""
+    atomically, one write call per (non-empty) chunk of lines. Lines end in
+    \\r\\n, as the csv module's default dialect writes them. No field needs
+    quoting: each is a float, an int, true/false, a harvester mode or row
+    type, or a sweep parameter name, and none of those holds a comma, a quote
+    or a line break. A failed write or rename removes the temporary file and
+    re-raises."""
     tmp = path.with_suffix(path.suffix + ".tmp")
+    sep = f"\r\n{SCHEMA_VERSION},"
     try:
         with open(tmp, "w", newline="") as fh:
             fh.write(",".join(("schema_version", *header)) + "\r\n")
-            fh.writelines(f"{SCHEMA_VERSION},{line}\r\n" for line in lines)
+            for lines in chunks:
+                fh.write(f"{SCHEMA_VERSION},{sep.join(lines)}\r\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -94,7 +112,10 @@ def _write_csv(path: Path, header: tuple[str, ...], lines: Iterable[str]) -> Non
 def _write_records(path: Path, columns: tuple[str, ...], records: list[dict]) -> None:
     """Write one row per record; a column the record lacks stays empty."""
     keys = [_UNIT_SUFFIX.sub("", c) for c in columns]
-    _write_csv(path, columns, (",".join(_fmt(rec.get(k)) for k in keys) for rec in records))
+    _write_csv(path, columns, (
+        [",".join(_fmt(rec.get(k)) for k in keys) for (rec,) in rows]
+        for rows in _chunks(len(records), records)
+    ))
 
 
 @contextmanager
@@ -129,19 +150,20 @@ def preset_path(name: str) -> Path:
 
 def _write_run_outputs(result: ScenarioResult, out: Path) -> None:
     _write_records(out / "result.csv", RESULT_COLUMNS, [vars(result)])
-    # repr of a Python float from .tolist() is what _fmt prints for a numpy float
-    times, values = result.vcap_times.tolist(), result.vcap_values.tolist()
+    ticks = _chunks(
+        len(result.vcap_values), result.vcap_times, result.vcap_values, result.mode_values
+    )
     _write_csv(
         out / "vcap_trace.csv",
         ("time_s", "v_cap_v", "mode"),
-        (f"{t!r},{v!r},{m}" for t, v, m in zip(times, values, result.mode_values)),
+        ([f"{t!r},{v!r},{m}" for t, v, m in rows] for rows in ticks),
     )
     edges = result.edge_trace
     _write_csv(
         out / "comparator_edges.csv",
         ("time_s", "level"),
-        (f"{t!r},{'true' if level else 'false'}"
-         for t, level in zip(edges.edge_times.tolist(), edges.edge_levels.tolist())),
+        ([f"{t!r},{'true' if level else 'false'}" for t, level in rows]
+         for rows in _chunks(len(edges.edge_times), edges.edge_times, edges.edge_levels)),
     )
 
 

@@ -45,14 +45,22 @@ def _list_items(cls: type) -> dict[str, type]:
     return {k: _inner(h) for k, h in hints.items() if typing.get_origin(h) is list}
 
 
+@functools.cache
+def _field_names(cls: type) -> dict[str, bool]:
+    """Map each field name of `cls` to whether the field has no default."""
+    return {
+        f.name: f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        for f in dataclasses.fields(cls)
+    }
+
+
 def _require(mappings: Iterable[tuple[str, type, dict]]) -> None:
     """Name every field without a default that a (name, cls, data) mapping leaves out."""
     missing = [
-        f"{name}.{f.name}"
+        f"{name}.{key}"
         for name, cls, data in mappings
-        for f in dataclasses.fields(cls)
-        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-        and f.name not in data
+        for key, required in _field_names(cls).items()
+        if required and key not in data
     ]
     if missing:
         raise SchemaError("missing required key(s): " + ", ".join(missing))
@@ -64,7 +72,7 @@ def _build(name: str, cls: type, data: Any, make=None):
         raise SchemaError(f"{name} must be a mapping")
     _require([(name, cls, data)])  # a list item's; the sections' are checked together
     items = _list_items(cls)
-    known = {f.name for f in dataclasses.fields(cls)}
+    known = _field_names(cls)
     kwargs = {}
     for key, value in data.items():
         where = f"{name}.{key}"
@@ -134,7 +142,9 @@ class _Loader(_SafeLoader, Composer):
         super().__init__(stream)
         Composer.__init__(self)
         self._depth = 0  # levels open above the node being composed
-        self._height: dict[yaml.Node, int] = {}  # levels in each composed node's tree
+        self._measuring = False  # whether an anchored node is open at or above it
+        # levels in the tree of each node an anchored node holds, itself included
+        self._height: dict[yaml.Node, int] = {}
 
     def compose_node(self, parent, index):
         if self.check_event(AliasEvent):
@@ -144,16 +154,22 @@ class _Loader(_SafeLoader, Composer):
             self._check_depth(self._depth + self._height.get(node, 0))
             return node
         self._check_depth(self._depth + 1)
+        # an alias reaches only an anchored node, so only the trees that
+        # anchored nodes hold are measured: an anchor-free document records none
+        outer = self._measuring
+        self._measuring = measuring = outer or self.peek_event().anchor is not None
         self._depth += 1
         try:
             node = super().compose_node(parent, index)
         finally:
             self._depth -= 1
-        if isinstance(node, yaml.MappingNode):
-            children = [child for pair in node.value for child in pair]
-        else:
-            children = node.value if isinstance(node, yaml.SequenceNode) else ()
-        self._height[node] = 1 + max((self._height.get(c, 0) for c in children), default=0)
+            self._measuring = outer
+        if measuring:
+            if isinstance(node, yaml.MappingNode):
+                children = [child for pair in node.value for child in pair]
+            else:
+                children = node.value if isinstance(node, yaml.SequenceNode) else ()
+            self._height[node] = 1 + max((self._height.get(c, 0) for c in children), default=0)
         return node
 
     @staticmethod

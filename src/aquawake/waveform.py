@@ -67,7 +67,11 @@ class DigitalTrace:
         self.edge_levels = np.asarray(self.edge_levels, dtype=bool)
         if len(self.edge_times) != len(self.edge_levels):
             raise ConfigurationError("edge_times and edge_levels length mismatch")
-        if (self.edge_times[1:] < self.edge_times[:-1]).any():
+        t = self.edge_times
+        # a NaN fails every comparison, so the pairwise test finds one beside any other time
+        if not (t[1:] >= t[:-1]).all() or (len(t) == 1 and t[0] != t[0]):
+            if np.isnan(t).any():
+                raise ConfigurationError("edge times must not be NaN")
             raise ConfigurationError("edge times must be nondecreasing")
 
     def rising_times(self) -> np.ndarray:

@@ -3,6 +3,7 @@ import errno
 import io
 import os
 import re
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -645,6 +646,94 @@ def test_run_files_match_the_csv_module_byte_for_byte(ticks, edges, tmp_path_fac
     edge_rows = zip(result.edge_trace.edge_times, map(bool, result.edge_trace.edge_levels))
     _reference_csv(ref, ("time_s", "level"), edge_rows)
     assert (out / "comparator_edges.csv").read_bytes() == ref.read_bytes()
+
+
+def synthetic_result(n: int) -> SimpleNamespace:
+    """A result of `n` ticks and `n` edges holding every float form: random
+    digits, +-0.0, +-inf, NaN, subnormals."""
+    rng = np.random.default_rng(7)
+    odd = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e300, 2.0**53]
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    values[: len(odd)] = odd
+    modes = [m.value for m in HarvesterMode]
+    return SimpleNamespace(
+        vcap_times=np.cumsum(rng.random(n)) * 1e-4,
+        vcap_values=values,
+        mode_values=[modes[i % len(modes)] for i in range(n)],
+        edge_trace=SimpleNamespace(
+            edge_times=np.sort(rng.random(n)), edge_levels=np.arange(n) % 2 == 0
+        ),
+    )
+
+
+def test_a_run_of_two_chunks_and_a_row_matches_the_csv_module(tmp_path):
+    n = 2 * cli_module.CSV_CHUNK_ROWS + 1
+    result = synthetic_result(n)
+    out = tmp_path / "out"
+    out.mkdir()
+    _write_run_outputs(result, out)
+    ref = tmp_path / "ref.csv"
+    _reference_csv(ref, ("time_s", "v_cap_v", "mode"),
+                   zip(result.vcap_times, result.vcap_values, result.mode_values))
+    assert (out / "vcap_trace.csv").read_bytes() == ref.read_bytes()
+    edges = result.edge_trace
+    _reference_csv(ref, ("time_s", "level"), zip(edges.edge_times, map(bool, edges.edge_levels)))
+    assert (out / "comparator_edges.csv").read_bytes() == ref.read_bytes()
+    assert len((out / "vcap_trace.csv").read_bytes().splitlines()) == n + 1
+
+
+def test_a_write_that_fails_mid_file_keeps_the_previous_file(scenario_file, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    assert cli("run", str(scenario_file), "--out", str(out))[0] == 0
+    before = {name: (out / name).read_bytes() for name in RUN_FILES}
+    chunk = 16
+    assert before["vcap_trace.csv"].count(b"\n") > 3 * chunk  # the file takes several writes
+    monkeypatch.setattr(cli_module, "CSV_CHUNK_ROWS", chunk)
+    written = []
+
+    def full_after_two_writes(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        if Path(path).name == "vcap_trace.csv.tmp":
+            write = fh.write
+
+            def failing(text):  # the header and one chunk fit
+                if len(written) == 2:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                written.append(text)
+                return write(text)
+
+            fh.write = failing
+        return fh
+
+    monkeypatch.setattr(cli_module, "open", full_after_two_writes, raising=False)
+    code, stdout, stderr = cli("run", str(scenario_file), "--seed", "1", "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"error: cannot write to output directory {out} ({os.strerror(errno.ENOSPC)})\n"
+    assert written[1].count("\r\n") == chunk
+    assert_no_tmp_litter(tmp_path)
+    # result.csv was replaced before the failing file; that file and the next keep their bytes
+    assert (out / "result.csv").read_bytes() != before["result.csv"]
+    assert (out / "vcap_trace.csv").read_bytes() == before["vcap_trace.csv"]
+    assert (out / "comparator_edges.csv").read_bytes() == before["comparator_edges.csv"]
+
+
+def test_the_writer_holds_one_chunk_of_text_at_a_time(tmp_path):
+    n = 20 * cli_module.CSV_CHUNK_ROWS + 1  # 21 chunks
+    result = synthetic_result(n)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        _write_run_outputs(result, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "vcap_trace.csv").stat().st_size
+    chunk_text = size * cli_module.CSV_CHUNK_ROWS / n
+    # measured 5.40 chunks' text (309 919 B, 57 364 B a chunk, a 1 147 346 B file;
+    # 5.43 at 41 chunks); converting or joining the whole file at once takes 20 or more
+    assert peak < 8 * chunk_text, (peak, chunk_text, size)
 
 
 def test_the_reused_parser_keeps_no_state(tmp_path):

@@ -280,6 +280,60 @@ def test_a_document_at_the_nesting_limit_loads(make, tmp_path):
         load_scenario(path)
 
 
+def brackets(levels: int, inner: str) -> str:
+    """`inner` inside `levels` flow sequences."""
+    return "[" * levels + inner + "]" * levels
+
+
+def chained(levels: int) -> str:
+    """`levels` deep only through an alias to &b, whose 7-level tree holds an
+    alias to the 5-level &a."""
+    return f"a: &a {brackets(4, '1')}\nb: &b {brackets(2, '*a')}\nc: {brackets(levels - 8, '*b')}\n"
+
+
+def deep_anchor(levels: int) -> str:
+    """A 4-level &a opened below 7 plain levels, aliased from a shallower
+    point (reaching 5 levels) and from a deeper one (reaching `levels`)."""
+    anchored = brackets(6, "&a " + brackets(3, "1"))
+    return f"a: {anchored}\nb: *a\nc: {brackets(levels - 5, '*a')}\n"
+
+
+def after_plain(levels: int) -> str:
+    """27 levels of plain nesting, then a 5-level &a aliased `levels` deep."""
+    return f"x: {brackets(25, '1')}\na: &a {brackets(4, '1')}\nb: {brackets(levels - 6, '*a')}\n"
+
+
+@pytest.mark.parametrize("make", [chained, deep_anchor, after_plain])
+def test_an_alias_adds_the_whole_tree_of_its_anchor(make, tmp_path):
+    text = make(MAX_NESTING)
+    assert repr(yaml.load(text, Loader=_Loader)) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+    path = tmp_path / "deep.yaml"
+    path.write_text(make(MAX_NESTING + 1))
+    with pytest.raises(SchemaError, match=f"^scenario file {path} nests deeper than {MAX_NESTING} levels$"):
+        load_scenario(path)
+
+
+PRESETS = ("paper_fig5", "paper_echo", "paper_critical_distance")
+
+
+# only an anchored node's tree is measured, since only an alias reads a height
+@pytest.mark.parametrize(
+    "text, heights",
+    [
+        *((preset_path(name).read_text(), []) for name in PRESETS),
+        (after_plain(MAX_NESTING), [1, 2, 3, 4, 5]),  # &a's tree alone
+    ],
+    ids=[*PRESETS, "after_plain"],
+)
+def test_only_an_anchored_tree_records_heights(text, heights):
+    loader = _Loader(text)
+    try:
+        assert loader.get_single_node() is not None
+        assert sorted(loader._height.values()) == heights
+    finally:
+        loader.dispose()
+
+
 def test_an_alias_to_an_enclosing_node_loads_as_a_cycle():
     doc = yaml.load("a: &a [0, *a]\n", Loader=_Loader)
     assert doc["a"][1] is doc["a"]
@@ -308,6 +362,9 @@ def test_the_python_parser_fallback_reports_the_same(tmp_path):
         "past_limit": nested(MAX_NESTING + 1),
         "thousands_deep": nested(5000),
         "aliased_past_limit": aliased(MAX_NESTING + 1),
+        "chained_past_limit": chained(MAX_NESTING + 1),
+        "deep_anchor_past_limit": deep_anchor(MAX_NESTING + 1),
+        "after_plain_past_limit": after_plain(MAX_NESTING + 1),
         "duplicate": "frame: {uuid: 165}\nframe: {uuid: 90}\n",
         "bad_tag": "frame:\n  uuid: !!int abc\n",
         "string_exponent": "frame: {uuid: 165}\ndecoder: {assigned_uuid: 165}\n"

@@ -43,8 +43,18 @@ def test_trace_rejects_mismatched_edge_arrays():
 
 
 def test_trace_rejects_decreasing_edge_times():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="^edge times must be nondecreasing$"):
         DigitalTrace(edge_times=[1.0, 0.5], edge_levels=[True, False])
+
+
+# a NaN compares false with every time, so it would hide the times out of order around it
+@pytest.mark.parametrize(
+    "times", [[np.nan], [0.5, np.nan, 0.1], [np.nan, 0.1], [0.1, np.nan]],
+    ids=["alone", "between_times_out_of_order", "first", "last"],
+)
+def test_trace_rejects_a_nan_edge_time(times):
+    with pytest.raises(ConfigurationError, match="^edge times must not be NaN$"):
+        DigitalTrace(edge_times=times, edge_levels=[True] * len(times))
 
 
 def test_trace_partitions_rising_and_falling():
