@@ -123,19 +123,20 @@ def propagate(
     if start > 0 and channel.noise_rms > 0 and not isinstance(seed, np.random.Generator):
         raise ValueError("an int seed draws noise from sample 0; pass a Generator for start > 0")
     out = np.zeros(stop - start, dtype=np.float64)
-    for d, gain in taps:
-        lo, hi = max(start, d), min(stop, d + n_tx)
-        if lo < hi:
-            out[lo - start : hi - start] += gain * tx.samples[lo - d : hi - d]
+    # a path gain, noise or sum that leaves float range gives inf or NaN
+    # silently, as rng.normal does in C, and the waveform check names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d, gain in taps:
+            lo, hi = max(start, d), min(stop, d + n_tx)
+            if lo < hi:
+                out[lo - start : hi - start] += gain * tx.samples[lo - d : hi - d]
 
-    if channel.noise_rms > 0:
-        # rng.normal(0.0, noise_rms, n) is 0.0 + noise_rms * z over these draws;
-        # its 0.0 + only turns a -0.0 into +0.0, which out (never -0.0) adds
-        # alike. As in normal, a scale near float max overflows to inf
-        # silently, and the waveform check names the signal that holds it.
-        noise = np.random.default_rng(seed).standard_normal(stop - start)
-        with np.errstate(over="ignore"):
+        if channel.noise_rms > 0:
+            # rng.normal(0.0, noise_rms, n) is 0.0 + noise_rms * z over these
+            # draws; its 0.0 + only turns a -0.0 into +0.0, which out (never
+            # -0.0) adds alike
+            noise = np.random.default_rng(seed).standard_normal(stop - start)
             noise *= channel.noise_rms
-        out += noise
+            out += noise
 
     return Waveform(sample_rate=sr, samples=out, unit=tx.unit)

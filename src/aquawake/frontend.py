@@ -196,7 +196,8 @@ def transduce(
         ("transducer.resonance_freq", "transducer.bandwidth"),
     )
     volts = _lfilter(b, a, pressure.samples, zi)
-    volts *= model.sensitivity
+    with np.errstate(over="ignore", invalid="ignore"):  # out of range: named by the check
+        volts *= model.sensitivity
     return Waveform(pressure.sample_rate, volts, SignalUnit.VOLTS)
 
 

@@ -86,7 +86,9 @@ class Harvester:
     Tick `j` is fed `v_in[j]` (V) and `p_in[j]` (W). The state, `mode`, cap
     energy `e_cap`, energy sums `harvested` and `consumed` (J) and next tick
     `k`, starts depleted on an empty cap. `run` writes each tick's closing cap
-    energy (J) to `energy[j]` and appends `(mode, run length)` pairs to `modes`.
+    energy (J) to `energy[j]` and adds each run of ticks to `modes`, a list of
+    `(mode, run length)` pairs in which no two adjacent pairs share a mode, so
+    they do not depend on the window sizes below.
 
     Each tick follows one rule, in order:
     - a depleted harvester whose input reaches both `coldstart_min_voltage`
@@ -178,7 +180,7 @@ class Harvester:
                     woke = end
                 energy[k:woke] = self.e_cap
                 if woke > k:
-                    self.modes.append((mode, woke - k))
+                    self._log(mode, woke - k)
                 self.k = k = woke
                 if woke == end:
                     return False
@@ -207,7 +209,7 @@ class Harvester:
         i = int(hit.argmax())
         if not hit[i]:
             energy[k:end] = closing
-            self.modes.append((mode, n))
+            self._log(mode, n)
             self.e_cap, self.harvested = float(cap[-1]), float(ledgers[0, n])
             if regulating:
                 self.consumed = float(ledgers[1, n])
@@ -215,7 +217,7 @@ class Harvester:
             return False
         energy[k : k + i] = closing[:i]
         if i:
-            self.modes.append((mode, i))
+            self._log(mode, i)
         # the tick that ends the span: cold start reaches the enable level and the
         # load draws from this tick on, or the draw empties the cap or crosses UVLO
         opened, self.harvested = float(cap[steps * i + 1]), float(ledgers[0, i + 1])
@@ -226,5 +228,13 @@ class Harvester:
         self.consumed, self.k = self.consumed + drained, k + i + 1
         collapsed = self.e_cap < self._e_uvlo  # the rail collapses: the load sheds next tick
         self.mode = _DEPLETED if collapsed else _REGULATING
-        self.modes.append((self.mode, 1))
+        self._log(self.mode, 1)
         return True
+
+    def _log(self, mode: HarvesterMode, ticks: int) -> None:
+        """Add `ticks` ticks of `mode` to `modes`, merged into the last run if it is `mode`'s."""
+        modes = self.modes
+        if modes and modes[-1][0] is mode:
+            modes[-1] = (mode, modes[-1][1] + ticks)
+        else:
+            modes.append((mode, ticks))

@@ -75,7 +75,9 @@ _REGULATING = HarvesterMode.REGULATING
 # samples one run may span, about 37 s at the default 224 kHz; the per-tick
 # harvester arrays and the tick ends (a numpy array; no per-tick Python list)
 # are the only whole-run arrays, as the transmit is made per block from a
-# carrier table as long as the preamble
+# carrier table as long as the preamble. Per tick, the result keeps 8 B (the
+# cap voltage) and a long run peaks near 66 B (tracemalloc, decimation 1),
+# which ROADMAP item 7 bounds
 MAX_SAMPLES = 2**23
 # samples the receive chain aims to take per block: a run of n samples splits
 # into max(round(n / BLOCK_SAMPLES), 1) blocks of one whole-tick length, the
@@ -118,20 +120,53 @@ class Scenario:
 
 @dataclass
 class ScenarioResult:
+    """One run's outcome and traces; times are in s from the transmit's first sample.
+
+    - `woke`: the wake output asserted; `decoded_uuid`: the address the decoder
+      decided on (None: no decision);
+    - `time_to_wake`, `decision_time`: the decision's time, the first only on a
+      wake; `rail_up_time`: the first tick's start with the rail up;
+      `first_sync_time`: the first accepted sync edge (each None if never);
+    - `peak_v_cap` (V), `harvested_energy` and `consumed_energy` (J): the cap's
+      peak voltage and the energy banked into it and drawn from it;
+    - `tick_duration` (s): one harvester tick, `harvester_decimation` samples;
+    - `vcap_values` (V): the cap voltage at each tick's end;
+    - `mode_runs`: `(HarvesterMode, ticks)` pairs over the run's ticks in
+      order, no two adjacent ones of one mode;
+    - `edge_trace`: the comparator's edges; `seed`: the run's noise seed.
+
+    `vcap_times` (each tick's end, s) and `mode_values` (each tick's mode
+    value) are built from these on each read, not stored.
+    """
+
     woke: bool
     decoded_uuid: int | None
     time_to_wake: float | None
     peak_v_cap: float
     harvested_energy: float
     consumed_energy: float
-    vcap_times: np.ndarray
+    tick_duration: float
     vcap_values: np.ndarray
-    mode_values: list[str]
+    mode_runs: tuple[tuple[HarvesterMode, int], ...]
     edge_trace: DigitalTrace
     rail_up_time: float | None
     first_sync_time: float | None
     decision_time: float | None
     seed: int
+
+    @property
+    def vcap_times(self) -> np.ndarray:
+        """Each tick's end (s), as the engine's tick loop computes it."""
+        dt = self.tick_duration
+        return np.arange(len(self.vcap_values)) * dt + dt
+
+    @property
+    def mode_values(self) -> list[str]:
+        """Each tick's harvester mode, as its `HarvesterMode` value."""
+        values: list[str] = []
+        for mode, ticks in self.mode_runs:
+            values += [mode.value] * ticks
+        return values
 
 
 def _validate(sc: Scenario, demod: DemodParams) -> None:
@@ -312,9 +347,6 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     # a cap too small for its charge has a voltage of inf, named below
     with np.errstate(over="ignore", invalid="ignore"):
         vcap_values = np.sqrt(2.0 * harvester.energy / sc.harvester.c_store)
-    mode_values: list[str] = []
-    for mode, count in harvester.modes:
-        mode_values += [mode.value] * count
 
     # the outcome is the decoder's: DECIDED is terminal and never reset
     decided = dec_state.phase is _DECIDED
@@ -346,9 +378,9 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         peak_v_cap=peak_v_cap,
         harvested_energy=harvester.harvested,
         consumed_energy=harvester.consumed,
-        vcap_times=ends,
+        tick_duration=dt,
         vcap_values=vcap_values,
-        mode_values=mode_values,
+        mode_runs=tuple(harvester.modes),
         edge_trace=trace,
         rail_up_time=rail_up_time,
         first_sync_time=first_sync_time,

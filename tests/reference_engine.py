@@ -20,6 +20,7 @@ decimation and seed.
 import math
 from bisect import bisect_left
 from dataclasses import replace
+from itertools import groupby
 from types import SimpleNamespace
 
 import numpy as np
@@ -155,11 +156,16 @@ def front_end(sc):
     return DigitalTrace(times, levels), dt, np.arange(len(windows)) * dt + dt, v_in, p_in
 
 
+def merged_runs(modes):
+    """`(mode, ticks)` pairs as one tuple, each run of one mode in one pair."""
+    return tuple((mode, sum(n for _, n in run)) for mode, run in groupby(modes, lambda p: p[0]))
+
+
 def reference_run(sc):
     """What `run_scenario(sc)` returns, for a scenario it runs without an error,
     and the ticks it ran: the tick length and each tick's input voltage, input
     power and load."""
-    trace, dt, ends, v_in, p_in = inputs = front_end(sc)
+    trace, dt, _, v_in, p_in = inputs = front_end(sc)
     dec_state, h, rail_up_time, first_sync_time = per_tick_run_ticks(sc, *inputs)
     vcap_values = np.sqrt(2.0 * h.energy / sc.harvester.c_store)
     decision_time = dec_state.last_event_time if dec_state.phase is DecoderPhase.DECIDED else None
@@ -168,8 +174,8 @@ def reference_run(sc):
         woke=woke, decoded_uuid=dec_state.decoded_uuid,
         time_to_wake=decision_time if woke else None, peak_v_cap=float(vcap_values.max()),
         harvested_energy=h.harvested, consumed_energy=h.consumed,
-        vcap_times=ends, vcap_values=vcap_values,
-        mode_values=[mode.value for mode, _ in h.modes], edge_trace=trace,
+        tick_duration=dt, vcap_values=vcap_values,
+        mode_runs=merged_runs(h.modes), edge_trace=trace,
         rail_up_time=rail_up_time, first_sync_time=first_sync_time,
         decision_time=decision_time, seed=sc.sim.seed,
     )

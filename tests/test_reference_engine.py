@@ -20,9 +20,9 @@ its energy sums: by tick j, the cap energy of its voltage may be j + 1 ulps
 of the run's peak so far off (a drift of one ulp of voltage per tick fails).
 
 `assert_same_run` itself fails on a one-ulp or one-bit change to any one
-field, and the draw reaches the axes the paper varies: wakes at another
-range, preamble, address and sample offset, and a frame decoded for
-another address.
+field or on a run of `mode_runs` split in two, and the draw reaches the
+axes the paper varies: wakes at another range, preamble, address and
+sample offset, and a frame decoded for another address.
 """
 
 import math
@@ -145,7 +145,7 @@ def test_a_drift_of_one_ulp_per_tick_fails_the_drift_check(name):
 
 def one_field_changed(result, name):
     """A copy of `result` with field `name` (or one array of the edge trace)
-    moved by one ulp, one bit or one mode."""
+    moved by one ulp or one bit, or with a run of its `mode_runs` split in two."""
     changed = replace(result)
     if name.startswith("edge_trace."):
         times, levels = result.edge_trace.edge_times.copy(), result.edge_trace.edge_levels.copy()
@@ -165,9 +165,10 @@ def one_field_changed(result, name):
         value ^= 1
     elif isinstance(value, float):
         value = np.nextafter(value, np.inf).item()
-    else:
-        other = next(m.value for m in HarvesterMode if m.value != value[-1])
-        value = [*value[:-1], other]
+    else:  # mode_runs: the first run of two or more ticks split in two
+        i = next(i for i, (_, ticks) in enumerate(value) if ticks > 1)
+        mode, ticks = value[i]
+        value = (*value[:i], (mode, 1), (mode, ticks - 1), *value[i + 1 :])
     setattr(changed, name, value)
     return changed
 
@@ -182,6 +183,8 @@ def test_a_change_to_one_field_fails_the_same_run_check(name):
     result = run_scenario(PRESETS["paper_fig5"])  # woke: no field is None
     assert_same_run(replace(result), result)
     changed = one_field_changed(result, name)
+    if name == "mode_runs":  # the same mode at every tick, in another run list
+        assert changed.mode_values == result.mode_values
     with pytest.raises(AssertionError):
         assert_same_run(changed, result)
     with pytest.raises(AssertionError):

@@ -393,3 +393,7 @@ def test_the_python_parser_fallback_reports_the_same(tmp_path):
     ).stdout)
     assert fallback == [_outcome(p) for p in paths]
     assert fallback[:4] == ["ok", "ok", "ok", "section 'frame' must be a mapping"]
+    # the limit on its own, so a fault both parsers share fails too
+    for name, outcome in zip(texts, fallback[3:]):
+        if name == "thousands_deep" or name.endswith("past_limit"):
+            assert outcome.endswith(f"nests deeper than {MAX_NESTING} levels"), name

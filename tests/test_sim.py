@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -229,6 +230,39 @@ def test_mode_trace_passes_through_cold_start():
     i_cold = modes.index("cold_start")
     i_reg = modes.index("regulating")
     assert 0 < i_cold < i_reg
+
+
+def test_a_result_stores_its_mode_runs_merged_and_builds_the_per_tick_traces_on_read():
+    sc = load_scenario(preset_path("paper_fig5"))
+    for decim in (1, 8, 64):
+        r = run_scenario(replace(sc, sim=replace(sc.sim, harvester_decimation=decim)))
+        stored = vars(r)
+        assert "vcap_times" not in stored and "mode_values" not in stored
+        assert r.tick_duration == decim / sc.modulation.sample_rate
+        assert [mode.value for mode, _ in r.mode_runs] == ["depleted", "cold_start", "regulating"]
+        assert sum(ticks for _, ticks in r.mode_runs) == len(r.vcap_values)
+        assert len(r.mode_values) == len(r.vcap_times) == len(r.vcap_values)
+        assert r.vcap_times[-1] == pytest.approx(len(r.vcap_values) * r.tick_duration, rel=1e-12)
+
+
+def held_bytes(value) -> int:
+    """The bytes of an array, or of a list or tuple and the containers in it."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, (list, tuple)):
+        return sys.getsizeof(value) + sum(map(held_bytes, value))
+    return 0
+
+
+def test_a_result_holds_eight_bytes_per_tick():
+    # the cap voltage is the one per-tick array a result keeps; the tick ends
+    # and per-tick modes are built on read (the edge trace is per edge)
+    sc = load_scenario(preset_path("paper_fig5"))
+    r = run_scenario(replace(sc, sim=replace(sc.sim, harvester_decimation=1)))
+    n_ticks = len(r.vcap_values)
+    assert n_ticks == 24_217
+    held = sum(held_bytes(value) for name, value in vars(r).items() if name != "edge_trace")
+    assert held <= 8 * n_ticks + 1024
 
 
 def test_energy_ledger_closes_externally():
