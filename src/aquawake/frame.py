@@ -122,7 +122,7 @@ def modulate_frame(
     for s, n in runs:
         lo, hi = max(start, s), min(stop, s + n)
         if lo < hi:
-            out[lo - start : hi - start] = amp * carrier[lo - s : hi - s]
+            np.multiply(carrier[lo - s : hi - s], amp, out=out[lo - start : hi - start])
     # a finite amplitude times a unit sine is finite: no rescan
     return Waveform._of_finite(sr, out, SignalUnit.PRESSURE)
 

@@ -198,7 +198,7 @@ def transduce(
     volts = _lfilter(b, a, pressure.samples, zi)
     with np.errstate(over="ignore", invalid="ignore"):  # out of range: named by the check
         volts *= model.sensitivity
-    return Waveform(pressure.sample_rate, volts, SignalUnit.VOLTS)
+    return Waveform._of_float64(pressure.sample_rate, volts, SignalUnit.VOLTS)
 
 
 def rectify(v: Waveform, model: RectifierModel) -> Waveform:
@@ -228,7 +228,7 @@ def bandpass(v: Waveform, params: DemodParams, zi: np.ndarray | None = None) -> 
         params.bandpass_center, params.bandpass_q, v.sample_rate,
         ("demod.bandpass_center", "demod.bandpass_q"),
     )
-    return Waveform(v.sample_rate, _lfilter(b, a, v.samples, zi), SignalUnit.VOLTS)
+    return Waveform._of_float64(v.sample_rate, _lfilter(b, a, v.samples, zi), SignalUnit.VOLTS)
 
 
 @dataclass
@@ -267,17 +267,28 @@ def _latched_edges(
     diff: np.ndarray, hysteresis: float, state: ComparatorState, sr: float
 ) -> DigitalTrace:
     """The comparator's level changes over one block of its drive `diff`
-    (plus - minus); `state`'s level and offset are carried on in place."""
-    # the level changes only at samples outside the band whose side differs
-    # from the level before them; a block starts at the level carried in
-    decided = (np.abs(diff) > hysteresis).nonzero()[0]
-    high = diff[decided] > 0
+    (plus - minus); `state`'s level and offset are carried on in place.
+
+    Each sample's side of the band is 1 above it (`diff > hysteresis`), -1
+    below it (`diff < -hysteresis`) and 0 inside it, NaN and +-0 included.
+    The level can change only at a run start, a sample of side 1 or -1 whose
+    side differs from the sample's before it, and does where that side
+    differs from the run's before it or, for the block's first run, from the
+    level carried in. So only the run starts are compacted, not every
+    sample outside the band.
+    """
+    side = np.zeros(len(diff) + 1, np.int8)  # side[0]: before the block, in the band
+    above, below = (diff > hysteresis).view(np.int8), (diff < -hysteresis).view(np.int8)
+    np.subtract(above, below, out=side[1:])
+    starts = ((side[1:] != side[:-1]) & (side[1:] != 0)).nonzero()[0]
+    high = side[starts + 1] > 0
     before = np.empty_like(high)
     before[:1] = state.level
     before[1:] = high[:-1]
     changes = (high != before).nonzero()[0]
-    times = (decided[changes] + state.offset) / sr
+    times = (starts[changes] + state.offset) / sr
     if len(high):
         state.level = bool(high[-1])
     state.offset += len(diff)
-    return DigitalTrace(edge_times=times, edge_levels=high[changes])
+    # increasing sample indices over a positive rate: nondecreasing, never NaN
+    return DigitalTrace._of_edges(times, high[changes])

@@ -322,11 +322,12 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
                 windows = v_harv.reshape(k1 - k0, decim)
                 v_block, p_block = v_in[k0:k1], p_in[k0:k1]
                 np.add.reduce(windows, axis=1, out=v_block)
-                v_block /= decim
                 windows *= windows
                 np.add.reduce(windows, axis=1, out=p_block)
-                p_block /= decim
-                p_block /= r_in
+            # the sums to means and power, once per run: elementwise, the bytes of once per block
+            v_in /= decim
+            p_in /= decim
+            p_in /= r_in
         # checked after the last block: a non-finite waveform in any block is named first
         if not np.isfinite(p_in).all():
             raise SignalRangeError("harvester input power is not finite")
@@ -338,7 +339,8 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
             "lower the direct-path gain through channel.distance, channel.spreading_exponent "
             "or channel.absorption_db_per_km"
         ) from exc
-    trace = DigitalTrace(np.concatenate(edge_times), np.concatenate(edge_levels))
+    # increasing sample indices over the rate, block after block: nothing to check
+    trace = DigitalTrace._of_edges(np.concatenate(edge_times), np.concatenate(edge_levels))
     dt = decim / sr
     ends = np.arange(n_ticks) * dt + dt
     dec_state, harvester, rail_up_time, first_sync_time = _run_ticks(

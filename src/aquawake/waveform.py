@@ -22,8 +22,26 @@ class SignalUnit(Enum):
     VOLTS = "volts"
 
 
+def _require_finite(samples: np.ndarray) -> None:
+    if not np.isfinite(samples).all():
+        raise SignalRangeError("waveform contains non-finite samples")
+
+
 @dataclass
 class Waveform:
+    """Samples at a sample rate, tagged with their unit.
+
+    The public constructor checks everything: a positive sample rate, and
+    samples that convert to a 1-D float64 array, every one finite. The
+    stages build their outputs through two private constructors that skip
+    what the stage already guarantees:
+    - `_of_float64` for a fresh 1-D float64 array at a checked rate whose
+      arithmetic may leave float range (`propagate`, `transduce`,
+      `bandpass`): only the finiteness scan runs, with the public message;
+    - `_of_finite` for one that the stage's arithmetic keeps finite
+      (`modulate_frame`, `rectify`): nothing runs.
+    """
+
     sample_rate: float  # Hz
     samples: np.ndarray  # float64
     unit: SignalUnit = SignalUnit.VOLTS
@@ -34,8 +52,14 @@ class Waveform:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ConfigurationError("waveform samples must be one-dimensional")
-        if not np.isfinite(self.samples).all():
-            raise SignalRangeError("waveform contains non-finite samples")
+        _require_finite(self.samples)
+
+    @classmethod
+    def _of_float64(cls, sample_rate: float, samples: np.ndarray, unit: SignalUnit) -> Waveform:
+        """A Waveform of a positive sample rate and 1-D float64 samples, built
+        with the public constructor's finiteness scan only."""
+        _require_finite(samples)
+        return cls._of_finite(sample_rate, samples, unit)
 
     @classmethod
     def _of_finite(cls, sample_rate: float, samples: np.ndarray, unit: SignalUnit) -> Waveform:
@@ -65,6 +89,8 @@ class DigitalTrace:
     def __post_init__(self) -> None:
         self.edge_times = np.asarray(self.edge_times, dtype=np.float64)
         self.edge_levels = np.asarray(self.edge_levels, dtype=bool)
+        if self.edge_times.ndim != 1 or self.edge_levels.ndim != 1:
+            raise ConfigurationError("edge_times and edge_levels must be one-dimensional")
         if len(self.edge_times) != len(self.edge_levels):
             raise ConfigurationError("edge_times and edge_levels length mismatch")
         t = self.edge_times
@@ -73,6 +99,14 @@ class DigitalTrace:
             if np.isnan(t).any():
                 raise ConfigurationError("edge times must not be NaN")
             raise ConfigurationError("edge times must be nondecreasing")
+
+    @classmethod
+    def _of_edges(cls, edge_times: np.ndarray, edge_levels: np.ndarray) -> DigitalTrace:
+        """A DigitalTrace of 1-D float64 times, nondecreasing and never NaN, and
+        as many bool levels, built without the public checks."""
+        trace = cls.__new__(cls)
+        trace.edge_times, trace.edge_levels = edge_times, edge_levels
+        return trace
 
     def rising_times(self) -> np.ndarray:
         return self.edge_times[self.edge_levels]

@@ -355,6 +355,46 @@ def test_edge_extraction_matches_the_per_sample_latch(hysteresis, level, offset,
     assert_same_edges(trace, state, want)
 
 
+@pytest.mark.parametrize("carried", ["agrees", "disagrees"])
+@pytest.mark.parametrize("shape", ["one_run", "same_side_split", "any"])
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    hysteresis=st.sampled_from([0.0, 5e-3]) | st.floats(0.0, 0.05),
+    offset=st.integers(0, 2**40),
+    data=st.data(),
+)
+def test_edge_extraction_matches_the_per_sample_latch_on_runs(
+    shape, carried, hysteresis, offset, data
+):
+    # the drive as a block shows it, runs of one value 1 to 2000 samples long:
+    # above the band, below it, or inside it (its edges, NaN and +-0 among them).
+    # `one_run` fills the block with one run, `same_side_split` splits runs of
+    # one side by in-band gaps; the carried level agrees or disagrees with the
+    # block's first run outside the band
+    above = st.floats(hysteresis, 1.0, exclude_min=True)
+    below = above.map(lambda v: -v)
+    inside = st.sampled_from([hysteresis, -hysteresis, math.nan, 0.0, -0.0])
+    inside |= st.floats(-hysteresis, hysteresis)
+    value, length = above | below | inside, st.integers(1, 2000)
+    if shape == "one_run":
+        runs = [(data.draw(value), data.draw(length))]
+    elif shape == "same_side_split":
+        side = data.draw(st.sampled_from([above, below]))
+        runs = [(data.draw(side), data.draw(length))]
+        for _ in range(data.draw(st.integers(1, 3))):
+            runs += [(data.draw(inside), data.draw(length)), (data.draw(side), data.draw(length))]
+    else:
+        runs = data.draw(st.lists(st.tuples(value, length), max_size=6))
+    diff = np.concatenate([np.empty(0), *(np.full(n, v) for v, n in runs)])
+    decided = diff[np.abs(diff) > hysteresis]
+    first_high = len(decided) > 0 and bool(decided[0] > 0)
+    level = first_high == (carried == "agrees")
+    state = frontend.ComparatorState(level=level, offset=offset)
+    want = latch(diff, hysteresis, SR, level, offset)
+    trace = frontend._latched_edges(diff, hysteresis, state, SR)
+    assert_same_edges(trace, state, want)
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(
     stretches=st.lists(stretch, max_size=6),

@@ -57,6 +57,19 @@ def test_trace_rejects_a_nan_edge_time(times):
         DigitalTrace(edge_times=times, edge_levels=[True] * len(times))
 
 
+# a row of edges, a column of edges, and one edge as scalars: none is a list of edges
+@pytest.mark.parametrize(
+    "times, levels",
+    [([[0.1, 0.2]], [[True, False]]), ([[0.1], [0.2]], [[True], [False]]), (0.5, True)],
+    ids=["row", "column", "scalar"],
+)
+def test_trace_rejects_edge_arrays_that_are_not_one_dimensional(times, levels):
+    with pytest.raises(
+        ConfigurationError, match="^edge_times and edge_levels must be one-dimensional$"
+    ):
+        DigitalTrace(edge_times=times, edge_levels=levels)
+
+
 def test_trace_partitions_rising_and_falling():
     tr = DigitalTrace(edge_times=[0.1, 0.2, 0.3], edge_levels=[True, False, True])
     assert np.array_equal(tr.rising_times(), [0.1, 0.3])
