@@ -139,4 +139,4 @@ def propagate(
             noise *= channel.noise_rms
             out += noise
 
-    return Waveform._of_float64(sr, out, tx.unit)
+    return Waveform(sample_rate=sr, samples=out, unit=tx.unit)

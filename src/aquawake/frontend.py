@@ -198,7 +198,7 @@ def transduce(
     volts = _lfilter(b, a, pressure.samples, zi)
     with np.errstate(over="ignore", invalid="ignore"):  # out of range: named by the check
         volts *= model.sensitivity
-    return Waveform._of_float64(pressure.sample_rate, volts, SignalUnit.VOLTS)
+    return Waveform(pressure.sample_rate, volts, SignalUnit.VOLTS)
 
 
 def rectify(v: Waveform, model: RectifierModel) -> Waveform:
@@ -228,7 +228,7 @@ def bandpass(v: Waveform, params: DemodParams, zi: np.ndarray | None = None) -> 
         params.bandpass_center, params.bandpass_q, v.sample_rate,
         ("demod.bandpass_center", "demod.bandpass_q"),
     )
-    return Waveform._of_float64(v.sample_rate, _lfilter(b, a, v.samples, zi), SignalUnit.VOLTS)
+    return Waveform(v.sample_rate, _lfilter(b, a, v.samples, zi), SignalUnit.VOLTS)
 
 
 @dataclass
@@ -238,6 +238,15 @@ class ComparatorState:
     drive_zi: np.ndarray = field(default_factory=lambda: np.zeros(3))  # 3rd-order drive's state
     level: bool = False  # the latched output; low before the first edge
     offset: int = 0  # samples before the block, so edge times stay index / sample rate
+
+    def __post_init__(self) -> None:
+        # the latch builds its edge trace without the public checks: a count
+        # of samples keeps (index + offset) / rate nondecreasing and never NaN
+        offset = self.offset
+        if not isinstance(offset, (int, np.integer)) or offset < 0:
+            raise ConfigurationError(
+                f"comparator offset must be a sample count >= 0, got {shown(offset)}"
+            )
 
 
 def comparator(
@@ -290,5 +299,6 @@ def _latched_edges(
     if len(high):
         state.level = bool(high[-1])
     state.offset += len(diff)
-    # increasing sample indices over a positive rate: nondecreasing, never NaN
+    # increasing sample indices plus a sample count over a positive rate:
+    # nondecreasing, never NaN
     return DigitalTrace._of_edges(times, high[changes])

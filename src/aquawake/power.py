@@ -137,10 +137,9 @@ class Harvester:
         self._cold_ok = cold_ok
         with np.errstate(over="ignore"):
             # keep each product's order: a hoisted dt * efficiency rounds differently
-            energy_in = p_in * dt
-            self._b_cold = np.where(cold_ok, energy_in * params.coldstart_efficiency, 0.0)
+            self._b_cold = np.where(cold_ok, p_in * dt * params.coldstart_efficiency, 0.0)
             boosting = v_in >= params.boost_min_voltage
-            self._b_reg = np.where(boosting, energy_in * params.boost_efficiency, 0.0)
+            self._b_reg = np.where(boosting, p_in * dt * params.boost_efficiency, 0.0)
         self._e_enable = _threshold_energy(params.c_store, params.regulation_enable_voltage)
         self._e_uvlo = _threshold_energy(params.c_store, params.uvlo)
         self._floor = max(self._e_uvlo, 0.0)  # below it a rail-up tick ends the span

@@ -339,8 +339,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
             "lower the direct-path gain through channel.distance, channel.spreading_exponent "
             "or channel.absorption_db_per_km"
         ) from exc
-    # increasing sample indices over the rate, block after block: nothing to check
-    trace = DigitalTrace._of_edges(np.concatenate(edge_times), np.concatenate(edge_levels))
+    trace = DigitalTrace(np.concatenate(edge_times), np.concatenate(edge_levels))
     dt = decim / sr
     ends = np.arange(n_ticks) * dt + dt
     dec_state, harvester, rail_up_time, first_sync_time = _run_ticks(

@@ -22,24 +22,14 @@ class SignalUnit(Enum):
     VOLTS = "volts"
 
 
-def _require_finite(samples: np.ndarray) -> None:
-    if not np.isfinite(samples).all():
-        raise SignalRangeError("waveform contains non-finite samples")
-
-
 @dataclass
 class Waveform:
     """Samples at a sample rate, tagged with their unit.
 
     The public constructor checks everything: a positive sample rate, and
-    samples that convert to a 1-D float64 array, every one finite. The
-    stages build their outputs through two private constructors that skip
-    what the stage already guarantees:
-    - `_of_float64` for a fresh 1-D float64 array at a checked rate whose
-      arithmetic may leave float range (`propagate`, `transduce`,
-      `bandpass`): only the finiteness scan runs, with the public message;
-    - `_of_finite` for one that the stage's arithmetic keeps finite
-      (`modulate_frame`, `rectify`): nothing runs.
+    samples that convert to a 1-D float64 array, every one finite. Stages
+    whose arithmetic keeps a finite input finite (`modulate_frame`,
+    `rectify`) build their output through `_of_finite`, which checks nothing.
     """
 
     sample_rate: float  # Hz
@@ -52,14 +42,8 @@ class Waveform:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ConfigurationError("waveform samples must be one-dimensional")
-        _require_finite(self.samples)
-
-    @classmethod
-    def _of_float64(cls, sample_rate: float, samples: np.ndarray, unit: SignalUnit) -> Waveform:
-        """A Waveform of a positive sample rate and 1-D float64 samples, built
-        with the public constructor's finiteness scan only."""
-        _require_finite(samples)
-        return cls._of_finite(sample_rate, samples, unit)
+        if not np.isfinite(self.samples).all():
+            raise SignalRangeError("waveform contains non-finite samples")
 
     @classmethod
     def _of_finite(cls, sample_rate: float, samples: np.ndarray, unit: SignalUnit) -> Waveform:

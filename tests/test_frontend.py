@@ -417,6 +417,13 @@ def test_comparator_matches_the_reference_edges_of_its_drive(
     assert_same_edges(comparator(Waveform(SR, x, SignalUnit.VOLTS), params, state), state, want)
 
 
+@pytest.mark.parametrize("offset", [math.nan, -1, 0.5], ids=["nan", "negative", "fraction"])
+def test_comparator_state_rejects_an_offset_that_is_not_a_sample_count(offset):
+    # the latch turns (index + offset) / rate into edge times without the trace's checks
+    with pytest.raises(ConfigurationError, match="^comparator offset must be a sample count >= 0"):
+        frontend.ComparatorState(offset=offset)
+
+
 def test_comparator_requires_volts():
     with pytest.raises(UnitMismatchError):
         comparator(Waveform(SR, np.zeros(16), SignalUnit.PRESSURE), DemodParams())

@@ -1,8 +1,6 @@
 """Mutation check: each recorded mutant of the code must fail the tests named for it.
 
-    python3 tools/mutants.py            # every mutant
-    python3 tools/mutants.py NAME ...   # the named mutants only
-    python3 tools/mutants.py --list
+    python3 tools/mutants.py
 
 Each entry of MUTANTS names a file of this checkout, an exact old text that
 occurs once in it, the new text, and the pytest ids that must fail with the
@@ -24,7 +22,6 @@ not delete it.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -186,23 +183,9 @@ def passed_ids(tree: Path, ids: tuple[str, ...]) -> set[str]:
     return {test_id for test_id in ids if junit_key(test_id) in passed}
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
-    args = parser.parse_args(argv)
-    by_name = {m.name: m for m in MUTANTS}
-    if args.list:
-        for m in MUTANTS:
-            print(f"{m.name}: {m.path}, {len(m.ids)} ids")
-        return 0
-    unknown = [name for name in args.names if name not in by_name]
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    mutants = [by_name[name] for name in args.names] or list(MUTANTS)
-
+def main() -> int:
     failures = []
-    for m in mutants:
+    for m in MUTANTS:
         count = (ROOT / m.path).read_text().count(m.old)
         if count != 1:
             failures.append(f"{m.name}: its old text occurs {count} times in {m.path}, not once")
@@ -214,13 +197,13 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(*COPIED_AWAY))
-        every_id = tuple(dict.fromkeys(i for m in mutants for i in m.ids))
+        every_id = tuple(dict.fromkeys(i for m in MUTANTS for i in m.ids))
         failing = sorted(set(every_id) - passed_ids(tree, every_id))
         if failing:
             print("the unmutated copy does not pass:\n  " + "\n  ".join(failing))
             return 1
         print(f"unmutated: {len(every_id)} ids pass")
-        for m in mutants:
+        for m in MUTANTS:
             target = tree / m.path
             original = target.read_text()
             target.write_text(original.replace(m.old, m.new))
@@ -231,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
             if survived:
                 failures.append(f"{m.name} survives:\n  " + "\n  ".join(survived))
             print(f"{m.name}: {'SURVIVES' if survived else 'killed'} ({len(m.ids)} ids)")
-    print(f"{len(mutants)} mutants in {time.perf_counter() - started:.1f} s")
+    print(f"{len(MUTANTS)} mutants in {time.perf_counter() - started:.1f} s")
     if failures:
         print("\n".join(failures))
         return 1
