@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .config import shown
+from .config import is_finite, shown
 from .errors import ConfigurationError, SignalRangeError
 
 
@@ -26,7 +26,7 @@ class SignalUnit(Enum):
 class Waveform:
     """Samples at a sample rate, tagged with their unit.
 
-    The public constructor checks everything: a positive sample rate, and
+    The public constructor checks everything: a positive, finite sample rate, and
     samples that convert to a 1-D float64 array, every one finite. Stages
     whose arithmetic keeps a finite input finite (`modulate_frame`,
     `rectify`) build their output through `_of_finite`, which checks nothing.
@@ -39,6 +39,8 @@ class Waveform:
     def __post_init__(self) -> None:
         if not self.sample_rate > 0:
             raise ConfigurationError(f"sample_rate must be positive, got {shown(self.sample_rate)}")
+        if not is_finite(self.sample_rate):
+            raise ConfigurationError(f"sample_rate must be finite, got {shown(self.sample_rate)}")
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ConfigurationError("waveform samples must be one-dimensional")

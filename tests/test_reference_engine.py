@@ -97,7 +97,10 @@ def assert_matches_the_reference_run(sc):
     assert_a_voltage_domain_loop_drifts_only_by_rounding(sc, result, ticks)
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
+# no shrink phase: a failure reports its first failing draw (reproducible, as
+# derandomized) in seconds, where shrinking whole runs took minutes
+@settings(max_examples=50, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(scenarios())
 def test_a_run_matches_the_reference_run(sc):
     assert_matches_the_reference_run(sc)

@@ -4,6 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aquawake import (
     ConfigurationError,
@@ -222,6 +225,31 @@ def test_a_run_either_side_of_a_half_block_gives_the_bytes_of_one_block(
     want, [whole] = transduced_lengths(monkeypatch, sc)
     assert whole == n
     assert_same_run(got, want)
+
+
+# the per-tick sums' domain, values >= +0.0 (rectified samples and their squares):
+# +0.0, subnormals and values whose squares overflow to inf among the rest
+TICK_VALUES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2e-308, 1e-160, 1e154, 1e160, 1.7e308]),
+    st.floats(min_value=0.0, allow_infinity=False),
+)
+
+
+# both sides of numpy's 8-wide pairwise unroll, the first width past it, and the
+# width of the default decimation
+@pytest.mark.parametrize("width", [*range(1, 10), 64])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_tick_sums_give_the_bytes_of_numpys_reduce(width, data):
+    rows = data.draw(st.integers(1, 12), label="rows")
+    windows = data.draw(arrays(np.float64, (rows, width), elements=TICK_VALUES), label="windows")
+    assert not np.signbit(windows).any()
+    with np.errstate(over="ignore"):
+        for _ in range(2):  # the samples, then their squares, as run_scenario sums them
+            got = np.empty(rows)
+            sim._tick_sums(windows, got)
+            assert got.tobytes() == np.add.reduce(windows, axis=1).tobytes()
+            windows *= windows
 
 
 def test_mode_trace_passes_through_cold_start():

@@ -15,6 +15,13 @@ def test_waveform_rejects_nonpositive_sample_rate(rate):
         Waveform(rate, np.zeros(4))
 
 
+# inf passes `> 0`; the stages would then derive inf taps and time constants
+@pytest.mark.parametrize("rate", [float("inf"), 10**5000], ids=["inf", "huge_int"])
+def test_waveform_rejects_an_infinite_sample_rate(rate):
+    with pytest.raises(ConfigurationError, match="^sample_rate must be finite, got "):
+        Waveform(rate, np.ones(4), SignalUnit.PRESSURE)
+
+
 def test_waveform_rejects_multidim_samples():
     with pytest.raises(ConfigurationError):
         Waveform(8.0, np.zeros((2, 2)))

@@ -142,6 +142,17 @@ MUTANTS = (
             f"{RUN_LATCH}[any-disagrees]",
         ),
     ),
+    Mutant(
+        "eight_sample_tick_sums_left_to_right",
+        "src/aquawake/sim.py",
+        "elif width == _PAIRWISE_UNROLL:",
+        "elif False:",
+        (
+            REFERENCE_DRAW,
+            "tests/test_variant_corpus.py::test_family_outputs_match_their_digest[decimation]",
+            "tests/test_sim.py::test_tick_sums_give_the_bytes_of_numpys_reduce[8]",
+        ),
+    ),
 )
 
 
