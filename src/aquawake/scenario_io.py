@@ -45,7 +45,6 @@ def _list_items(cls: type) -> dict[str, type]:
     return {k: _inner(h) for k, h in hints.items() if typing.get_origin(h) is list}
 
 
-@functools.cache
 def _field_names(cls: type) -> dict[str, bool]:
     """Map each field name of `cls` to whether the field has no default."""
     return {
@@ -142,9 +141,7 @@ class _Loader(_SafeLoader, Composer):
         super().__init__(stream)
         Composer.__init__(self)
         self._depth = 0  # levels open above the node being composed
-        self._measuring = False  # whether an anchored node is open at or above it
-        # levels in the tree of each node an anchored node holds, itself included
-        self._height: dict[yaml.Node, int] = {}
+        self._height: dict[yaml.Node, int] = {}  # levels in each composed node's tree
 
     def compose_node(self, parent, index):
         if self.check_event(AliasEvent):
@@ -154,22 +151,16 @@ class _Loader(_SafeLoader, Composer):
             self._check_depth(self._depth + self._height.get(node, 0))
             return node
         self._check_depth(self._depth + 1)
-        # an alias reaches only an anchored node, so only the trees that
-        # anchored nodes hold are measured: an anchor-free document records none
-        outer = self._measuring
-        self._measuring = measuring = outer or self.peek_event().anchor is not None
         self._depth += 1
         try:
             node = super().compose_node(parent, index)
         finally:
             self._depth -= 1
-            self._measuring = outer
-        if measuring:
-            if isinstance(node, yaml.MappingNode):
-                children = [child for pair in node.value for child in pair]
-            else:
-                children = node.value if isinstance(node, yaml.SequenceNode) else ()
-            self._height[node] = 1 + max((self._height.get(c, 0) for c in children), default=0)
+        if isinstance(node, yaml.MappingNode):
+            children = [child for pair in node.value for child in pair]
+        else:
+            children = node.value if isinstance(node, yaml.SequenceNode) else ()
+        self._height[node] = 1 + max((self._height.get(c, 0) for c in children), default=0)
         return node
 
     @staticmethod

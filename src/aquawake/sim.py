@@ -201,9 +201,8 @@ def _validate(sc: Scenario, demod: DemodParams) -> None:
         )
 
 
-# the unroll of numpy's pairwise sum: add.reduce sums a row of fewer values
-# left to right from its first, and a row of exactly this many as
-# ((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7))
+# the unroll of numpy's pairwise sum: add.reduce sums a row of exactly this
+# many values as ((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7))
 _PAIRWISE_UNROLL = 8
 
 
@@ -211,22 +210,17 @@ def _tick_sums(windows: np.ndarray, out: np.ndarray) -> None:
     """Each row's sum into `out`: the bytes of `np.add.reduce(windows, axis=1)`
     for values >= +0.0 (rectified samples and their squares).
 
-    The reduce makes one inner-loop call per row, so for rows no wider than
+    The reduce makes one inner-loop call per row, so for rows of exactly
     numpy's pairwise unroll the same adds in the same order over whole columns
     take less time: per 8304-sample block, 8.0 against 21 us at 8 samples per
-    tick and 5.5 against 67 us at 2. Wider rows keep the reduce, which is faster
-    there: 4.8 against 43 us for column adds at 64 samples per tick."""
-    width = windows.shape[1]
-    if width > _PAIRWISE_UNROLL:
-        np.add.reduce(windows, axis=1, out=out)
-    elif width == _PAIRWISE_UNROLL:
+    tick. Other widths keep the reduce: 4.8 against 43 us for column adds at
+    64 samples per tick."""
+    if windows.shape[1] == _PAIRWISE_UNROLL:
         pairs = windows[:, 0::2] + windows[:, 1::2]
         quads = pairs[:, 0::2] + pairs[:, 1::2]
         np.add(quads[:, 0], quads[:, 1], out=out)
     else:
-        np.copyto(out, windows[:, 0])
-        for j in range(1, width):
-            out += windows[:, j]
+        np.add.reduce(windows, axis=1, out=out)
 
 
 def _run_ticks(sc: Scenario, trace: DigitalTrace, dt: float, ends, v_in, p_in):
@@ -348,8 +342,8 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
                 if pad:  # the run's last tick, padded with zeros
                     v_harv = np.concatenate([v_harv, np.zeros(pad)])
                 # each tick's sums over its samples and their squares, in the
-                # reduce's order: column adds up to _PAIRWISE_UNROLL samples per
-                # tick, where the reduce pays a call per tick, and the reduce past it
+                # reduce's order: column adds at _PAIRWISE_UNROLL samples per
+                # tick, where the reduce pays a call per tick, and the reduce otherwise
                 windows = v_harv.reshape(k1 - k0, decim)
                 _tick_sums(windows, v_in[k0:k1])
                 windows *= windows

@@ -121,32 +121,64 @@ def test_a_rail_down_span_longer_than_a_window_finds_the_enable_tick():
     assert 64 + 128 + 256 < enabled < n and calls == 2
 
 
-def first_run_ticks(params, dt, v_in, p_in, load_power, mode, e_cap):
-    """The ticks the first `Harvester.run` over all of `p_in` advances."""
+def first_run(params, dt, v_in, p_in, load_power, mode, e_cap):
+    """The harvester after its first `run` over all of `p_in`."""
     h = Harvester(params, dt, v_in, p_in)
     h.mode, h.e_cap = mode, e_cap
     h.run(len(p_in), load_power)
-    return h.k
+    return h
 
 
 # UVLO at 1.9 V holds 180.5 uJ and the enable level at 2.2 V 242 uJ on 100 uF
+DEFAULTS = (HarvesterParams(), 1e-3)
+# binary fractions, so a sum meets a threshold exactly: on 0.5 F the enable level
+# at 2 V holds 1 J and UVLO at 1 V 0.25 J; over a 0.5 s tick, P W of input banks
+# P / 4 J in cold start and a load of L W draws L J
+EXACT = (
+    HarvesterParams(
+        c_store=0.5,
+        regulation_enable_voltage=2.0,
+        uvlo=1.0,
+        coldstart_efficiency=0.5,
+        boost_efficiency=0.5,
+    ),
+    0.5,
+)
+
+
 @pytest.mark.parametrize(
-    "mode, e_cap, input_power, load_power",
+    "setup, mode, e_cap, input_power, load_power",
     [
         # 1 uJ of draw against 60 nJ banked per tick takes a cap 0.5 uJ over UVLO below it
-        (HarvesterMode.REGULATING, 181e-6, 1e-4, 6e-4),
+        (DEFAULTS, HarvesterMode.REGULATING, 181e-6, 1e-4, 6e-4),
         # 0.6 uJ of cold-start charge per tick lifts a cap 0.1 uJ short of the enable level
-        (HarvesterMode.COLD_START, 241.9e-6, 0.012, 6e-4),
+        (DEFAULTS, HarvesterMode.COLD_START, 241.9e-6, 0.012, 6e-4),
         # no draw, but 7.2 uJ banked leaves the cap below UVLO
-        (HarvesterMode.REGULATING, 150e-6, 0.012, 0.0),
+        (DEFAULTS, HarvesterMode.REGULATING, 150e-6, 0.012, 0.0),
+        # 0.75 + 0.25 J closes the tick at the enable level itself, which rails up
+        (EXACT, HarvesterMode.COLD_START, 0.75, 1.0, 0.5),
+        # 0.875 + 0.25 J rails up and the 0.875 J draw leaves UVLO itself: the rail holds
+        (EXACT, HarvesterMode.COLD_START, 0.875, 1.0, 0.875),
+        # a depleted cap whose first tick cold-starts and banks 1.25 J: it rails up
+        # at once, with no run of zero depleted ticks before it
+        (EXACT, HarvesterMode.DEPLETED, 0.0, 5.0, 0.5),
     ],
-    ids=["drain_crosses_uvlo", "cold_start_enables", "zero_load_below_uvlo"],
+    ids=[
+        "drain_crosses_uvlo",
+        "cold_start_enables",
+        "zero_load_below_uvlo",
+        "closes_at_the_enable_level",
+        "rail_up_draw_leaves_uvlo",
+        "depleted_rails_up_on_its_first_tick",
+    ],
 )
-def test_a_span_that_ends_on_its_first_tick(mode, e_cap, input_power, load_power):
-    params = HarvesterParams()
+def test_a_span_that_ends_on_its_first_tick(setup, mode, e_cap, input_power, load_power):
+    params, dt = setup
     v_in, p_in = [0.7] * 100, [input_power] * 100
-    spans_match_the_oracle(params, 1e-3, v_in, p_in, load_power, mode, e_cap)
-    assert first_run_ticks(params, 1e-3, v_in, p_in, load_power, mode, e_cap) == 1
+    spans_match_the_oracle(params, dt, v_in, p_in, load_power, mode, e_cap)
+    h = first_run(params, dt, v_in, p_in, load_power, mode, e_cap)
+    assert h.k == 1
+    assert all(ticks > 0 for _, ticks in h.modes)
 
 
 @pytest.mark.parametrize("last", [63, 64 + 128 - 1], ids=["first_window", "second_window"])
@@ -160,7 +192,7 @@ def test_a_span_that_ends_on_its_windows_last_tick(last):
     _, modes, harvested, consumed, _ = spans_match_the_oracle(*args)
     assert modes[last - 1 : last + 1] == [HarvesterMode.REGULATING, HarvesterMode.DEPLETED]
     assert harvested > 0.0 and consumed > 0.0
-    assert first_run_ticks(*args) == last + 1
+    assert first_run(*args).k == last + 1
 
 
 # a span inside its first window, one that fills it, and one over three (64 + 128 + 108 ticks)

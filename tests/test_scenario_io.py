@@ -313,27 +313,6 @@ def test_an_alias_adds_the_whole_tree_of_its_anchor(make, tmp_path):
         load_scenario(path)
 
 
-PRESETS = ("paper_fig5", "paper_echo", "paper_critical_distance")
-
-
-# only an anchored node's tree is measured, since only an alias reads a height
-@pytest.mark.parametrize(
-    "text, heights",
-    [
-        *((preset_path(name).read_text(), []) for name in PRESETS),
-        (after_plain(MAX_NESTING), [1, 2, 3, 4, 5]),  # &a's tree alone
-    ],
-    ids=[*PRESETS, "after_plain"],
-)
-def test_only_an_anchored_tree_records_heights(text, heights):
-    loader = _Loader(text)
-    try:
-        assert loader.get_single_node() is not None
-        assert sorted(loader._height.values()) == heights
-    finally:
-        loader.dispose()
-
-
 def test_an_alias_to_an_enclosing_node_loads_as_a_cycle():
     doc = yaml.load("a: &a [0, *a]\n", Loader=_Loader)
     assert doc["a"][1] is doc["a"]

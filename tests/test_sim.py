@@ -235,9 +235,9 @@ TICK_VALUES = st.one_of(
 )
 
 
-# both sides of numpy's 8-wide pairwise unroll, the first width past it, and the
+# the width of numpy's 8-wide pairwise unroll, the first width past it, and the
 # width of the default decimation
-@pytest.mark.parametrize("width", [*range(1, 10), 64])
+@pytest.mark.parametrize("width", [8, 9, 64])
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_tick_sums_give_the_bytes_of_numpys_reduce(width, data):

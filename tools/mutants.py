@@ -54,6 +54,7 @@ SAME_RUN_CHECK = (
     "tests/test_reference_engine.py::test_a_change_to_one_field_fails_the_same_run_check"
 )
 RUN_LATCH = "tests/test_frontend.py::test_edge_extraction_matches_the_per_sample_latch_on_runs"
+FIRST_TICK = "tests/test_harvester_reference.py::test_a_span_that_ends_on_its_first_tick"
 
 MUTANTS = (
     Mutant(
@@ -143,15 +144,29 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "eight_sample_tick_sums_left_to_right",
+        "eight_sample_tick_sums_last_pairs_added_one_by_one",
         "src/aquawake/sim.py",
-        "elif width == _PAIRWISE_UNROLL:",
-        "elif False:",
+        "np.add(quads[:, 0], quads[:, 1], out=out)",
+        "np.add(quads[:, 0], pairs[:, 2], out=out)\n        out += pairs[:, 3]",
         (
             REFERENCE_DRAW,
             "tests/test_variant_corpus.py::test_family_outputs_match_their_digest[decimation]",
             "tests/test_sim.py::test_tick_sums_give_the_bytes_of_numpys_reduce[8]",
         ),
+    ),
+    Mutant(
+        "cold_start_rails_up_only_above_the_enable_level",
+        "src/aquawake/power.py",
+        "closing >= self._e_enable",
+        "closing > self._e_enable",
+        (f"{FIRST_TICK}[closes_at_the_enable_level]",),
+    ),
+    Mutant(
+        "rail_collapses_at_uvlo_itself",
+        "src/aquawake/power.py",
+        "collapsed = self.e_cap < self._e_uvlo",
+        "collapsed = self.e_cap <= self._e_uvlo",
+        (f"{FIRST_TICK}[rail_up_draw_leaves_uvlo]",),
     ),
 )
 
