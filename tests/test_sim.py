@@ -235,9 +235,9 @@ TICK_VALUES = st.one_of(
 )
 
 
-# the width of numpy's 8-wide pairwise unroll, the first width past it, and the
+# both sides of numpy's 8-wide pairwise unroll, the first width past it, and the
 # width of the default decimation
-@pytest.mark.parametrize("width", [8, 9, 64])
+@pytest.mark.parametrize("width", [*range(1, 10), 64])
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_tick_sums_give_the_bytes_of_numpys_reduce(width, data):
@@ -250,6 +250,23 @@ def test_tick_sums_give_the_bytes_of_numpys_reduce(width, data):
             sim._tick_sums(windows, got)
             assert got.tobytes() == np.add.reduce(windows, axis=1).tobytes()
             windows *= windows
+
+
+def test_eight_sample_tick_sums_keep_the_pairwise_grouping():
+    # each row rounds 1 + 2**-52 to 1 or not by which two 2**-53 meet first, so
+    # any other association of ((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7))
+    # gives other bytes: halves first, quads across, mirrored pairs, or the last
+    # level's pairs added one by one
+    half_ulp = 2.0**-53
+    windows = np.zeros((3, 8))
+    windows[:, 0] = 1.0
+    windows[0, [2, 6]] = half_ulp
+    windows[1, [4, 6]] = half_ulp
+    windows[2, [3, 4]] = half_ulp
+    got = np.empty(3)
+    sim._tick_sums(windows, got)
+    assert got.tolist() == [1.0, 1.0 + 2 * half_ulp, 1.0]
+    assert got.tobytes() == np.add.reduce(windows, axis=1).tobytes()
 
 
 def test_mode_trace_passes_through_cold_start():

@@ -152,7 +152,15 @@ MUTANTS = (
             REFERENCE_DRAW,
             "tests/test_variant_corpus.py::test_family_outputs_match_their_digest[decimation]",
             "tests/test_sim.py::test_tick_sums_give_the_bytes_of_numpys_reduce[8]",
+            "tests/test_sim.py::test_eight_sample_tick_sums_keep_the_pairwise_grouping",
         ),
+    ),
+    Mutant(
+        "column_tree_also_below_eight_samples_per_tick",
+        "src/aquawake/sim.py",
+        "if windows.shape[1] == _PAIRWISE_UNROLL:",
+        "if windows.shape[1] <= _PAIRWISE_UNROLL:",
+        tuple(f"tests/test_sim.py::test_tick_sums_give_the_bytes_of_numpys_reduce[{w}]" for w in range(1, 8)),
     ),
     Mutant(
         "cold_start_rails_up_only_above_the_enable_level",
