@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -65,22 +66,30 @@ class ModulationParams(Config):
 
 
 @lru_cache(maxsize=64)
-def _plan(sr: float, bit_rate: float, preamble: float, guard: float, duty: float, uuid: int):
-    """The frame's length in samples, its carrier table's length and the (first
-    sample, length) of each carrier run, worked out once per frame; a burst is
-    clamped to its slot so rounding at duty ~ 1 cannot leak into a 0-slot."""
+def _slots(sr: float, bit_rate: float, preamble: float, guard: float, duty: float):
+    """The frame's length in samples, its carrier table's length, the preamble's
+    carrier run and the (first sample, length) of a burst in each bit slot, worked
+    out once per design; a burst is clamped to its slot so rounding at duty ~ 1
+    cannot leak into a 0-slot."""
     spb = sr / bit_rate  # samples per bit, fractional
     n_pre, burst_len = round(preamble * sr), round(duty * spb)
     data_start = n_pre + round(guard * sr)
-    slot_starts = [data_start + round(k * spb) for k in range(FRAME_BITS + 1)]
-    bursts = zip(slot_starts, slot_starts[1:], _bits(uuid))
-    runs = ((0, n_pre),) + tuple((s, min(burst_len, e - s)) for s, e, bit in bursts if bit)
-    return slot_starts[-1], max(n_pre, burst_len), runs
+    starts = [data_start + round(k * spb) for k in range(FRAME_BITS + 1)]
+    bursts = tuple((s, min(burst_len, e - s)) for s, e in zip(starts, starts[1:]))
+    return starts[-1], max(n_pre, burst_len), (0, n_pre), bursts
 
 
-def _frame_plan(frame: WakeupFrame, params: ModulationParams):
-    return _plan(params.sample_rate, frame.bit_rate, frame.preamble_duration,
-                 frame.guard_duration, params.pulse_duty, frame.uuid)
+def _design(frame: WakeupFrame, params: ModulationParams):
+    return (params.sample_rate, frame.bit_rate, frame.preamble_duration,
+            frame.guard_duration, params.pulse_duty)
+
+
+@lru_cache(maxsize=64)
+def _plan(design: tuple, uuid: int):
+    """The design's slot layout with the carrier runs of one address: the
+    preamble, then the bursts of its 1-slots."""
+    length, table, preamble, bursts = _slots(*design)
+    return length, table, (preamble, *compress(bursts, _bits(uuid)))
 
 
 # a few designs' carriers: a table holds about 90 KB for a 50 ms preamble at 224 kHz
@@ -94,7 +103,7 @@ def _unit_sine(omega: float, length: int) -> np.ndarray:
 
 def frame_length(frame: WakeupFrame, params: ModulationParams) -> int:
     """Samples in the modulated frame, up to the end of its last bit slot."""
-    return _frame_plan(frame, params)[0]
+    return _slots(*_design(frame, params))[0]
 
 
 def modulate_frame(
@@ -111,7 +120,7 @@ def modulate_frame(
     ranges give the bytes of one call over their union.
     """
     sr = params.sample_rate
-    length, table, runs = _frame_plan(frame, params)
+    length, table, runs = _plan(_design(frame, params), frame.uuid)
     if stop is None:
         stop = length
     if not 0 <= start <= stop:

@@ -77,15 +77,25 @@ _REGULATING = HarvesterMode.REGULATING
 # are the only whole-run arrays, as the transmit is made per block from a
 # carrier table as long as the preamble. Per tick, the result keeps 8 B (the
 # cap voltage) and a long run peaks near 66 B (tracemalloc, decimation 1),
-# which ROADMAP item 7 bounds
+# which ROADMAP item 7 bounds. Per sample, each stage's arrays span one block
+# however long the run: 1.5 x BLOCK_SAMPLES rounded up to whole ticks at most
 MAX_SAMPLES = 2**23
 # samples the receive chain aims to take per block: a run of n samples splits
 # into max(round(n / BLOCK_SAMPLES), 1) blocks of one whole-tick length, the
 # last ending with the run, so no block exceeds 1.5 x BLOCK_SAMPLES rounded up
-# to whole ticks and no short tail block pays a block's fixed cost. Equal
-# blocks let the allocator reuse each block's arrays for the next, where
-# whole-run arrays were mapped and returned to the system each run
-BLOCK_SAMPLES = 8192
+# to whole ticks and no short tail block pays a block's fixed cost (about
+# 65-70 us). Equal blocks let the allocator reuse each block's arrays for the
+# next. Fewer blocks pay up to a cliff where the allocator stops reusing them.
+# In perfbench's process (2-CPU Xeon, Python 3.11, numpy 2.4, glibc malloc) a
+# run of one block took 1.63 ms at 20 457 samples and 2.16 ms at 21 481, its
+# page faults 41 -> 294 per run, as each float64 temporary passes the mmap
+# threshold that earlier frees have raised; a fresh process starts at glibc's
+# 128 KiB (16 384 samples). 12288 is the largest size swept whose longest
+# block, 18 432 samples at 64 per tick, stays clear of the cliff: perfbench
+# selectivity call_ms_p50 read 1.63 / 1.52 / 1.52 / 1.52 / 2.00 ms at 8192 /
+# 10240 / 12288 / 14336 / 16384 (a 200 bps run becomes one 24 256-sample
+# block at 16384; 14336 allows blocks of 21 504 samples)
+BLOCK_SAMPLES = 12288
 # runs one sweep may make, values times trials: about 50x the 1256-run
 # criterion-4 sweep; rows are kept in memory until the sweep ends
 MAX_SWEEP_RUNS = 2**16

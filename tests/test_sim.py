@@ -161,13 +161,13 @@ def with_samples(sc, n: int):
     return replace(sc, sim=replace(sc.sim, tail_duration=tail / sr))
 
 
-def test_paper_echo_at_decimation_8_runs_in_three_equal_blocks(monkeypatch):
+def test_paper_echo_at_decimation_8_runs_in_two_equal_blocks(monkeypatch):
     sc = load_scenario(preset_path("paper_echo"))
     sc = replace(sc, sim=replace(sc.sim, harvester_decimation=8))
     _, lengths = transduced_lengths(monkeypatch, sc)
-    # 3114 ticks of 8 samples over round(24912 / 8192) = 3 blocks, with no short
-    # fourth block of 336 samples
-    assert lengths == [8304] * 3
+    # 3114 ticks of 8 samples over round(24912 / 12288) = 2 blocks, with no short
+    # third block of 336 samples
+    assert lengths == [12456] * 2
 
 
 def test_a_block_makes_three_filter_passes(monkeypatch):
@@ -183,7 +183,7 @@ def test_a_block_makes_three_filter_passes(monkeypatch):
 
     monkeypatch.setattr(frontend, "_lfilter", counting)
     _, lengths = transduced_lengths(monkeypatch, sc)
-    assert len(lengths) == 3
+    assert len(lengths) == 2
     assert passes == [n for n in lengths for _ in range(3)]
 
 

@@ -55,6 +55,9 @@ SAME_RUN_CHECK = (
 )
 RUN_LATCH = "tests/test_frontend.py::test_edge_extraction_matches_the_per_sample_latch_on_runs"
 FIRST_TICK = "tests/test_harvester_reference.py::test_a_span_that_ends_on_its_first_tick"
+BLOCK_RULE = (
+    "tests/test_sim.py::test_a_run_splits_into_equal_blocks_of_at_most_one_and_a_half_block_samples"
+)
 
 MUTANTS = (
     Mutant(
@@ -101,7 +104,7 @@ MUTANTS = (
         "diff = _lfilter(b, a, x.samples, state.drive_zi.copy())",
         tuple(
             f"tests/test_block_stream.py::test_envelope_in_blocks_is_one_call[{size}]"
-            for size in (1, 7, 64, 8192)
+            for size in (1, 7, 64, 12288)  # the last is sim.BLOCK_SAMPLES
         ),
     ),
     Mutant(
@@ -161,6 +164,15 @@ MUTANTS = (
         "if windows.shape[1] == _PAIRWISE_UNROLL:",
         "if windows.shape[1] <= _PAIRWISE_UNROLL:",
         tuple(f"tests/test_sim.py::test_tick_sums_give_the_bytes_of_numpys_reduce[{w}]" for w in range(1, 8)),
+    ),
+    Mutant(
+        "blocks_by_floor_division",
+        "src/aquawake/sim.py",
+        "n_blocks = max(round(n / BLOCK_SAMPLES), 1)",
+        "n_blocks = max(n // BLOCK_SAMPLES, 1)",
+        # floor division lets a block reach 2 x BLOCK_SAMPLES: a share of 1.51
+        # runs in one block, 4.7 in four
+        tuple(f"{BLOCK_RULE}[{case}]" for case in ("64-1.51", "100-4.7")),
     ),
     Mutant(
         "cold_start_rails_up_only_above_the_enable_level",
