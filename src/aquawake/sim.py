@@ -6,24 +6,26 @@ run_scenario wires the whole receive path together on one sample clock:
                                          { band-pass -> rectifier -> comparator
                                            (envelope and drive in one filter) -> decoder
 
-The analog chain handles the received signal as it arrives, as the
-receiver's does: in blocks of one whole-tick length, as many as bring each
-block nearest BLOCK_SAMPLES samples, each stage carrying its state from one
-block to the next, so the result is the same bytes as one pass over the
-whole run. Each block modulates only the transmit samples its channel taps
-read, so no stage holds a whole-run sample array. The harvester advances on
-a decimated tick and gates the decoder, which only sees comparator events
+Its two stages, `_front_end` and `_run_ticks`, mirror the reference
+engine's `front_end` and `per_tick_run_ticks` in the tests. The front end
+handles the received signal as it arrives, as the receiver's analog chain
+does: in blocks of one whole-tick length, as many as bring each block
+nearest BLOCK_SAMPLES samples, each stage carrying its state from one block
+to the next, so the result is the same bytes as one pass over the whole
+run. Each block modulates only the transmit samples its channel taps read,
+so no stage holds a whole-run sample array. The harvester advances on a
+decimated tick and gates the decoder, which only sees comparator events
 while the regulated rail is up. The load steps from listening to decoding
 at the first accepted sync edge and back after the decision, mirroring how
 the real receiver spends its budget. Like the receiver, the engine is
 event-driven: the decoder is fed ahead to the next load change, and the
-harvester advances in spans of ticks between load changes and
-rail-boundary crossings, so only a span boundary costs a harvester call.
-The tick loop finds those boundaries in the numpy array of tick ends, with
-no Python list of them. The run's `power.Harvester` keeps the cap's energy,
-not its voltage: a span is a running sum of the cap energy over the ticks'
-banks and drains, computed by numpy, and the cap-voltage trace is one
-square root over the per-tick energies after the loop.
+harvester advances in spans of ticks between load changes and rail-boundary
+crossings, so only a span boundary costs a harvester call. The tick loop
+finds those boundaries in the numpy array of tick ends, with no Python list
+of them. The run's `power.Harvester` keeps the cap's energy, not its
+voltage: a span is a running sum of the cap energy over the ticks' banks
+and drains, computed by numpy, and the cap-voltage trace is one square root
+over the per-tick energies after the loop.
 """
 
 from __future__ import annotations
@@ -306,19 +308,16 @@ def _run_ticks(sc: Scenario, trace: DigitalTrace, dt: float, ends, v_in, p_in):
     return dec_state, harvester, rail_up_time, first_sync_time
 
 
-def run_scenario(sc: Scenario) -> ScenarioResult:
-    """Simulate one frame against one receiver; deterministic per seed."""
-    demod = sc.resolved_demod()
-    _validate(sc, demod)
+def _front_end(sc: Scenario, demod: DemodParams):
+    """The receive chain over the run's blocks: the edge trace, the tick length,
+    the tick ends and each tick's input voltage and power."""
     sr = sc.modulation.sample_rate
-
     # the transmit is the frame and then the tail's silence, which modulate_frame
     # gives past the frame; the received signal holds its latest tap in full
     n_tx = frame_length(sc.frame, sc.modulation) + round(sc.sim.tail_duration * sr)
     delays = [d for d, _ in _taps(sc.channel, sr)]
     early, late = min(delays), max(delays)
     decim = sc.sim.harvester_decimation
-    r_in = sc.sim.input_resistance
     n = n_tx + late
     n_ticks = (n + decim - 1) // decim
     # blocks of one whole-tick length; see BLOCK_SAMPLES
@@ -361,7 +360,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
             # the sums to means and power, once per run: elementwise, the bytes of once per block
             v_in /= decim
             p_in /= decim
-            p_in /= r_in
+            p_in /= sc.sim.input_resistance
         # checked after the last block: a non-finite waveform in any block is named first
         if not np.isfinite(p_in).all():
             raise SignalRangeError("harvester input power is not finite")
@@ -373,12 +372,19 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
             "lower the direct-path gain through channel.distance, channel.spreading_exponent "
             "or channel.absorption_db_per_km"
         ) from exc
+    # freed before the outputs are made: kept to the return, they cost fine_tick 250 faults a request
+    del tx, rx, v_xdcr, v_harv, filtered, windows
     trace = DigitalTrace(np.concatenate(edge_times), np.concatenate(edge_levels))
     dt = decim / sr
-    ends = np.arange(n_ticks) * dt + dt
-    dec_state, harvester, rail_up_time, first_sync_time = _run_ticks(
-        sc, trace, dt, ends, v_in, p_in
-    )
+    return trace, dt, np.arange(n_ticks) * dt + dt, v_in, p_in
+
+
+def run_scenario(sc: Scenario) -> ScenarioResult:
+    """Simulate one frame against one receiver; deterministic per seed."""
+    demod = sc.resolved_demod()
+    _validate(sc, demod)
+    trace, dt, ends, _, _ = inputs = _front_end(sc, demod)
+    dec_state, harvester, rail_up_time, first_sync_time = _run_ticks(sc, *inputs)
     # a cap too small for its charge has a voltage of inf, named below
     with np.errstate(over="ignore", invalid="ignore"):
         vcap_values = np.sqrt(2.0 * harvester.energy / sc.harvester.c_store)
@@ -401,7 +407,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     # presets and far below one tick's bank left out (about harvested / n_ticks);
     # NaN fails it too
     closure = harvester.harvested - harvester.consumed - float(harvester.energy[-1])
-    if not abs(closure) <= 4 * n_ticks * 2**-52 * harvester.harvested:
+    if not abs(closure) <= 4 * len(ends) * 2**-52 * harvester.harvested:
         raise InvariantError(f"energy ledger violation: {closure} J unaccounted")
     if woke and dec_state.decoded_uuid != sc.decoder.assigned_uuid:
         raise InvariantError("wake asserted without a matching UUID")

@@ -53,7 +53,9 @@ def test_critical_reflection_distance_values():
     assert critical_reflection_distance(400.0, 1500.0) == pytest.approx(3.75)
 
 
-@pytest.mark.parametrize("args", [(0.0, 1630.0), (200.0, -5.0), (np.nan, 1630.0), (200.0, np.nan)])
+@pytest.mark.parametrize(
+    "args", [(0.0, 1630.0), (200.0, -5.0), (np.nan, 1630.0), (200.0, np.nan), (200.0, 0.0)]
+)
 def test_critical_reflection_distance_rejects_nonpositive_inputs(args):
     with pytest.raises(ValueError):
         critical_reflection_distance(*args)
@@ -123,6 +125,18 @@ def test_output_holds_the_latest_tap_in_full():
     out = propagate(x, ch)
     assert len(out.samples) == 1000 + round((1.0 + 8.15) / 1630.0 * SR)
     assert out.unit is SignalUnit.PRESSURE
+
+
+def test_an_empty_range_gives_no_samples_and_draws_no_noise():
+    x = Waveform(SR, np.ones(1000), SignalUnit.PRESSURE)
+    ch = ChannelModel(noise_rms=0.5)
+    whole = propagate(x, ch, np.random.default_rng(7)).samples
+    rng = np.random.default_rng(7)
+    head = propagate(x, ch, rng, 0, 400).samples
+    empty = propagate(x, ch, rng, 400, 400)
+    assert len(empty.samples) == 0 and empty.unit is SignalUnit.PRESSURE
+    tail = propagate(x, ch, rng, 400).samples
+    assert np.concatenate([head, tail]).tobytes() == whole.tobytes()
 
 
 def test_same_seed_is_bit_identical_different_seed_is_not():

@@ -62,6 +62,7 @@ def test_frame_field_validation():
 def test_modulation_params_validation():
     with pytest.raises(ConfigurationError):
         ModulationParams(sample_rate=100_000.0)  # below 4x carrier
+    assert ModulationParams(sample_rate=112_000.0).sample_rate == 112_000.0  # at 4x: accepted
     with pytest.raises(ConfigurationError):
         ModulationParams(pulse_duty=0.0)
     with pytest.raises(ConfigurationError):

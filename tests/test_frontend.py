@@ -202,11 +202,12 @@ def test_bandpass_rejects_dc():
     assert np.abs(out.samples[-1000:]).max() < 1e-3
 
 
-def test_bandpass_center_must_be_below_nyquist():
-    with pytest.raises(ConfigurationError):
+@pytest.mark.parametrize("center", [120_000.0, SR / 2], ids=["above", "at"])
+def test_bandpass_center_must_be_below_nyquist(center):
+    with pytest.raises(ConfigurationError, match="must sit below Nyquist"):
         bandpass(
             Waveform(SR, np.zeros(16), SignalUnit.VOLTS),
-            DemodParams(bandpass_center=120_000.0),
+            DemodParams(bandpass_center=center),
         )
 
 

@@ -294,6 +294,8 @@ def test_params_validation():
         HarvesterParams(boost_efficiency=1.5)
     with pytest.raises(ConfigurationError):
         HarvesterParams(uvlo=2.3)  # above the regulation-enable voltage
+    with pytest.raises(ConfigurationError, match="uvlo must sit below regulation_enable_voltage"):
+        HarvesterParams(uvlo=2.2)  # at it: no hysteresis left
     with pytest.raises(ConfigurationError):
         HarvesterParams(c_store=0.0)
 

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -327,14 +328,36 @@ def test_decimation_refinement_barely_moves_the_peak():
     assert abs(fine - coarse) / coarse < 0.01
 
 
-def test_envelope_tau_must_sit_between_carrier_and_bit_period():
+@pytest.mark.parametrize(
+    "taus, message",
+    [
+        (lambda sc: {"envelope_tau": 6e-3}, "must sit below the bit period"),
+        (lambda sc: {"envelope_tau": sc.frame.bit_period}, "must sit below the bit period"),
+        (lambda sc: {"envelope_tau": 1.0 / sc.modulation.carrier_freq, "fast_tau": 1e-5},
+         "must sit above the carrier period"),
+        (lambda sc: {"envelope_tau": 3e-5, "fast_tau": 1e-5}, "must sit above the carrier period"),
+    ],
+    ids=["too_slow", "at_the_bit_period", "at_the_carrier_period", "too_fast"],
+)
+def test_envelope_tau_must_sit_between_carrier_and_bit_period(taus, message):
     sc = reference_scenario()
-    too_slow = replace(sc, demod=replace(sc.demod, envelope_tau=6e-3))
-    with pytest.raises(ConfigurationError):
-        run_scenario(too_slow)
-    too_fast = replace(sc, demod=replace(sc.demod, envelope_tau=3e-5, fast_tau=1e-5))
-    with pytest.raises(ConfigurationError):
-        run_scenario(too_fast)
+    with pytest.raises(ConfigurationError, match=message):
+        run_scenario(replace(sc, demod=replace(sc.demod, **taus(sc))))
+
+
+def test_a_run_may_span_exactly_max_samples():
+    # binary fractions throughout, so the count is exact: 2**18 samples per s, a
+    # 256 bps frame, a path of 2**-10 s, and 32 s less one tick in all
+    sc = reference_scenario(bit_rate=256.0, preamble=0.25)
+    sr = 2.0**18
+    sc = replace(sc, modulation=replace(sc.modulation, sample_rate=sr),
+                 channel=replace(sc.channel, distance=sc.channel.sound_speed / 1024))
+    tail = (sim.MAX_SAMPLES - sc.sim.harvester_decimation) / sr - sc.frame.duration - 2.0**-10
+    at_limit = replace(sc, sim=replace(sc.sim, tail_duration=tail))
+    sim._validate(at_limit, at_limit.resolved_demod())
+    one_more = replace(sc, sim=replace(sc.sim, tail_duration=tail + 1 / sr))
+    with pytest.raises(ConfigurationError, match="above the limit of 8388608"):
+        sim._validate(one_more, one_more.resolved_demod())
 
 
 def test_resolved_demod_defaults_to_the_frame_bit_rate():
@@ -416,9 +439,10 @@ def test_sweep_rejects_bad_arguments():
     # checked before the rescale divides by it
     with pytest.raises(ConfigurationError, match="^bit_rate must be positive, got 0.0"):
         sweep(reference_scenario(), "bit_rate", [0.0], trials=1)
-    # the seconds given are named, not the extra_path metres they become
-    for delay in (-0.001, 0.0):
-        with pytest.raises(ConfigurationError, match=f"^echo_delay .*, got {delay}$"):
+    # the seconds given are named, not the extra_path metres they become; the
+    # last overflows to an infinite extra_path
+    for delay in (-0.001, 0.0, 1e306):
+        with pytest.raises(ConfigurationError, match=f"^echo_delay .*, got {re.escape(str(delay))}$"):
             sweep(echo_scenario(), "echo_delay", [delay], trials=1)
 
 

@@ -214,3 +214,78 @@ def test_a_rail_that_holds_on_an_empty_cap_feeds_each_event_once(feeds):
     assert set(modes[1:]) == {HarvesterMode.REGULATING}
     assert dec_state.phase is DecoderPhase.DECIDED and dec_state.match
     assert len(feeds) == len(set(feeds)) == 15  # lone edge, 2 sync and 4 bit edges, 8 samples
+
+
+# `feed` settles a tie three ways: a sample due exactly at a tick's end and an
+# edge exactly there both wait for the next tick, and a sample due at an edge's
+# time follows the edge. The cases below put the event on the end of a tick
+# whose events the span engine holds in `held`: a span's first tick, and the
+# last tick that ran with the rail up before a drop, where `held` is fed again
+FRAME_DECODER = DecoderConfig(assigned_uuid=0xA5, max_sync_interval=1.0, sample_offset=0.5)
+
+
+def frame_steps(sync, period, high):
+    """The grid steps of a 0xA5 frame: rising sync edges at `sync` and `sync +
+    period`, then each 1-bit's slot high for its first `high` steps. At
+    `FRAME_DECODER`'s offset the decision is due at `sync + 9.5 * period`."""
+    steps = [sync, sync + 1, sync + period, sync + period + 1]
+    for k, bit in enumerate([1, 0, 1, 0, 0, 1, 0, 1]):
+        if bit:
+            slot = sync + period * (k + 2)
+            steps += [slot, slot + high]
+    return steps
+
+
+@pytest.mark.parametrize(
+    "steps, grid, tie, decode_ticks",
+    [
+        # the rail comes up in tick 1, and the first sync edge sits on its end
+        ([8, 9, 16, 17], GRID, 8, 10),
+        # a frame crowded into tick 4, whose first sync edge starts a decode span
+        (frame_steps(282, 4, 3), DT / 64, 320, 1),
+    ],
+    ids=["first_sync_edge", "decision"],
+)
+def test_an_event_on_the_end_of_a_spans_first_tick_is_fed_in_the_next_tick(
+    steps, grid, tie, decode_ticks
+):
+    ends = tick_ends(12)
+    sc = base_scenario(STEADY, FRAME_DECODER)
+    _, _, modes, _, consumed, rail_up_time, _ = both(
+        sc, alternating_trace(steps, grid), [1.0] * 12, [1e-3] * 12
+    )
+    assert rail_up_time == ends[0] and set(modes) == {HarvesterMode.REGULATING}
+    assert tie * grid in ends
+    # the event counts from the next tick on: the decode draw starts after the
+    # sync edge's tick, and the decision's tick still draws it
+    listen, decode = (p * DT / sc.harvester.boost_efficiency for p in (1e-5, 1e-4))
+    assert consumed == pytest.approx((11 - decode_ticks) * listen + decode_ticks * decode,
+                                     rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "steps, load, tick, tie, first_sync",
+    [
+        ([24, 25], 3e-4, 5, 24, None),
+        (frame_steps(16, 8, 7), 3.5e-4, 22, 92, 16 * GRID),
+    ],
+    ids=["first_sync_edge", "decision"],
+)
+def test_an_event_on_the_end_of_the_last_tick_before_a_rail_drop_is_lost(
+    steps, load, tick, tie, first_sync
+):
+    # 1 mW runs out at tick `tick`; the draw of `load` keeps the rail up on it
+    # until then and empties the cap in that tick
+    n = tick + 8
+    ends = tick_ends(n)
+    sc = base_scenario(LoadProfile(p_listen=load, p_decode=load), FRAME_DECODER)
+    dec_state, _, modes, _, _, _, first_sync_time = both(
+        sc, alternating_trace(steps), [1.0] * n, [1e-3] * tick + [0.0] * (n - tick)
+    )
+    assert modes[tick - 1] is HarvesterMode.REGULATING
+    assert set(modes[tick:]) == {HarvesterMode.DEPLETED}
+    assert tie * GRID == ends[tick]
+    # the event falls in the first rail-down tick: it is never fed, and a frame
+    # in progress is reset
+    assert first_sync_time == first_sync
+    assert dec_state.phase is DecoderPhase.AWAIT_FIRST_EDGE

@@ -18,6 +18,30 @@ property would otherwise make it print a patch, and so is its shrink phase
 (see PYTEST_WITHOUT_SHRINKING). Standard library, pytest and the suite's
 hypothesis only. When a refactor moves an anchor, re-anchor its entry; do
 not delete it.
+
+Ordering flips (`<` <-> `<=`, `>` <-> `>=`) that no test can kill, because
+they move no output; a survey of flips need not try them again:
+- `sim._tick_sums`' `windows.shape[1] == _PAIRWISE_UNROLL` was once `>`: at
+  exactly 8 samples per tick the column tree and the reduce give the same
+  bytes, so that flip was equivalent; the `==` no longer has it.
+- `noise_rms > 0` -> `>= 0` in `sim._front_end` and in `channel.propagate`'s
+  noise draw: a zero-rms draw adds +-0.0 to an output that is never -0.0.
+- `side[starts + 1] > 0` -> `>= 0` in `frontend._latched_edges`: a run
+  start's side is never 0.
+- `index < UUID_BITS` -> `<=` in `DecoderState.next_sample_time`: the
+  decoder decides at its 8th bit, so no sampling state holds 8 bits.
+- `lo < hi` -> `<=` in `channel.propagate` and `frame.modulate_frame`: the
+  extra case copies an empty range.
+- `calibrate_tx_amplitude`'s three comparisons with the target peak: they
+  differ on exact float ties only.
+- `closing < self._floor` -> `<=` in `power.Harvester._advance`: a
+  regulating tick that closes exactly at UVLO ends its span, the rail holds,
+  and the next `run` goes on; only the count of `run` calls changes.
+- `due < edge` -> `<=` in `sim._run_ticks`' `feed` (a sample due at an
+  edge's time is fed before it): in the sampling phase, the only one with a
+  sample due, an edge only moves `last_event_time` to its own time, so the
+  two events give the same state in either order; and once the sample
+  decides, the edge is never read.
 """
 
 from __future__ import annotations
@@ -58,6 +82,13 @@ FIRST_TICK = "tests/test_harvester_reference.py::test_a_span_that_ends_on_its_fi
 BLOCK_RULE = (
     "tests/test_sim.py::test_a_run_splits_into_equal_blocks_of_at_most_one_and_a_half_block_samples"
 )
+TIE_CASES = tuple(
+    f"tests/test_tick_loop_reference.py::{test}[first_sync_edge]"
+    for test in (
+        "test_an_event_on_the_end_of_a_spans_first_tick_is_fed_in_the_next_tick",
+        "test_an_event_on_the_end_of_the_last_tick_before_a_rail_drop_is_lost",
+    )
+)
 
 MUTANTS = (
     Mutant(
@@ -73,6 +104,20 @@ MUTANTS = (
         "stop = bisect_right(ends, flip, k + 1)",
         "stop = bisect_left(ends, flip, k + 1)",
         (REFERENCE_DRAW,),
+    ),
+    Mutant(
+        "edge_on_a_tick_end_fed_in_that_tick",
+        "src/aquawake/sim.py",
+        "elif edge < t1:",
+        "elif edge <= t1:",
+        TIE_CASES,
+    ),
+    Mutant(
+        "sample_limit_itself_rejected",
+        "src/aquawake/sim.py",
+        "if n_samples > MAX_SAMPLES:",
+        "if n_samples >= MAX_SAMPLES:",
+        ("tests/test_sim.py::test_a_run_may_span_exactly_max_samples",),
     ),
     Mutant(
         "transmit_window_one_sample_short",
