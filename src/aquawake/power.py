@@ -106,19 +106,14 @@ class Harvester:
     in windows of ticks: the first is twice the ticks the last `run`
     advanced, never below 64, and each further window doubles. Each window
     adds its terms with `np.add.accumulate`, left to right as a scalar loop
-    does:
-    - a cold-start window takes one accumulate over one array of two rows,
-      the cap energy and `harvested`, each adding the window's banks. It has
-      no `consumed` row: nothing drains there, and that sum stays as it is;
-    - a regulating window takes two: the cap energy over each tick's bank
-      and then its drain (-0.0 at zero load, which moves no sum), and one
-      array of two rows, `harvested` over the banks and `consumed` over the
-      drains. One array of three rows, its ledgers padded with +0.0 between
-      their terms, adds half again as many terms: 1.4x the time of a
-      4096-tick window.
-    The cap energy finds the tick that ends the span, and each sum is read
-    at that tick, or at the window's end. So the three add up tick by tick,
-    as one loop over the ticks would.
+    does, in two calls: the cap energy over each tick's bank and then its
+    drain, and one array of two rows, `harvested` over the banks and
+    `consumed` over the drains. A drain term of 0.0, every cold-start tick's
+    (the load draws from the enable tick on) or a zero load's, adds -0.0 to
+    the cap and +0.0 to `consumed`, which moves neither: no sum here is ever
+    -0.0. The cap energy finds the tick that ends the span, and each sum is
+    read at that tick, or at the window's end. So the three add up tick by
+    tick, as one loop over the ticks would.
     Cap-voltage thresholds are compared as energies. Like plain floats, the
     sums overflow to inf, without a numpy warning.
     """
@@ -172,7 +167,7 @@ class Harvester:
         k, mode, energy = self.k, self.mode, self.energy
         regulating = mode is _REGULATING
         if regulating:
-            banked, steps = self._b_reg, 2  # a bank, then a drain
+            banked, load = self._b_reg, drain
         else:
             if mode is _DEPLETED:  # nothing banks until the input can cold-start
                 woke = k + int(self._cold_ok[k:end].argmax())
@@ -185,47 +180,37 @@ class Harvester:
                 if woke == end:
                     return False
                 mode = self.mode = _COLD_START
-            banked, steps = self._b_cold, 1
+            banked, load = self._b_cold, 0.0  # the load draws from the enable tick on
         n = end - k
-        if regulating:
-            cap = np.empty(2 * n + 1)  # the cap energy over each tick's bank, then its drain
-            cap[0] = self.e_cap
-            cap[1::2] = banked[k:end]
-            cap[2::2] = -drain
-            np.add.accumulate(cap, out=cap)
-            ledgers = np.empty((2, n + 1))  # harvested over the banks, consumed over the drains
-            ledgers[:, 0] = self.harvested, self.consumed
-            ledgers[0, 1:] = banked[k:end]
-            ledgers[1, 1:] = drain
-            np.add.accumulate(ledgers, axis=1, out=ledgers)
-        else:  # nothing drains: the cap energy and harvested add the same banks
-            sums = np.empty((2, n + 1))
-            sums[:, 0] = self.e_cap, self.harvested
-            sums[:, 1:] = banked[k:end]
-            np.add.accumulate(sums, axis=1, out=sums)
-            cap, ledgers = sums[0], sums[1:]
-        closing = cap[steps::steps]
+        cap = np.empty(2 * n + 1)  # the cap energy over each tick's bank, then its drain
+        cap[0] = self.e_cap
+        cap[1::2] = banked[k:end]
+        cap[2::2] = -load
+        np.add.accumulate(cap, out=cap)
+        ledgers = np.empty((2, n + 1))  # harvested over the banks, consumed over the drains
+        ledgers[:, 0] = self.harvested, self.consumed
+        ledgers[0, 1:] = banked[k:end]
+        ledgers[1, 1:] = load
+        np.add.accumulate(ledgers, axis=1, out=ledgers)
+        closing = cap[2::2]
         hit = closing < self._floor if regulating else closing >= self._e_enable
         i = int(hit.argmax())
         if not hit[i]:
             energy[k:end] = closing
             self._log(mode, n)
-            self.e_cap, self.harvested = float(cap[-1]), float(ledgers[0, n])
-            if regulating:
-                self.consumed = float(ledgers[1, n])
-            self.k = end
+            self.e_cap, self.k = float(cap[-1]), end
+            self.harvested, self.consumed = ledgers[:, n].tolist()
             return False
         energy[k : k + i] = closing[:i]
         if i:
             self._log(mode, i)
         # the tick that ends the span: cold start reaches the enable level and the
         # load draws from this tick on, or the draw empties the cap or crosses UVLO
-        opened, self.harvested = float(cap[steps * i + 1]), float(ledgers[0, i + 1])
-        if regulating:
-            self.consumed = float(ledgers[1, i])  # before this tick's drain
+        opened, self.harvested = float(cap[2 * i + 1]), float(ledgers[0, i + 1])
         drained = min(drain, opened)
         self.e_cap = energy[k + i] = opened - drained
-        self.consumed, self.k = self.consumed + drained, k + i + 1
+        # consumed before this tick's drain, then the drain
+        self.consumed, self.k = float(ledgers[1, i]) + drained, k + i + 1
         collapsed = self.e_cap < self._e_uvlo  # the rail collapses: the load sheds next tick
         self.mode = _DEPLETED if collapsed else _REGULATING
         self._log(self.mode, 1)

@@ -118,10 +118,18 @@ def test_a_huge_int_is_rejected_without_printing_it():
         build(_SECTIONS["channel"], distance=10**5000)
 
 
+# at the two limits `shown` keeps: an int of exactly 1000 bits prints its
+# (cut) digits, and a repr of exactly 200 characters prints whole
+INT_OF_1000_BITS = 2**999
+REPR_OF_200_CHARACTERS = [["x" * 28] * 4, ["y" * 28] * 2, ""]
+
+
 @pytest.mark.parametrize(
     "value, text",
     [(True, "True"), ("1e5", "'1e5'"), (165.5, "165.5"), (-1, "-1"), (np.float64(np.nan), "nan"),
-     (np.int64(-1), "-1"), (None, "None"), ([1.0], "[1.0]")],
+     (np.int64(-1), "-1"), (None, "None"), ([1.0], "[1.0]"),
+     pytest.param(INT_OF_1000_BITS, "535754303593133660...2193418602834034688", id="int_of_1000_bits"),
+     pytest.param(REPR_OF_200_CHARACTERS, repr(REPR_OF_200_CHARACTERS), id="repr_of_200_characters")],
 )
 def test_ordinary_values_print_as_before(value, text):
     assert shown(value) == text

@@ -12,6 +12,12 @@ unmutated copy does not pass an id, or if an id passes with its mutant in
 place (the mutant survives it); it exits 0 when every mutant is killed by
 every id named for it.
 
+A mutant that stops a loop from advancing hangs its run. So each mutant's
+run is stopped after a limit derived from the unmutated run's own time (it
+runs a subset of those ids), and a run stopped there counts as killed:
+`killed (timeout)`. The unmutated run itself has UNMUTATED_LIMIT_S; one that
+outlasts it exits 1.
+
 No bytecode is written, so a file put back is never shadowed by a stale
 cache of its mutant. hypothesis's pytest plugin is off, as a failing
 property would otherwise make it print a patch, and so is its shrink phase
@@ -58,6 +64,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED_AWAY = (".git", "__pycache__", ".hypothesis", ".pytest_cache", "_out", "*.egg-info")
+UNMUTATED_LIMIT_S = 300.0  # the unmutated run's limit, well inside CI's 15-minute job
 
 
 @dataclass(frozen=True)
@@ -79,6 +86,10 @@ SAME_RUN_CHECK = (
 )
 RUN_LATCH = "tests/test_frontend.py::test_edge_extraction_matches_the_per_sample_latch_on_runs"
 FIRST_TICK = "tests/test_harvester_reference.py::test_a_span_that_ends_on_its_first_tick"
+WINDOWS_LAST_TICK = (
+    "tests/test_harvester_reference.py::test_a_span_that_ends_on_its_windows_last_tick"
+)
+FROZEN_RUN = "tests/test_sim.py::test_reference_run_reproduces_frozen_metrics"
 BLOCK_RULE = (
     "tests/test_sim.py::test_a_run_splits_into_equal_blocks_of_at_most_one_and_a_half_block_samples"
 )
@@ -220,6 +231,18 @@ MUTANTS = (
         tuple(f"{BLOCK_RULE}[{case}]" for case in ("64-1.51", "100-4.7")),
     ),
     Mutant(
+        "cold_start_drains_every_tick",
+        "src/aquawake/power.py",
+        "banked, load = self._b_cold, 0.0",
+        "banked, load = self._b_cold, drain",
+        (
+            f"{FIRST_TICK}[cold_start_enables]",
+            f"{FIRST_TICK}[depleted_rails_up_on_its_first_tick]",
+            f"{WINDOWS_LAST_TICK}[first_window]",
+            f"{WINDOWS_LAST_TICK}[second_window]",
+        ),
+    ),
+    Mutant(
         "cold_start_rails_up_only_above_the_enable_level",
         "src/aquawake/power.py",
         "closing >= self._e_enable",
@@ -232,6 +255,28 @@ MUTANTS = (
         "collapsed = self.e_cap < self._e_uvlo",
         "collapsed = self.e_cap <= self._e_uvlo",
         (f"{FIRST_TICK}[rail_up_draw_leaves_uvlo]",),
+    ),
+    # the three hangs: each flip stops a loop from advancing
+    Mutant(
+        "tick_loop_runs_past_the_last_tick",
+        "src/aquawake/sim.py",
+        "while harvester.k < n_ticks:",
+        "while harvester.k <= n_ticks:",
+        ("tests/test_sim.py::test_zero_amplitude_never_wakes",),  # a run that ends with the rail down
+    ),
+    Mutant(
+        "span_runs_again_at_its_stop",
+        "src/aquawake/sim.py",
+        "while harvester.k < stop and",
+        "while harvester.k <= stop and",
+        (FROZEN_RUN,),
+    ),
+    Mutant(
+        "level_sample_at_its_due_time_not_taken",
+        "src/aquawake/decoder.py",
+        "t < state.sample_times[len(bits)]",
+        "t <= state.sample_times[len(bits)]",
+        (FROZEN_RUN,),
     ),
 )
 
@@ -256,14 +301,20 @@ def junit_key(test_id: str) -> tuple[str, str]:
     return ".".join([path.removesuffix(".py").replace("/", "."), *parts[:-1]]), parts[-1]
 
 
-def passed_ids(tree: Path, ids: tuple[str, ...]) -> set[str]:
-    """The ids among `ids` that pytest, run on them in `tree`, reports as passed."""
+def passed_ids(tree: Path, ids: tuple[str, ...], limit: float) -> set[str] | None:
+    """The ids among `ids` that pytest, run on them in `tree`, reports as passed;
+    None if the run outlasts `limit` seconds (it is stopped)."""
     report = tree / "mutants-junit.xml"
     report.unlink(missing_ok=True)
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     options = ["-q", "-p", "no:cacheprovider", "-p", "no:hypothesispytest", f"--junitxml={report}"]
     command = [sys.executable, "-c", PYTEST_WITHOUT_SHRINKING, *options, *ids]
-    subprocess.run(command, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.STDOUT)
+    try:
+        subprocess.run(
+            command, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.STDOUT, timeout=limit
+        )
+    except subprocess.TimeoutExpired:
+        return None
     if not report.exists():
         return set()
     passed = {
@@ -289,22 +340,30 @@ def main() -> int:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(*COPIED_AWAY))
         every_id = tuple(dict.fromkeys(i for m in MUTANTS for i in m.ids))
-        failing = sorted(set(every_id) - passed_ids(tree, every_id))
+        run_started = time.perf_counter()
+        passed = passed_ids(tree, every_id, UNMUTATED_LIMIT_S)
+        if passed is None:
+            print(f"the unmutated copy does not finish within {UNMUTATED_LIMIT_S:.0f} s")
+            return 1
+        failing = sorted(set(every_id) - passed)
         if failing:
             print("the unmutated copy does not pass:\n  " + "\n  ".join(failing))
             return 1
-        print(f"unmutated: {len(every_id)} ids pass")
+        # a mutant's run takes a subset of these ids: one that outlasts this hangs
+        limit = 2 * (time.perf_counter() - run_started) + 10.0
+        print(f"unmutated: {len(every_id)} ids pass; each mutant's run is stopped after {limit:.0f} s")
         for m in MUTANTS:
             target = tree / m.path
             original = target.read_text()
             target.write_text(original.replace(m.old, m.new))
             try:
-                survived = sorted(passed_ids(tree, m.ids))
+                survived = passed_ids(tree, m.ids, limit)
             finally:
                 target.write_text(original)
             if survived:
-                failures.append(f"{m.name} survives:\n  " + "\n  ".join(survived))
-            print(f"{m.name}: {'SURVIVES' if survived else 'killed'} ({len(m.ids)} ids)")
+                failures.append(f"{m.name} survives:\n  " + "\n  ".join(sorted(survived)))
+            verdict = "killed (timeout)" if survived is None else "SURVIVES" if survived else "killed"
+            print(f"{m.name}: {verdict} ({len(m.ids)} ids)")
     print(f"{len(MUTANTS)} mutants in {time.perf_counter() - started:.1f} s")
     if failures:
         print("\n".join(failures))
