@@ -84,14 +84,6 @@ def _design(frame: WakeupFrame, params: ModulationParams):
             frame.guard_duration, params.pulse_duty)
 
 
-@lru_cache(maxsize=64)
-def _plan(design: tuple, uuid: int):
-    """The design's slot layout with the carrier runs of one address: the
-    preamble, then the bursts of its 1-slots."""
-    length, table, preamble, bursts = _slots(*design)
-    return length, table, (preamble, *compress(bursts, _bits(uuid)))
-
-
 # a few designs' carriers: a table holds about 90 KB for a 50 ms preamble at 224 kHz
 @lru_cache(maxsize=4)
 def _unit_sine(omega: float, length: int) -> np.ndarray:
@@ -120,7 +112,7 @@ def modulate_frame(
     ranges give the bytes of one call over their union.
     """
     sr = params.sample_rate
-    length, table, runs = _plan(_design(frame, params), frame.uuid)
+    length, table, preamble, bursts = _slots(*_design(frame, params))
     if stop is None:
         stop = length
     if not 0 <= start <= stop:
@@ -128,7 +120,7 @@ def modulate_frame(
     carrier = _unit_sine(2.0 * np.pi * params.carrier_freq / sr, table)
     amp = params.tx_amplitude
     out = np.zeros(stop - start, dtype=np.float64)
-    for s, n in runs:
+    for s, n in (preamble, *compress(bursts, _bits(frame.uuid))):
         lo, hi = max(start, s), min(stop, s + n)
         if lo < hi:
             np.multiply(carrier[lo - s : hi - s], amp, out=out[lo - start : hi - start])

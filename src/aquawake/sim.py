@@ -39,6 +39,7 @@ import numpy as np
 from . import decoder as dec
 from .channel import ChannelModel, _taps, propagate
 from .config import Config, Count, NonNegative, NonNegativeInt, Positive, is_finite, shown
+from .decoder import _DECIDED
 from .errors import ConfigurationError, InvariantError, SignalRangeError
 from .frame import ModulationParams, WakeupFrame, frame_length, modulate_frame
 from .frontend import (
@@ -52,7 +53,7 @@ from .frontend import (
     rectify,
     transduce,
 )
-from .power import Harvester, HarvesterMode, HarvesterParams, LoadProfile
+from .power import _REGULATING, Harvester, HarvesterMode, HarvesterParams, LoadProfile
 from .waveform import DigitalTrace
 
 # never called (the envelope RC is in the comparator's drive): perfbench/tracing.py
@@ -68,11 +69,6 @@ _SWEEP_TARGETS = {
     "echo_delay": ("channel", "echoes"),  # s; moves the first echo
 }
 SWEEPABLE_PARAMETERS = tuple(_SWEEP_TARGETS)
-
-# the members the tick loop tests, as module constants: a read through the
-# Enum class costs about ten times a global's on Python 3.11
-_DECIDED = dec.DecoderPhase.DECIDED
-_REGULATING = HarvesterMode.REGULATING
 
 # samples one run may span, about 37 s at the default 224 kHz; the per-tick
 # harvester arrays and the tick ends (a numpy array; no per-tick Python list)

@@ -13,10 +13,11 @@ place (the mutant survives it); it exits 0 when every mutant is killed by
 every id named for it.
 
 A mutant that stops a loop from advancing hangs its run. So each mutant's
-run is stopped after a limit derived from the unmutated run's own time (it
-runs a subset of those ids), and a run stopped there counts as killed:
-`killed (timeout)`. The unmutated run itself has UNMUTATED_LIMIT_S; one that
-outlasts it exits 1.
+run is stopped after its own limit, read from the unmutated run's JUnit
+report: twice the summed time of that mutant's ids, plus twice the run's
+start-up (its wall time less the summed time of all its tests). A run
+stopped there counts as killed: `killed (timeout)`. The unmutated run itself
+has UNMUTATED_LIMIT_S; one that outlasts it exits 1.
 
 No bytecode is written, so a file put back is never shadowed by a stale
 cache of its mutant. hypothesis's pytest plugin is off, as a failing
@@ -143,6 +144,18 @@ MUTANTS = (
         "carrier = _unit_sine(2.0 * np.pi * params.carrier_freq / sr, table)",
         "carrier = _unit_sine(4.0 * np.pi * params.carrier_freq / sr, table)",
         (REFERENCE_DRAW, PRESET_CASE),
+    ),
+    Mutant(
+        "address_bits_flipped_in_the_transmit",
+        "src/aquawake/frame.py",
+        "_bits(frame.uuid)",
+        "_bits(frame.uuid ^ 1)",
+        (
+            "tests/test_frame.py::test_round_trip_all_uuids[200.0]",
+            "tests/test_frame.py::test_zero_uuid_emits_nothing_outside_sync_slots",
+            REFERENCE_DRAW,
+            PRESET_CASE,
+        ),
     ),
     Mutant(
         "first_edge_of_each_block_dropped",
@@ -301,13 +314,18 @@ def junit_key(test_id: str) -> tuple[str, str]:
     return ".".join([path.removesuffix(".py").replace("/", "."), *parts[:-1]]), parts[-1]
 
 
-def passed_ids(tree: Path, ids: tuple[str, ...], limit: float) -> set[str] | None:
-    """The ids among `ids` that pytest, run on them in `tree`, reports as passed;
-    None if the run outlasts `limit` seconds (it is stopped)."""
+def passed_ids(tree: Path, ids: tuple[str, ...], limit: float) -> dict[str, float] | None:
+    """The ids among `ids` that pytest, run on them in `tree`, reports as passed,
+    each with its reported time in seconds; None if the run outlasts `limit`
+    seconds (it is stopped)."""
     report = tree / "mutants-junit.xml"
     report.unlink(missing_ok=True)
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-    options = ["-q", "-p", "no:cacheprovider", "-p", "no:hypothesispytest", f"--junitxml={report}"]
+    # plain asserts: a rewritten one diffs the long reprs of a failing comparison,
+    # which takes a mutant's run about a second a test and tells this tool nothing
+    options = [
+        "-q", "-p", "no:cacheprovider", "-p", "no:hypothesispytest", "--assert=plain", f"--junitxml={report}"
+    ]
     command = [sys.executable, "-c", PYTEST_WITHOUT_SHRINKING, *options, *ids]
     try:
         subprocess.run(
@@ -316,13 +334,13 @@ def passed_ids(tree: Path, ids: tuple[str, ...], limit: float) -> set[str] | Non
     except subprocess.TimeoutExpired:
         return None
     if not report.exists():
-        return set()
+        return {}
     passed = {
-        (case.get("classname"), case.get("name"))
+        (case.get("classname"), case.get("name")): float(case.get("time"))
         for case in ET.parse(report).getroot().iter("testcase")
         if not any(child.tag in ("failure", "error", "skipped") for child in case)
     }
-    return {test_id for test_id in ids if junit_key(test_id) in passed}
+    return {test_id: passed[junit_key(test_id)] for test_id in ids if junit_key(test_id) in passed}
 
 
 def main() -> int:
@@ -345,14 +363,15 @@ def main() -> int:
         if passed is None:
             print(f"the unmutated copy does not finish within {UNMUTATED_LIMIT_S:.0f} s")
             return 1
-        failing = sorted(set(every_id) - passed)
+        failing = sorted(set(every_id) - set(passed))
         if failing:
             print("the unmutated copy does not pass:\n  " + "\n  ".join(failing))
             return 1
-        # a mutant's run takes a subset of these ids: one that outlasts this hangs
-        limit = 2 * (time.perf_counter() - run_started) + 10.0
-        print(f"unmutated: {len(every_id)} ids pass; each mutant's run is stopped after {limit:.0f} s")
+        start_up = time.perf_counter() - run_started - sum(passed.values())
+        print(f"unmutated: {len(every_id)} ids pass; start-up {start_up:.1f} s")
         for m in MUTANTS:
+            # twice what this mutant's ids took unmutated: a run that outlasts it hangs
+            limit = 2 * (sum(passed[i] for i in m.ids) + start_up)
             target = tree / m.path
             original = target.read_text()
             target.write_text(original.replace(m.old, m.new))
@@ -363,7 +382,7 @@ def main() -> int:
             if survived:
                 failures.append(f"{m.name} survives:\n  " + "\n  ".join(sorted(survived)))
             verdict = "killed (timeout)" if survived is None else "SURVIVES" if survived else "killed"
-            print(f"{m.name}: {verdict} ({len(m.ids)} ids)")
+            print(f"{m.name}: {verdict} ({len(m.ids)} ids, limit {limit:.1f} s)")
     print(f"{len(MUTANTS)} mutants in {time.perf_counter() - started:.1f} s")
     if failures:
         print("\n".join(failures))
