@@ -177,19 +177,41 @@ class ScenarioResult:
         return values
 
 
-def _validate(sc: Scenario, demod: DemodParams) -> None:
-    # checked before anything is allocated: frame + tail + the latest path,
-    # plus the padding of the last harvester tick
-    ch = sc.channel
-    detour = max((e.extra_path for e in ch.echoes), default=0.0)
-    seconds = sc.frame.duration + sc.sim.tail_duration + (ch.distance + detour) / ch.sound_speed
-    n_samples = seconds * sc.modulation.sample_rate + sc.sim.harvester_decimation
+_Geometry = tuple[int, int, int, int, int]  # see _geometry
+
+
+def _geometry(sc: Scenario) -> _Geometry:
+    """The run's sample geometry: `(n_tx, early, late, n, n_ticks)`.
+
+    The transmit's `n_tx` samples are the frame and then the tail's silence,
+    which modulate_frame gives past the frame; `early` and `late` are the
+    earliest and latest tap's delay; the received signal's `n` samples hold
+    the latest tap in full, over `n_ticks` harvester ticks, the last padded."""
+    sr = sc.modulation.sample_rate
+    n_tx = frame_length(sc.frame, sc.modulation) + round(sc.sim.tail_duration * sr)
+    delays = [d for d, _ in _taps(sc.channel, sr)]
+    early, late = min(delays), max(delays)
+    n = n_tx + late
+    decim = sc.sim.harvester_decimation
+    return n_tx, early, late, n, (n + decim - 1) // decim
+
+
+def _validate(sc: Scenario, demod: DemodParams) -> _Geometry:
+    """Checks a run of `sc` before anything is allocated; returns its `_geometry`."""
+    # the samples the front end allocates from, plus one harvester tick, which
+    # bounds the last tick's padding; round() of an inf or NaN term raises
+    try:
+        geometry = _geometry(sc)
+        n_samples = geometry[3] + sc.sim.harvester_decimation
+    except (OverflowError, ValueError):
+        n_samples = inf
     if n_samples > MAX_SAMPLES:
+        count = f"{n_samples:g}" if is_finite(n_samples) else shown(n_samples)
         raise ConfigurationError(
-            f"scenario needs {n_samples:g} samples per signal, above the limit of {MAX_SAMPLES}: "
-            f"{seconds:g} s of frame.preamble_duration, frame.guard_duration, the bits at "
-            "frame.bit_rate, sim.tail_duration and the path delay (channel.distance plus echo "
-            f"extra_path over channel.sound_speed) at modulation.sample_rate "
+            f"scenario needs {count} samples per signal, above the limit of {MAX_SAMPLES}: "
+            "frame.preamble_duration, frame.guard_duration, the bits at frame.bit_rate, "
+            "sim.tail_duration and the path delay (channel.distance plus echo extra_path over "
+            f"channel.sound_speed), each rounded to samples at modulation.sample_rate "
             f"{sc.modulation.sample_rate:g} Hz, plus sim.harvester_decimation"
         )
     # an envelope_tau the scenario leaves unset follows frame.bit_rate (for_bit_rate)
@@ -207,6 +229,7 @@ def _validate(sc: Scenario, demod: DemodParams) -> None:
             f"{carrier_period:g} s (1 / modulation.carrier_freq); left unset, it is a "
             "share of the bit period (1 / frame.bit_rate)"
         )
+    return geometry
 
 
 # the unroll of numpy's pairwise sum: add.reduce sums a row of exactly this
@@ -304,18 +327,12 @@ def _run_ticks(sc: Scenario, trace: DigitalTrace, dt: float, ends, v_in, p_in):
     return dec_state, harvester, rail_up_time, first_sync_time
 
 
-def _front_end(sc: Scenario, demod: DemodParams):
-    """The receive chain over the run's blocks: the edge trace, the tick length,
-    the tick ends and each tick's input voltage and power."""
+def _front_end(sc: Scenario, demod: DemodParams, geometry: _Geometry):
+    """The receive chain over the run's blocks of its `_geometry`: the edge trace,
+    the tick length, the tick ends and each tick's input voltage and power."""
+    n_tx, early, late, n, n_ticks = geometry
     sr = sc.modulation.sample_rate
-    # the transmit is the frame and then the tail's silence, which modulate_frame
-    # gives past the frame; the received signal holds its latest tap in full
-    n_tx = frame_length(sc.frame, sc.modulation) + round(sc.sim.tail_duration * sr)
-    delays = [d for d, _ in _taps(sc.channel, sr)]
-    early, late = min(delays), max(delays)
     decim = sc.sim.harvester_decimation
-    n = n_tx + late
-    n_ticks = (n + decim - 1) // decim
     # blocks of one whole-tick length; see BLOCK_SAMPLES
     n_blocks = max(round(n / BLOCK_SAMPLES), 1)
     block = (n_ticks + n_blocks - 1) // n_blocks * decim
@@ -378,8 +395,8 @@ def _front_end(sc: Scenario, demod: DemodParams):
 def run_scenario(sc: Scenario) -> ScenarioResult:
     """Simulate one frame against one receiver; deterministic per seed."""
     demod = sc.resolved_demod()
-    _validate(sc, demod)
-    trace, dt, ends, _, _ = inputs = _front_end(sc, demod)
+    geometry = _validate(sc, demod)
+    trace, dt, ends, _, _ = inputs = _front_end(sc, demod, geometry)
     dec_state, harvester, rail_up_time, first_sync_time = _run_ticks(sc, *inputs)
     # a cap too small for its charge has a voltage of inf, named below
     with np.errstate(over="ignore", invalid="ignore"):

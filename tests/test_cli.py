@@ -244,12 +244,26 @@ def test_bundled_preset_runs_end_to_end(tmp_path):
     assert (out / "result.csv").exists()
 
 
+# FAST_SCENARIO from the frame's bit_rate to the modulation section's first key,
+# for an edit that sets keys of both sections
+TIMING = FAST_SCENARIO[FAST_SCENARIO.index("  bit_rate:") : FAST_SCENARIO.index("  tx_amplitude:")]
+SAMPLE_LIMIT = "above the limit of 8388608"
 # (old, new, message): FAST_SCENARIO with `old` edited to `new` fails with `message`
 BAD_KEY_EDITS = [
     ("channel:\n", "channel:\n  rng_seed: 7\n", "unknown key channel.rng_seed"),
     ("sim:\n", "load:\n  p_decode: .nan\nsim:\n", "load.p_decode must be a finite number"),
     ("sim:\n", "sim:\n  tail_duration: .inf\n", "sim.tail_duration must be a finite number"),
-    ("sim:\n", "sim:\n  harvester_decimation: 0x10000000000\n", "above the limit of 8388608"),
+    ("sim:\n", "sim:\n  harvester_decimation: 0x10000000000\n", SAMPLE_LIMIT),
+    # a count past float range, named without a %g that would overflow
+    ("sim:\n", "sim:\n  harvester_decimation: 0x" + "f" * 260 + "\n", SAMPLE_LIMIT),
+    # geometries whose slots or taps round inf samples
+    (TIMING, TIMING.replace("bit_rate: 200.0", "bit_rate: 1.0e-10") + "  sample_rate: 1.0e+300\n",
+     SAMPLE_LIMIT),
+    (TIMING,
+     TIMING.replace("preamble_duration: 0.002", "preamble_duration: 1.0e+300")
+     + "  sample_rate: 1.0e+10\n",
+     SAMPLE_LIMIT),
+    ("  distance: 1.0\n", "  distance: 1.0e+300\n  sound_speed: 1.0e-300\n", SAMPLE_LIMIT),
     ("harvester:\n", "harvester:\n  v_out: 3.3\n", "unknown key harvester.v_out"),
     ("sim:\n", "sim:\n  harvester_decimation: 8.5\n",
      "sim.harvester_decimation must be an integer, got 8.5"),
@@ -280,7 +294,8 @@ BAD_KEY_EDITS = [
     ("sim:\n", "load:\n  p_idle: 0.0\nsim:\n", "unknown key load.p_idle"),
 ]
 BAD_KEY_IDS = [
-    "rng_seed", "nan_p_decode", "inf_tail_duration", "huge_decimation", "v_out",
+    "rng_seed", "nan_p_decode", "inf_tail_duration", "huge_decimation",
+    "decimation_past_float_range", "inf_bit_slots", "inf_preamble", "inf_path_delay", "v_out",
     "fractional_decimation", "fractional_assigned_uuid", "bool_uuid", "string_exponent",
     "negative_seed", "dotted_exponent", "huge_tx_amplitude", "huge_sensitivity",
     "huge_noise_rms", "tiny_c_store", "huge_tx_amplitude_and_sensitivity",

@@ -133,11 +133,15 @@ def test_a_run_modulates_per_block_only_the_transmit_its_taps_read(monkeypatch):
     n = n_tx + echo
     block = math.ceil(math.ceil(n / decim) / max(round(n / sim.BLOCK_SAMPLES), 1)) * decim
     assert block <= math.ceil(1.5 * sim.BLOCK_SAMPLES / decim) * decim
-    assert len(calls) > 1
-    assert all(stop - start <= block + echo - direct for start, stop in calls)
-    # consecutive windows overlap by the tap spread and cover the transmit
-    assert calls[0][0] == 0 and calls[-1][1] == n_tx
-    assert all(b[0] <= a[1] for a, b in zip(calls, calls[1:]))
+    # each block's window: from its start less the latest tap to its stop less
+    # the earliest, within the transmit
+    windows = []
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        lo = max(start - echo, 0)
+        windows.append((lo, max(min(stop - direct, n_tx), lo)))
+    assert len(windows) > 1
+    assert calls == windows
 
 
 def transduced_lengths(monkeypatch, sc):
@@ -413,6 +417,19 @@ def test_echo_delay_sweep_dips_at_one_bit_period():
     near, aliased = (a["wake_success_rate"] for a in res.aggregates)
     assert near == 1.0
     assert aliased == 0.0
+
+
+def test_echo_delay_sweep_moves_only_the_first_of_two_echoes():
+    first, second = Echo(5.053, 0.5), Echo(9.0, 0.4)
+    sc = reference_scenario(echoes=[first, second])
+    delays = [3.1e-3, 5.0e-3]
+    res = sweep(sc, "echo_delay", delays, trials=1)
+    for delay, row in zip(delays, res.rows):
+        moved = [Echo(delay * sc.channel.sound_speed, first.gain), second]
+        direct = replace(sc, channel=replace(sc.channel, echoes=moved),
+                         sim=replace(sc.sim, seed=row["seed"]))
+        want = run_scenario(direct)
+        assert {k: row[k] for k in sim._ROW_FIELDS} == {k: getattr(want, k) for k in sim._ROW_FIELDS}
 
 
 def test_echo_delay_sweep_requires_a_configured_echo():

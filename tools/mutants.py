@@ -49,6 +49,16 @@ they move no output; a survey of flips need not try them again:
   sample due, an edge only moves `last_event_time` to its own time, so the
   two events give the same state in either order; and once the sample
   decides, the edge is never read.
+
+Arithmetic and slice-bound edits that no test can kill, for the same reason:
+- `bisect_right(ends, flip, k + 1)` -> `k - 1` in `sim._run_ticks`: the bound
+  is only a search hint, and `flip >= ends[k]` there.
+- `self._cold_ok[k:end]` -> `[k:end + 1]` in `power.Harvester._advance`: an
+  argmax at index `end` reads as `woke = end` either way.
+- `energy[k:woke]` -> `[k:woke + 1]` in `power.Harvester._advance`: the next
+  window writes tick `woke`.
+- `before[:1] = state.level` -> `before[:2]` in `frontend._latched_edges`: the
+  next line writes `before[1:]`.
 """
 
 from __future__ import annotations
@@ -268,6 +278,29 @@ MUTANTS = (
         "collapsed = self.e_cap < self._e_uvlo",
         "collapsed = self.e_cap <= self._e_uvlo",
         (f"{FIRST_TICK}[rail_up_draw_leaves_uvlo]",),
+    ),
+    Mutant(
+        "echo_delay_sweep_drops_the_second_echo",
+        "src/aquawake/sim.py",
+        "*part.echoes[1:]]",
+        "*part.echoes[2:]]",
+        ("tests/test_sim.py::test_echo_delay_sweep_moves_only_the_first_of_two_echoes",),
+    ),
+    Mutant(
+        "transmit_window_past_the_earliest_tap",
+        "src/aquawake/sim.py",
+        "hi = max(min(stop - early, n_tx), lo)",
+        "hi = max(min(stop + early, n_tx), lo)",
+        ("tests/test_sim.py::test_a_run_modulates_per_block_only_the_transmit_its_taps_read",),
+    ),
+    Mutant(
+        # the run limit reads the taps the front end allocates from, so a run of
+        # 1630 s per metre fails its check at once instead of allocating
+        "direct_delay_times_the_sound_speed",
+        "src/aquawake/channel.py",
+        "taps = [(channel.distance / channel.sound_speed, g0)]",
+        "taps = [(channel.distance * channel.sound_speed, g0)]",
+        (FROZEN_RUN,),
     ),
     # the three hangs: each flip stops a loop from advancing
     Mutant(
