@@ -39,16 +39,15 @@ _SECTIONS: dict[str, type] = {
 
 
 @functools.cache
-def _list_items(cls: type) -> dict[str, type]:
-    """Map each list field of `cls` to its item dataclass."""
+def _fields(cls: type) -> dict[str, tuple[bool, type | None]]:
+    """Map each field of `cls` to (required, item): whether the field has no
+    default, and a `list[...]` field's item dataclass, else None."""
     hints = typing.get_type_hints(cls)
-    return {k: _inner(h) for k, h in hints.items() if typing.get_origin(h) is list}
-
-
-def _field_names(cls: type) -> dict[str, bool]:
-    """Map each field name of `cls` to whether the field has no default."""
     return {
-        f.name: f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        f.name: (
+            f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
+            _inner(hints[f.name]) if typing.get_origin(hints[f.name]) is list else None,
+        )
         for f in dataclasses.fields(cls)
     }
 
@@ -58,7 +57,7 @@ def _require(mappings: Iterable[tuple[str, type, dict]]) -> None:
     missing = [
         f"{name}.{key}"
         for name, cls, data in mappings
-        for key, required in _field_names(cls).items()
+        for key, (required, _) in _fields(cls).items()
         if required and key not in data
     ]
     if missing:
@@ -70,17 +69,16 @@ def _build(name: str, cls: type, data: Any, make=None):
     if not isinstance(data, dict):
         raise SchemaError(f"{name} must be a mapping")
     _require([(name, cls, data)])  # a list item's; the sections' are checked together
-    items = _list_items(cls)
-    known = _field_names(cls)
+    fields = _fields(cls)
     kwargs = {}
     for key, value in data.items():
         where = f"{name}.{key}"
-        if key not in known:
+        if key not in fields:
             raise SchemaError(f"unknown key {where}")
-        if key in items:
+        if (item := fields[key][1]) is not None:
             if not isinstance(value, list):
                 raise SchemaError(f"{where} must be a list")
-            value = [_build(f"{where}[{i}]", items[key], v) for i, v in enumerate(value)]
+            value = [_build(f"{where}[{i}]", item, v) for i, v in enumerate(value)]
         kwargs[key] = value
     try:
         return (make or cls)(**kwargs)

@@ -681,12 +681,29 @@ def synthetic_result(n: int) -> SimpleNamespace:
     )
 
 
-def test_a_run_of_two_chunks_and_a_row_matches_the_csv_module(tmp_path):
+def test_a_run_of_two_chunks_and_a_row_matches_the_csv_module(tmp_path, monkeypatch):
     n = 2 * cli_module.CSV_CHUNK_ROWS + 1
     result = synthetic_result(n)
     out = tmp_path / "out"
     out.mkdir()
+    rows_per_write = []
+
+    def counting(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        if Path(path).name == "vcap_trace.csv.tmp":
+            write = fh.write
+
+            def counted(text):
+                rows_per_write.append(text.count("\r\n"))
+                return write(text)
+
+            fh.write = counted
+        return fh
+
+    monkeypatch.setattr(cli_module, "open", counting, raising=False)
     _write_run_outputs(result, out)
+    # the header, then the 1024 rows per write that README states
+    assert rows_per_write == [1, 1024, 1024, 1]
     ref = tmp_path / "ref.csv"
     _reference_csv(ref, ("time_s", "v_cap_v", "mode"),
                    zip(result.vcap_times, result.vcap_values, result.mode_values))

@@ -122,6 +122,9 @@ def test_a_huge_int_is_rejected_without_printing_it():
 # (cut) digits, and a repr of exactly 200 characters prints whole
 INT_OF_1000_BITS = 2**999
 REPR_OF_200_CHARACTERS = [["x" * 28] * 4, ["y" * 28] * 2, ""]
+# one past each: a bit count in place of the digits, and the repr cut to 197
+# characters and "..."
+REPR_OF_201_CHARACTERS = [["x" * 28] * 4, ["y" * 28] * 2, "z"]
 
 
 @pytest.mark.parametrize(
@@ -129,7 +132,10 @@ REPR_OF_200_CHARACTERS = [["x" * 28] * 4, ["y" * 28] * 2, ""]
     [(True, "True"), ("1e5", "'1e5'"), (165.5, "165.5"), (-1, "-1"), (np.float64(np.nan), "nan"),
      (np.int64(-1), "-1"), (None, "None"), ([1.0], "[1.0]"),
      pytest.param(INT_OF_1000_BITS, "535754303593133660...2193418602834034688", id="int_of_1000_bits"),
-     pytest.param(REPR_OF_200_CHARACTERS, repr(REPR_OF_200_CHARACTERS), id="repr_of_200_characters")],
+     pytest.param(REPR_OF_200_CHARACTERS, repr(REPR_OF_200_CHARACTERS), id="repr_of_200_characters"),
+     pytest.param(2 * INT_OF_1000_BITS, "<int of 1001 bits>", id="int_of_1001_bits"),
+     pytest.param(REPR_OF_201_CHARACTERS, repr(REPR_OF_201_CHARACTERS)[:197] + "...",
+                  id="repr_of_201_characters")],
 )
 def test_ordinary_values_print_as_before(value, text):
     assert shown(value) == text

@@ -93,6 +93,12 @@ def test_missing_required_keys_are_listed():
         scenario_from_dict({})
     assert "frame.uuid" in str(err.value)
     assert "decoder.assigned_uuid" in str(err.value)
+    # every section's required keys are checked together, in Scenario's field
+    # order, before any section is built (the bad bit rate is never reached)
+    with pytest.raises(SchemaError, match=r"^missing required key\(s\): frame\.uuid, decoder\.assigned_uuid$"):
+        scenario_from_dict({})
+    with pytest.raises(SchemaError, match=r"^missing required key\(s\): decoder\.assigned_uuid$"):
+        scenario_from_dict({"frame": {"uuid": 1, "bit_rate": -1.0}})
 
 
 def test_empty_document_reports_required_keys():
@@ -147,6 +153,9 @@ def test_an_echo_item_names_its_missing_key_and_its_kind():
         scenario_from_dict(dict(MINIMAL, channel={"echoes": [{"gain": 0.5}]}))
     with pytest.raises(SchemaError, match=r"^channel\.echoes\[0\] must be a mapping$"):
         scenario_from_dict(dict(MINIMAL, channel={"echoes": [1]}))
+    # a list item's missing key is named before its section's values are checked
+    with pytest.raises(SchemaError, match=r"^missing required key\(s\): channel\.echoes\[0\]\.extra_path$"):
+        scenario_from_dict(dict(MINIMAL, channel={"echoes": [{"gain": 0.5}], "distance": -1.0}))
 
 
 def test_load_scenario_file_errors(tmp_path):
@@ -277,6 +286,10 @@ def test_a_document_at_the_nesting_limit_loads(make, tmp_path):
     path = tmp_path / "deep.yaml"
     path.write_text(make(MAX_NESTING + 1))
     with pytest.raises(SchemaError, match=f"^scenario file {path} nests deeper than {MAX_NESTING} levels$"):
+        load_scenario(path)
+    # the limit README states
+    path.write_text(make(33))
+    with pytest.raises(SchemaError, match=f"^scenario file {path} nests deeper than 32 levels$"):
         load_scenario(path)
 
 

@@ -59,6 +59,11 @@ Arithmetic and slice-bound edits that no test can kill, for the same reason:
   window writes tick `woke`.
 - `before[:1] = state.level` -> `before[:2]` in `frontend._latched_edges`: the
   next line writes `before[1:]`.
+
+The survey of `scenario_io`, `config` and `cli` (`==` <-> `!=`, `and` <->
+`or`, a dropped `not`, and +-1 on `MAX_NESTING`, `shown`'s 200-character and
+1000-bit caps and `CSV_CHUNK_ROWS`) found no equivalent mutant: the seven
+that survived it are pinned and recorded below.
 """
 
 from __future__ import annotations
@@ -104,6 +109,9 @@ FROZEN_RUN = "tests/test_sim.py::test_reference_run_reproduces_frozen_metrics"
 BLOCK_RULE = (
     "tests/test_sim.py::test_a_run_splits_into_equal_blocks_of_at_most_one_and_a_half_block_samples"
 )
+SHOWN_CASE = "tests/test_config.py::test_ordinary_values_print_as_before"
+NESTING_LIMIT = "tests/test_scenario_io.py::test_a_document_at_the_nesting_limit_loads"
+TWO_CHUNKS = "tests/test_cli.py::test_a_run_of_two_chunks_and_a_row_matches_the_csv_module"
 TIE_CASES = tuple(
     f"tests/test_tick_loop_reference.py::{test}[first_sync_edge]"
     for test in (
@@ -323,6 +331,76 @@ MUTANTS = (
         "t < state.sample_times[len(bits)]",
         "t <= state.sample_times[len(bits)]",
         (FROZEN_RUN,),
+    ),
+    # the scenario-in survey: the loader's field table, then the pinned survivors
+    Mutant(
+        "loader_requires_every_field_without_a_default_or_a_factory",
+        "src/aquawake/scenario_io.py",
+        "f.default is dataclasses.MISSING and f.default_factory",
+        "f.default is dataclasses.MISSING or f.default_factory",
+        (
+            "tests/test_scenario_io.py::test_minimal_document_gets_defaults_everywhere",
+            "tests/test_scenario_io.py::test_missing_required_keys_are_listed",
+        ),
+    ),
+    Mutant(
+        "loader_takes_every_field_but_a_list_as_a_list",
+        "src/aquawake/scenario_io.py",
+        "typing.get_origin(hints[f.name]) is list",
+        "typing.get_origin(hints[f.name]) is not list",
+        (
+            "tests/test_scenario_io.py::test_minimal_document_gets_defaults_everywhere",
+            "tests/test_scenario_io.py::test_an_echo_item_names_its_missing_key_and_its_kind",
+        ),
+    ),
+    Mutant(
+        "nesting_limit_one_lower",
+        "src/aquawake/scenario_io.py",
+        "MAX_NESTING = 32",
+        "MAX_NESTING = 31",
+        (f"{NESTING_LIMIT}[nested]", f"{NESTING_LIMIT}[aliased]"),
+    ),
+    Mutant(
+        "nesting_limit_one_higher",
+        "src/aquawake/scenario_io.py",
+        "MAX_NESTING = 32",
+        "MAX_NESTING = 33",
+        (f"{NESTING_LIMIT}[nested]", f"{NESTING_LIMIT}[aliased]"),
+    ),
+    Mutant(
+        "shown_prints_the_digits_of_a_1001_bit_int",
+        "src/aquawake/config.py",
+        "if x.bit_length() > 1000:",
+        "if x.bit_length() > 1001:",
+        (f"{SHOWN_CASE}[int_of_1001_bits]",),
+    ),
+    Mutant(
+        "shown_prints_201_characters_whole",
+        "src/aquawake/config.py",
+        "len(text) <= 200",
+        "len(text) <= 201",
+        (f"{SHOWN_CASE}[repr_of_201_characters]",),
+    ),
+    Mutant(
+        "shown_cuts_one_character_short",
+        "src/aquawake/config.py",
+        "text[:197]",
+        "text[:196]",
+        (f"{SHOWN_CASE}[repr_of_201_characters]",),
+    ),
+    Mutant(
+        "csv_chunk_one_row_short",
+        "src/aquawake/cli.py",
+        "CSV_CHUNK_ROWS = 1024",
+        "CSV_CHUNK_ROWS = 1023",
+        (TWO_CHUNKS,),
+    ),
+    Mutant(
+        "csv_chunk_one_row_long",
+        "src/aquawake/cli.py",
+        "CSV_CHUNK_ROWS = 1024",
+        "CSV_CHUNK_ROWS = 1025",
+        (TWO_CHUNKS,),
     ),
 )
 
